@@ -33,6 +33,7 @@ from .errors import (
     ClassError,
     CycleError,
     HardnessError,
+    InternalError,
     NoIntersectionError,
     NoTotalOrderError,
     ParseError,

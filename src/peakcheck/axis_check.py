@@ -45,11 +45,9 @@ def _v_valley_exists_ranked(seq):
     """Strict rise followed by a strict fall in the rank sequence."""
     rose = False
     prev = seq[0]
-    high = prev
     for x in seq[1:]:
         if x > prev:
             rose = True
-            high = max(high, x)
         elif x < prev and rose:
             return True
         prev = x

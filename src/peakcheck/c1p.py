@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import axis_check
-from .errors import ClassError
+from .errors import ClassError, InternalError
 from .model import Axis, Notion, OrderClass, Refusal, Verdict
 from .pqtree import backtracking_c1p, solve_c1p_sets
 
@@ -148,10 +150,31 @@ def solve_c1p(matrix, use_backtracking=False):
         if mask == 0 or mask == full or mask & (mask - 1) == 0:
             continue  # empty, complete or singleton rows never constrain
         distinct.append(mask)
-    sets = [frozenset(c for c in range(m) if (mask >> c) & 1) for mask in distinct]
+    rows = _column_lists(distinct, m)
     if use_backtracking:
-        return backtracking_c1p(sets, m)
-    return solve_c1p_sets(sets, m)
+        return backtracking_c1p(rows, m)
+    return solve_c1p_sets(rows, m)
+
+
+def _column_lists(masks, m):
+    """Per bitmask, the ascending list of its set column indices."""
+    if not masks:
+        return []
+    width = (m + 7) // 8
+    packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    bits = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width),
+        axis=1,
+        bitorder="little",
+    )
+    cols = np.nonzero(bits)[1].tolist()  # row-major, so grouped by mask
+    rows = []
+    start = 0
+    for mask in masks:
+        end = start + mask.bit_count()
+        rows.append(cols[start:end])
+        start = end
+    return rows
 
 
 def _refusal(matrix, reason):
@@ -173,7 +196,7 @@ def _recognise(profile, builder, verifier, notion, name):
     axis = Axis(tuple(perm))
     verdict = verifier(profile, axis)
     if not verdict:
-        raise RuntimeError("consecutive-ones solver produced an invalid axis")
+        raise InternalError("consecutive-ones solver produced an invalid axis")
     return Verdict.yes(axis, notion=notion, algorithm=name)
 
 

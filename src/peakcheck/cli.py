@@ -325,19 +325,9 @@ def _cmd_recognize(args):
     if not jobs:
         print("error: no input files (or --seed-corpus) given", file=sys.stderr)
         return 2
-    if len(jobs) > 1:
-        # recognition is pure, so files can be processed concurrently;
-        # results are printed in input order
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-            futures = [
-                pool.submit(_run_one, profile, names, args)
-                for _, profile, names in jobs
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_one(jobs[0][1], jobs[0][2], args)]
+    # files run one after another: recognition holds the interpreter lock,
+    # so threads would only add waiting to each file's wall_time_ms
+    results = [_run_one(profile, names, args) for _, profile, names in jobs]
     worst = 0
     for (source, _, names), (verdict, stats) in zip(jobs, results):
         _print_result(source, verdict, stats, names, args.json)

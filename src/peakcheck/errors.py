@@ -41,6 +41,11 @@ class NoIntersectionError(PeakcheckError):
     """No intersecting vote exists; indicates a disconnected component (internal bug)."""
 
 
+class InternalError(PeakcheckError):
+    """An engine broke one of its own invariants, such as returning an axis
+    that fails verification; always a bug in peakcheck."""
+
+
 class ParseError(PeakcheckError):
     """Malformed election file."""
 

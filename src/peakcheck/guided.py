@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import axis_check
-from .errors import ClassError, PinError
+from .errors import ClassError, InternalError, PinError
 from .model import (
     Axis,
     OrderClass,
@@ -134,7 +134,7 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
         Profile(m, tuple(votes)), axis
     )
     if not check:
-        raise RuntimeError("guided algorithm produced an invalid axis")
+        raise InternalError("guided algorithm produced an invalid axis")
     return Verdict.yes(axis, algorithm="guided")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import axis_check
-from .errors import ClassError, NoTotalOrderError
+from .errors import ClassError, InternalError, NoTotalOrderError
 from .model import Axis, OrderClass, Refusal, Verdict
 
 
@@ -179,10 +179,10 @@ def recognize_lwo_with_total(profile):
             for c in range(m):
                 if a != b and b != c and a != c:
                     if left_of[a][b] and left_of[b][c] and not left_of[a][c]:
-                        raise RuntimeError("extracted axis relation is not transitive")
+                        raise InternalError("extracted axis relation is not transitive")
     order = sorted(range(m), key=lambda c: -sum(left_of[c]))
     axis = Axis(tuple(order))
     verdict = axis_check.is_possibly_sp_on_axis(profile, axis)
     if not verdict:
-        raise RuntimeError("2-SAT assignment produced an invalid axis")
+        raise InternalError("2-SAT assignment produced an invalid axis")
     return Verdict.yes(axis, algorithm="twosat")

@@ -13,7 +13,7 @@ highest-ranked candidate outside the subproblem in every vote.
 from __future__ import annotations
 
 from . import axis_check
-from .errors import ClassError, NoIntersectionError, PinError
+from .errors import ClassError, InternalError, NoIntersectionError, PinError
 from .guided import guided_recognize
 from .model import (
     Axis,
@@ -283,7 +283,8 @@ def _solve_component(profile, starts=None):
                     break
                 inverse = {j: c for c, j in remap.items()}
                 spliced = [inverse[j] for j in result.axis.order]
-                assert spliced[0] == a_i and spliced[-1] == x
+                if spliced[0] != a_i or spliced[-1] != x:
+                    raise InternalError("pinned guided subproblem moved an endpoint")
                 axis.extend(spliced[1:-1])
             i += 1
         if not failed and len(axis) == m:
@@ -322,5 +323,5 @@ def unguided_recognize(profile):
     axis = Axis(tuple(order))
     verdict = axis_check.is_possibly_sp_on_axis(profile, axis)
     if not verdict:
-        raise RuntimeError("unguided algorithm produced an invalid axis")
+        raise InternalError("unguided algorithm produced an invalid axis")
     return Verdict.yes(axis, algorithm="unguided")

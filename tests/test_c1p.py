@@ -256,3 +256,24 @@ def test_gadget_rows_block_same_side_pairs():
                     same_side = True
             if same_side:
                 assert not rows_consecutive_under(gadget_rows, list(ax.order))
+
+
+def test_invalid_solver_axis_raises_internal_error(monkeypatch, tmp_path, capsys):
+    from peakcheck import c1p, cli
+    from peakcheck.errors import InternalError
+    from peakcheck.model import Axis
+    from peakcheck.preflib import write_preflib
+
+    profile = Profile(3, (PreferenceOrder.from_ranks([0, 1, 2]),))
+    bad = [1, 2, 0]  # candidate 2 is a valley between 1 and 0
+    assert not axis_check.is_possibly_sp_on_axis(profile, Axis(tuple(bad)))
+    monkeypatch.setattr(c1p, "solve_c1p_sets", lambda rows, m: list(bad))
+    with pytest.raises(InternalError):
+        recognize_psp_c1p(profile)
+
+    path = tmp_path / "one.soc"
+    path.write_text(write_preflib(profile))
+    rc = cli.main(["recognize", str(path), "--algorithm", "c1p"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")

@@ -58,6 +58,61 @@ def test_agreement_with_backtracking():
             assert rows_consecutive_under(rows, got)
 
 
+def test_nonroot_q_node_with_partial_child_at_left_end():
+    # C1P instances where a non-root Q-node's only pertinent child is partial
+    # and sits at the node's left end, so the node must be turned around
+    # (which case reaches that state depends on the tree's child orders)
+    cases = [
+        ([{4}, {7}, {1, 2, 3, 5}, {4, 6}, {0, 8, 6}, {0, 1, 2, 3, 5}, {7}], 9),
+        ([{2, 3, 4}, {0, 2, 6}, {1, 3, 5}], 7),
+    ]
+    for rows, m in cases:
+        got = solve_c1p_sets(rows, m)
+        assert got is not None
+        assert sorted(got) == list(range(m))
+        assert rows_consecutive_under(rows, got)
+
+
+def _prefix_chain(axis, rng):
+    """Upper sets of one weak order single-peaked on ``axis``.
+
+    Each is an interval of the axis around the peak and each contains the
+    one before it, as the rows of one weak vote's block do.
+    """
+    lo = hi = rng.randrange(len(axis))
+    upper = {axis[lo]}
+    rows = [set(upper)]
+    while lo > 0 or hi < len(axis) - 1:
+        if lo > 0 and (hi == len(axis) - 1 or rng.random() < 0.5):
+            lo -= 1
+            upper.add(axis[lo])
+        else:
+            hi += 1
+            upper.add(axis[hi])
+        if rng.random() < 0.3:
+            rows.append(set(upper))
+    return rows
+
+
+def test_nested_prefix_chains():
+    rng = random.Random(3)
+    for _ in range(80):
+        m = rng.randint(20, 60)
+        axis = rng.sample(range(m), m)
+        rows = [
+            row for _ in range(rng.randint(3, 25)) for row in _prefix_chain(axis, rng)
+        ]
+        got = solve_c1p_sets(rows, m)
+        assert got is not None
+        assert sorted(got) == list(range(m))
+        assert rows_consecutive_under(rows, got)
+        a, b, c = rng.sample(range(m), 3)
+        planted = list(rows)
+        for triple_row in ({a, b}, {b, c}, {a, c}):
+            planted.insert(rng.randint(0, len(planted)), triple_row)
+        assert solve_c1p_sets(planted, m) is None
+
+
 def test_reduce_incremental():
     tree = PQTree(5)
     assert tree.reduce({0, 1})
