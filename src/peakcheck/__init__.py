@@ -30,6 +30,7 @@ from .c1p import (
 )
 from .cli import applicable_engines, dispatch
 from .errors import (
+    AxisError,
     ClassError,
     CycleError,
     HardnessError,

@@ -18,7 +18,9 @@ position, so certificates are deterministic.
 
 from __future__ import annotations
 
-from .errors import ClassError, WitnessError
+import numpy as np
+
+from .errors import AxisError, ClassError, WitnessError
 from .model import (
     Axis,
     Notion,
@@ -52,6 +54,15 @@ def _v_valley_exists_ranked(seq):
             return True
         prev = x
     return False
+
+
+def v_valley_rows(ranks):
+    """Per row of a rank matrix (one vote per row, columns in axis order):
+    whether it holds a v-valley, by the rule of :func:`_v_valley_exists_ranked`
+    applied to every row at once."""
+    step = np.diff(ranks, axis=1)
+    rose = np.logical_or.accumulate(step > 0, axis=1)
+    return np.any(rose[:, :-1] & (step[:, 1:] < 0), axis=1)
 
 
 def _upper_positions(vote, pos):
@@ -287,6 +298,10 @@ def check_necessary_on_axis(profile, axis):
 def check_on_axis(profile, axis, notion=Notion.PSP):
     """Dispatch to the verifier for ``notion``."""
     notion = Notion(notion)
+    if axis.m != profile.m:
+        raise AxisError(
+            f"axis orders {axis.m} candidates, the profile has {profile.m}"
+        )
     if notion == Notion.PSP:
         return is_possibly_sp_on_axis(profile, axis)
     if notion == Notion.PLATEAUED:

@@ -21,6 +21,7 @@ from .errors import (
     ClassError,
     HardnessError,
     NoTotalOrderError,
+    ParseError,
     PeakcheckError,
     SizeError,
 )
@@ -151,7 +152,13 @@ def _read_axis(path, names):
         elif label.isdigit() and 1 <= int(label) <= len(names):
             order.append(int(label) - 1)
         else:
-            raise PeakcheckError(f"unknown candidate {label!r} in axis file")
+            raise ParseError(f"unknown candidate {label!r} in axis file")
+    if len(set(order)) != len(order):
+        raise ParseError("axis file names a candidate twice")
+    if len(order) != len(names):
+        raise ParseError(
+            f"axis file orders {len(order)} of {len(names)} candidates"
+        )
     return Axis(tuple(order))
 
 

@@ -41,6 +41,10 @@ class NoIntersectionError(PeakcheckError):
     """No intersecting vote exists; indicates a disconnected component (internal bug)."""
 
 
+class AxisError(PeakcheckError):
+    """An axis does not order exactly the candidates of the profile."""
+
+
 class InternalError(PeakcheckError):
     """An engine broke one of its own invariants, such as returning an axis
     that fails verification; always a bug in peakcheck."""

@@ -16,10 +16,18 @@ the candidate is placed right.  All extrema reduce to comparisons of bucket
 indices, so one placement step is O(n) and the whole run O(m*n); the
 implementation vectorises the n-dimension with numpy.
 
+The final axis is re-checked for v-valleys on the same rank matrix, one
+vectorised pass over all votes.
+
 Endpoint pins (used by the unguided algorithm's subproblems) require the
 pinned-right candidate to be ranked last in the guiding vote and the
 pinned-left candidate second-to-last; the left pin forces the first placement
 to the left-hand side.
+
+When no vote is total, an implicit guiding vote is searched for by removing
+uniquely-last candidates one at a time.  Each removal updates all votes with
+one vectorised step, and finding the next candidate usually looks at the
+first vote or two; the worst case is O(n*m) for the whole search.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from .model import (
     Axis,
     OrderClass,
     PreferenceOrder,
-    Profile,
     Refusal,
     Verdict,
 )
@@ -130,10 +137,7 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
         raise PinError(f"candidate {pin_left} did not end up leftmost")
     if pin_right is not None and axis[-1] != pin_right:
         raise PinError(f"candidate {pin_right} did not end up rightmost")
-    check = axis_check.is_possibly_sp_on_axis(
-        Profile(m, tuple(votes)), axis
-    )
-    if not check:
+    if axis_check.v_valley_rows(ranks[:, axis.order]).any():
         raise InternalError("guided algorithm produced an invalid axis")
     return Verdict.yes(axis, algorithm="guided")
 
@@ -143,39 +147,6 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
 # ---------------------------------------------------------------------------
 
 
-class _BottomTracker:
-    """Per-vote bottom-bucket bookkeeping with O(1) candidate removal."""
-
-    def __init__(self, vote):
-        self.ranks = vote.ranks
-        self.members = {}
-        for c, r in enumerate(self.ranks):
-            self.members.setdefault(r, []).append(c)
-        self.pos = {}
-        for r, lst in self.members.items():
-            for i, c in enumerate(lst):
-                self.pos[c] = i
-        self.bottom = max(self.ranks)
-
-    def unique_last(self):
-        lst = self.members[self.bottom]
-        return lst[0] if len(lst) == 1 else None
-
-    def remove(self, c):
-        r = self.ranks[c]
-        lst = self.members[r]
-        i = self.pos.pop(c)
-        last = lst.pop()
-        if last != c:
-            lst[i] = last
-            self.pos[last] = i
-        while self.bottom >= 0 and not self.members.get(self.bottom):
-            self.bottom -= 1
-
-    def exhausted(self):
-        return self.bottom < 0
-
-
 def find_implicit_guiding_vote(profile):
     """A total order implicitly contained in a weak-order profile, or None.
 
@@ -183,24 +154,42 @@ def find_implicit_guiding_vote(profile):
     (scanning votes in profile order); the removal sequence read backwards is
     the guiding vote.  The choice made at each step does not affect whether
     the profile is possibly single-peaked.
+
+    Every (vote, bucket) cell keeps the number of live candidates in it and
+    the sum of their ids, so a cell holding one candidate names it.  A
+    removal updates the candidate's cell in every vote with one indexed
+    decrement; each vote's bottom pointer moves up only when that vote is
+    looked at.
     """
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("implicit guiding votes are defined for weak orders")
-    trackers = [_BottomTracker(v) for v in profile.votes]
+    m = profile.m
+    ranks = np.array([v.ranks for v in profile.votes], dtype=np.int64)
+    size = ranks.max(axis=1) + 1  # buckets per vote
+    first = np.cumsum(size) - size  # flat index of each vote's top bucket
+    cell = (ranks + first[:, None]).ravel()  # flat (vote, bucket) per candidate
+    count = np.bincount(cell)
+    # float weights are exact here: an id sum stays far below 2**53
+    id_sum = np.bincount(cell, weights=np.tile(np.arange(m), len(ranks)))
+    id_sum = id_sum.astype(np.int64)
+    cell_of = np.ascontiguousarray(cell.reshape(ranks.shape).T)  # [c]: c's cell per vote
+    bottom = (first + size - 1).tolist()
     removed = []
-    for _ in range(profile.m):
-        candidate = None
-        for t in trackers:
-            if t.exhausted():
-                continue
-            candidate = t.unique_last()
-            if candidate is not None:
+    for _ in range(m):
+        # a live candidate remains, so every vote has a non-empty bucket
+        for k, b in enumerate(bottom):
+            while count[b] == 0:
+                b -= 1
+            bottom[k] = b
+            if count[b] == 1:
+                candidate = int(id_sum[b])
                 break
-        if candidate is None:
+        else:
             return None
         removed.append(candidate)
-        for t in trackers:
-            t.remove(candidate)
+        at = cell_of[candidate]
+        count[at] -= 1
+        id_sum[at] -= candidate
     return PreferenceOrder.from_total(removed[::-1])
 
 

@@ -218,20 +218,49 @@ def write_profile_json(profile, names=None):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _json_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def parse_profile_json(text):
+    """(Profile, candidate names) from the ``write_profile_json`` format."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    m = payload["m"]
+    if not isinstance(payload, dict) or "m" not in payload:
+        raise ParseError('a JSON profile must be an object with an "m" field')
+    m = _json_int(payload["m"], '"m"')
+    if m < 1:
+        raise ParseError(f'"m" must be positive, not {m}')
+    entries = payload.get("votes")
+    if not isinstance(entries, list) or not entries:
+        raise ParseError('"votes" must be a non-empty list')
     votes = []
     mults = []
-    for entry in payload["votes"]:
-        votes.append(
-            PreferenceOrder.from_pairs([tuple(p) for p in entry["pairs"]], m)
-        )
-        mults.append(entry.get("multiplicity", 1))
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("pairs"), list):
+            raise ParseError(f'vote {k} must be an object with a "pairs" list')
+        pairs = []
+        for pair in entry["pairs"]:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"vote {k}: a pair must list two candidates, not {pair!r}")
+            a, b = (_json_int(c, f"vote {k}: a candidate") for c in pair)
+            if not (0 <= a < m and 0 <= b < m):
+                raise ParseError(f"vote {k}: pair {pair} names a candidate outside 0..{m - 1}")
+            pairs.append((a, b))
+        mult = _json_int(entry.get("multiplicity", 1), f"vote {k}: the multiplicity")
+        if mult < 1:
+            raise ParseError(f"vote {k}: the multiplicity must be positive, not {mult}")
+        votes.append(PreferenceOrder.from_pairs(pairs, m))
+        mults.append(mult)
     names = payload.get("names") or [str(i) for i in range(1, m + 1)]
+    if not isinstance(names, list) or len(names) != m or not all(
+        isinstance(name, str) for name in names
+    ):
+        raise ParseError(f'"names" must list {m} strings')
     return Profile(m, tuple(votes), tuple(mults)), names
 
 

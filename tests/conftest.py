@@ -1,4 +1,4 @@
-"""Shared test helpers: small generators and a slow reference for guided."""
+"""Shared test helpers: small generators and slow references for guided."""
 
 from __future__ import annotations
 
@@ -121,3 +121,24 @@ class ReferenceGuided:
                     "placement invariant violated: candidate strictly below "
                     "both axis halves"
                 )
+
+
+def reference_implicit_guiding_vote(profile):
+    """Greedy implicit guiding vote by direct rescans of the live candidates.
+
+    Removes the uniquely last candidate of the first vote (in profile order)
+    that has one, until no candidate is left; None when no vote has one.
+    """
+    alive = set(range(profile.m))
+    removed = []
+    while alive:
+        for vote in profile.votes:
+            bottom = max(vote.ranks[c] for c in alive)
+            last = [c for c in alive if vote.ranks[c] == bottom]
+            if len(last) == 1:
+                break
+        else:
+            return None
+        removed.append(last[0])
+        alive.remove(last[0])
+    return PreferenceOrder.from_total(removed[::-1])

@@ -1,12 +1,17 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_local_weak, random_weak, random_weak_profile
 from peakcheck.axis_check import (
+    _v_valley_exists_ranked,
     check_black_on_axis,
     check_necessary_on_axis,
+    check_on_axis,
     check_plateaued_on_axis,
     extend_to_sp_total_order,
     has_nonpeak_plateau,
@@ -15,8 +20,9 @@ from peakcheck.axis_check import (
     has_v_valley,
     is_possibly_sp_on_axis,
     profile_sp_ok,
+    v_valley_rows,
 )
-from peakcheck.errors import ClassError, WitnessError
+from peakcheck.errors import AxisError, ClassError, WitnessError
 from peakcheck.model import (
     Axis,
     PreferenceOrder,
@@ -264,3 +270,25 @@ def test_hypothesis_reversal_symmetry_weak_votes():
         )
 
     run()
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=5
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_v_valley_rows_matches_scalar_rule(rows):
+    # rank matrices with ties: the row check flags exactly the rows the
+    # scalar rule flags
+    flagged = v_valley_rows(np.array(rows, dtype=np.int32))
+    assert flagged.tolist() == [_v_valley_exists_ranked(row) for row in rows]
+
+
+def test_check_on_axis_rejects_axis_of_other_size():
+    prof = Profile(3, (PreferenceOrder.from_total([0, 1, 2]),))
+    for ax in (axis(0, 1), axis(0, 1, 2, 3)):
+        with pytest.raises(AxisError):
+            check_on_axis(prof, ax)

@@ -1,12 +1,18 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
-from conftest import ReferenceGuided, random_total, random_weak
-from peakcheck import c1p, oracle
+from conftest import (
+    ReferenceGuided,
+    random_total,
+    random_weak,
+    reference_implicit_guiding_vote,
+)
+from peakcheck import axis_check, c1p, cli, oracle
 from peakcheck.axis_check import is_possibly_sp_on_axis
-from peakcheck.errors import ClassError, PinError
+from peakcheck.errors import ClassError, InternalError, PinError
 from peakcheck.guided import (
     enumerate_implicit_guiding_votes,
     find_implicit_guiding_vote,
@@ -14,6 +20,7 @@ from peakcheck.guided import (
 )
 from peakcheck.gadgets import random_sp_profile
 from peakcheck.model import PreferenceOrder, Profile, build_order
+from peakcheck.preflib import write_preflib
 
 EX2_V1 = PreferenceOrder.from_ranks([0, 1, 2, 2, 3])  # <a > b > c~d > e>
 EX2_V2 = PreferenceOrder.from_ranks([0, 0, 0, 1, 2])  # <a~b~c > d > e>
@@ -35,6 +42,61 @@ def test_enumerate_guiding_votes_contains_documented_alternative():
 def test_no_unique_last():
     prof = Profile(2, (PreferenceOrder.empty(2),))
     assert find_implicit_guiding_vote(prof) is None
+
+
+def test_implicit_search_is_first_enumerated_order():
+    # a candidate enters the search's options only once it is uniquely last
+    # somewhere and stays available until taken, so the greedy choice fails
+    # exactly when no implicit guiding vote exists
+    rng = random.Random(11)
+    found = 0
+    for _ in range(4000):
+        m = rng.randint(1, 6)
+        prof = Profile(m, tuple(random_weak(m, rng) for _ in range(rng.randint(1, 5))))
+        expected = next(enumerate_implicit_guiding_votes(prof), None)
+        assert find_implicit_guiding_vote(prof) == expected
+        found += expected is not None
+    assert 0 < found < 4000
+
+
+def test_implicit_search_matches_reference_at_scale():
+    rng = random.Random(12)
+    outcomes = set()
+    for i in range(6):
+        m = rng.randint(200, 400)
+        prof = random_sp_profile(m, rng.randint(5, 30), "psp", rng.choice((0.1, 0.3, 0.5)), seed=i)
+        if i % 2:
+            # two candidates tied in every vote: the search removes the
+            # others, then finds no uniquely last candidate
+            x, y = rng.sample(range(m), 2)
+            votes = []
+            for vote in prof.votes:
+                ranks = list(vote.ranks)
+                ranks[y] = ranks[x]
+                votes.append(PreferenceOrder.from_ranks(ranks))
+            prof = Profile(m, tuple(votes))
+        expected = reference_implicit_guiding_vote(prof)
+        assert find_implicit_guiding_vote(prof) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {False, True}
+
+
+def test_guided_final_check_failure_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    guiding = PreferenceOrder.from_total([0, 1, 2])
+    prof = Profile(3, (guiding,))
+    assert guided_recognize(prof, guiding).consistent
+    monkeypatch.setattr(
+        axis_check, "v_valley_rows", lambda ranks: np.ones(len(ranks), dtype=bool)
+    )
+    with pytest.raises(InternalError):
+        guided_recognize(prof, guiding)
+
+    path = tmp_path / "one.soc"
+    path.write_text(write_preflib(prof))
+    rc = cli.main(["recognize", str(path), "--algorithm", "guided"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
 
 
 def test_example_2_not_single_peaked_under_every_guiding_vote():

@@ -271,3 +271,41 @@ def test_cli_generate_roundtrip(tmp_path, capsys):
     rc = main(["recognize", str(out_file)])
     capsys.readouterr()
     assert rc == 0  # generated single-peaked corpus is consistent
+
+
+@pytest.mark.parametrize("axis_text", ["1 2\n", "1 2 2\n", "1 2 3 1\n"])
+def test_cli_axis_file_must_order_every_candidate_once(tmp_path, capsys, axis_text):
+    # too short, a repeat in place of a candidate, and a repeat on top of all
+    election = tmp_path / "three.soc"
+    election.write_text("# NUMBER ALTERNATIVES: 3\n1: 1,2,3\n")
+    axis_file = tmp_path / "axis.txt"
+    axis_file.write_text(axis_text)
+    rc = main(["recognize", str(election), "--axis", str(axis_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"m": 3, "votes": []},
+        {"votes": [{"pairs": [[0, 1]]}]},
+        {"m": 3, "votes": [{"pairs": [[0, "x"]]}]},
+        {"m": 3, "votes": [{"pairs": [[0, 1.5]]}]},
+        {"m": 3, "votes": [{"multiplicity": 1}]},
+        {"m": 3, "votes": [{"pairs": [[0, 3]]}]},
+        {"m": 3, "votes": [{"pairs": [[0, 1]], "multiplicity": 0}]},
+        {"m": 2, "names": ["a"], "votes": [{"pairs": [[0, 1]]}]},
+        {"m": "3", "votes": [{"pairs": []}]},
+    ],
+)
+def test_cli_malformed_json_profile_is_an_error(tmp_path, capsys, payload):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError):
+        parse_profile_json(path.read_text())
+    rc = main(["recognize", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
