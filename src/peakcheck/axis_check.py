@@ -338,9 +338,3 @@ def extend_to_sp_total_order(vote, axis):
         else:
             bottom_up.append(remaining.pop(0))
     return PreferenceOrder.from_total(bottom_up[::-1])
-
-
-def profile_sp_ok(profile, axis):
-    """Boolean fast path of :func:`is_possibly_sp_on_axis`."""
-    pos = axis.positions()
-    return all(_vote_psp_ok(v, axis, pos) for v in profile.votes)

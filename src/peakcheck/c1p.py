@@ -73,62 +73,52 @@ def _cumulative_bucket_masks(vote):
     return masks
 
 
-def build_psp_matrix(profile):
-    """Base reduction: one ``m x m`` block per vote, rows in candidate order."""
-    _require_weak(profile, "the consecutive-ones reduction")
+def _build(profile, what, gadgets=False, single_top=False):
+    """One base block per vote and, with ``gadgets``, the three gadget rows of
+    each non-top indifferent pair.  Stops at the first vote that forces
+    rejection: a non-top indifference class of three or more (``gadgets``)
+    or a top plateau (``single_top``)."""
+    _require_weak(profile, what)
     mat = C1Matrix(profile.m)
     for k, vote in enumerate(profile.votes):
-        cum = _cumulative_bucket_masks(vote)
-        for a in range(profile.m):
-            mat.append(cum[vote.ranks[a]], (k, "base", a))
-    return mat
-
-
-def _append_plateau_gadgets(mat, k, vote):
-    """Gadget rows for vote ``k``; True if a non-top triple forces rejection."""
-    cum = _cumulative_bucket_masks(vote)
-    for bucket in vote.buckets()[1:]:
-        if len(bucket) >= 3:
-            mat.short_circuit = True
-            mat.short_circuit_reason = (k, "three-way non-top indifference")
-            return True
-        if len(bucket) == 2:
-            a, b = sorted(bucket)
-            preferred = cum[vote.ranks[a] - 1]
-            mat.append(preferred | (1 << b), (k, "plateau-gadget-1", (a, b)))
-            mat.append(preferred | (1 << a) | (1 << b), (k, "plateau-gadget-2", (a, b)))
-            mat.append(preferred | (1 << a), (k, "plateau-gadget-3", (a, b)))
-    return False
-
-
-def build_plateaued_matrix(profile):
-    """Base blocks plus per-pair plateau gadgets (single-plateaued variant)."""
-    _require_weak(profile, "the single-plateaued reduction")
-    mat = C1Matrix(profile.m)
-    for k, vote in enumerate(profile.votes):
-        cum = _cumulative_bucket_masks(vote)
-        for a in range(profile.m):
-            mat.append(cum[vote.ranks[a]], (k, "base", a))
-        if _append_plateau_gadgets(mat, k, vote):
-            return mat
-    return mat
-
-
-def build_black_matrix(profile):
-    """Single-plateaued reduction plus rejection of any top plateau."""
-    _require_weak(profile, "the Black single-peaked reduction")
-    mat = C1Matrix(profile.m)
-    for k, vote in enumerate(profile.votes):
-        if len(vote.buckets()[0]) >= 2:
+        if single_top and len(vote.buckets()[0]) >= 2:
             mat.short_circuit = True
             mat.short_circuit_reason = (k, "more than one most-preferred candidate")
             return mat
         cum = _cumulative_bucket_masks(vote)
         for a in range(profile.m):
             mat.append(cum[vote.ranks[a]], (k, "base", a))
-        if _append_plateau_gadgets(mat, k, vote):
-            return mat
+        if not gadgets:
+            continue
+        for bucket in vote.buckets()[1:]:
+            if len(bucket) >= 3:
+                mat.short_circuit = True
+                mat.short_circuit_reason = (k, "three-way non-top indifference")
+                return mat
+            if len(bucket) == 2:
+                a, b = sorted(bucket)
+                preferred = cum[vote.ranks[a] - 1]
+                mat.append(preferred | (1 << b), (k, "plateau-gadget-1", (a, b)))
+                mat.append(preferred | (1 << a) | (1 << b), (k, "plateau-gadget-2", (a, b)))
+                mat.append(preferred | (1 << a), (k, "plateau-gadget-3", (a, b)))
     return mat
+
+
+def build_psp_matrix(profile):
+    """Base reduction: one ``m x m`` block per vote, rows in candidate order."""
+    return _build(profile, "the consecutive-ones reduction")
+
+
+def build_plateaued_matrix(profile):
+    """Base blocks plus per-pair plateau gadgets (single-plateaued variant)."""
+    return _build(profile, "the single-plateaued reduction", gadgets=True)
+
+
+def build_black_matrix(profile):
+    """Single-plateaued reduction plus rejection of any top plateau."""
+    return _build(
+        profile, "the Black single-peaked reduction", gadgets=True, single_top=True
+    )
 
 
 def solve_c1p(matrix, use_backtracking=False):
@@ -184,74 +174,60 @@ def _refusal(matrix, reason):
     return Refusal(reason)
 
 
-def _recognise(profile, builder, verifier, notion, name):
+def recognize(profile, notion=Notion.PSP):
+    """Consistency of a weak-order profile with ``notion``: build the notion's
+    matrix, solve it, and verify the axis with the notion's axis check.
+
+    Necessary single-peakedness equals single-plateaued consistency restricted
+    to votes whose top indifference class has at most two members; that size
+    test is axis-independent, so any single-plateaued axis also witnesses it.
+    """
+    notion = Notion(notion)
+    if notion == Notion.NECESSARY:
+        _require_weak(profile, "necessarily-single-peaked recognition")
+        for k, vote in enumerate(profile.votes):
+            if len(vote.buckets()[0]) > 2:
+                return Verdict.no(
+                    Refusal("top indifference class larger than two", vote_index=k),
+                    notion=notion,
+                    algorithm="c1p",
+                )
+    # looked up per call, so that a wrapped module attribute is the one called
+    builder = {
+        Notion.PSP: build_psp_matrix,
+        Notion.PLATEAUED: build_plateaued_matrix,
+        Notion.BLACK: build_black_matrix,
+        Notion.NECESSARY: build_plateaued_matrix,
+    }[notion]
     matrix = builder(profile)
     perm = solve_c1p(matrix)
     if perm is None:
         return Verdict.no(
             _refusal(matrix, "no column permutation yields consecutive ones"),
             notion=notion,
-            algorithm=name,
+            algorithm="c1p",
         )
     axis = Axis(tuple(perm))
-    verdict = verifier(profile, axis)
-    if not verdict:
+    if not axis_check.check_on_axis(profile, axis, notion):
         raise InternalError("consecutive-ones solver produced an invalid axis")
-    return Verdict.yes(axis, notion=notion, algorithm=name)
+    return Verdict.yes(axis, notion=notion, algorithm="c1p")
 
 
 def recognize_psp_c1p(profile):
     """Possibly-single-peaked consistency of a weak-order profile."""
-    return _recognise(
-        profile,
-        build_psp_matrix,
-        axis_check.is_possibly_sp_on_axis,
-        Notion.PSP,
-        "c1p",
-    )
+    return recognize(profile, Notion.PSP)
 
 
 def recognize_plateaued(profile):
     """Single-plateaued consistency of a weak-order profile."""
-    return _recognise(
-        profile,
-        build_plateaued_matrix,
-        axis_check.check_plateaued_on_axis,
-        Notion.PLATEAUED,
-        "c1p",
-    )
+    return recognize(profile, Notion.PLATEAUED)
 
 
 def recognize_black(profile):
     """Black single-peaked consistency of a weak-order profile."""
-    return _recognise(
-        profile,
-        build_black_matrix,
-        axis_check.check_black_on_axis,
-        Notion.BLACK,
-        "c1p",
-    )
+    return recognize(profile, Notion.BLACK)
 
 
 def recognize_necessary(profile):
-    """Necessarily-single-peaked consistency of a weak-order profile.
-
-    Equals single-plateaued consistency restricted to votes whose top
-    indifference class has at most two members; that size test is
-    axis-independent, so any single-plateaued axis also witnesses this notion.
-    """
-    _require_weak(profile, "necessarily-single-peaked recognition")
-    for k, vote in enumerate(profile.votes):
-        if len(vote.buckets()[0]) > 2:
-            return Verdict.no(
-                Refusal("top indifference class larger than two", vote_index=k),
-                notion=Notion.NECESSARY,
-                algorithm="c1p",
-            )
-    return _recognise(
-        profile,
-        build_plateaued_matrix,
-        axis_check.check_necessary_on_axis,
-        Notion.NECESSARY,
-        "c1p",
-    )
+    """Necessarily-single-peaked consistency of a weak-order profile."""
+    return recognize(profile, Notion.NECESSARY)

@@ -1,11 +1,18 @@
 """Algorithm dispatch and the ``peakcheck`` command line.
 
-``dispatch`` picks an engine by order class: a given axis short-circuits to
-the axis verifier; top orders go to the unguided algorithm (or guided when an
-implicit guiding vote exists); weak orders to guided-if-guiding-vote, else
-the consecutive-ones recogniser; local weak orders with a total vote to the
-2-SAT engine; anything looser to the brute-force oracle while small enough,
-otherwise the NP-hard frontier is reported as an error.
+``applicable_engines`` is the one statement of when an engine applies:
+``c1p`` for weak orders, ``guided`` for weak orders with an explicit or
+implicit guiding vote, ``unguided`` for top orders, ``twosat`` for local weak
+orders that include a total vote, and the brute-force ``oracle`` up to its
+size bound.  For the plateau notions only ``c1p`` applies, and the oracle on
+weak orders (for the necessary notion only up to m=6).
+
+``dispatch`` with a given axis short-circuits to the axis verifier.  Its auto
+path for possibly-single-peakedness runs the first applicable engine in
+``AUTO_PRIORITY`` (guided > unguided > c1p > twosat > oracle) and reports the
+NP-hard frontier as an error when none applies.  An explicit algorithm, and
+auto for a plateau notion (which means ``c1p``), runs that engine directly,
+so an engine refuses a profile outside its class with its own error.
 
 Exit codes: 0 consistent, 1 not consistent, 2 error.
 """
@@ -23,12 +30,12 @@ from .errors import (
     NoTotalOrderError,
     ParseError,
     PeakcheckError,
-    SizeError,
 )
 from .guided import find_implicit_guiding_vote, guided_recognize
 from .model import Axis, Notion, OrderClass, Verdict
 
 ALGORITHMS = ("auto", "c1p", "guided", "unguided", "twosat", "oracle")
+AUTO_PRIORITY = ("guided", "unguided", "c1p", "twosat", "oracle")
 
 
 def _guiding_vote(profile):
@@ -40,6 +47,21 @@ def _guiding_vote(profile):
     return None
 
 
+def _runner(name, notion, oracle_bound, guiding=None):
+    """Engine ``name`` as a callable on a profile.  Engines are looked up on
+    their modules when this runs, never at import, so a replaced module
+    attribute is the one called."""
+    if name == "c1p":
+        return lambda p: c1p.recognize(p, notion)
+    if name == "guided":
+        return lambda p: guided_recognize(p, guiding)
+    if name == "unguided":
+        return unguided.unguided_recognize
+    if name == "twosat":
+        return twosat.recognize_lwo_with_total
+    return lambda p: oracle.oracle_recognize(p, notion, oracle_bound)
+
+
 def dispatch(profile, notion=Notion.PSP, algorithm="auto", given_axis=None,
              oracle_bound=oracle.DEFAULT_BOUND):
     """Run the selected (or automatically chosen) recognition engine."""
@@ -48,92 +70,52 @@ def dispatch(profile, notion=Notion.PSP, algorithm="auto", given_axis=None,
         return axis_check.check_on_axis(profile, given_axis, notion)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    cls = profile.order_class()
-
-    if notion != Notion.PSP:
-        if algorithm == "oracle":
-            return oracle.oracle_recognize(profile, notion, bound=oracle_bound)
-        if algorithm in ("auto", "c1p"):
-            return {
-                Notion.PLATEAUED: c1p.recognize_plateaued,
-                Notion.BLACK: c1p.recognize_black,
-                Notion.NECESSARY: c1p.recognize_necessary,
-            }[notion](profile)
+    if algorithm == "auto" and notion == Notion.PSP:
+        engines = dict(applicable_engines(profile, notion, oracle_bound))
+        for name in AUTO_PRIORITY:
+            if name in engines:
+                return engines[name](profile)
+        raise HardnessError(
+            "recognition for this order class is NP-complete and the instance "
+            f"exceeds the brute-force bound (m={profile.m} > {oracle_bound})"
+        )
+    if algorithm == "auto":
+        algorithm = "c1p"
+    if notion != Notion.PSP and algorithm not in ("c1p", "oracle"):
         raise ClassError(
             f"the {algorithm} engine only decides possibly-single-peakedness"
         )
-
-    if algorithm == "c1p":
-        return c1p.recognize_psp_c1p(profile)
+    guiding = None
     if algorithm == "guided":
         guiding = _guiding_vote(profile)
         if guiding is None:
             raise NoTotalOrderError("no explicit or implicit guiding vote found")
-        return guided_recognize(profile, guiding)
-    if algorithm == "unguided":
-        return unguided.unguided_recognize(profile)
-    if algorithm == "twosat":
-        return twosat.recognize_lwo_with_total(profile)
-    if algorithm == "oracle":
-        return oracle.oracle_recognize(profile, Notion.PSP, bound=oracle_bound)
-
-    # auto
-    if cls <= OrderClass.TOP:
-        guiding = _guiding_vote(profile)
-        if guiding is not None:
-            return guided_recognize(profile, guiding)
-        return unguided.unguided_recognize(profile)
-    if cls == OrderClass.WEAK:
-        guiding = _guiding_vote(profile)
-        if guiding is not None:
-            return guided_recognize(profile, guiding)
-        return c1p.recognize_psp_c1p(profile)
-    if cls == OrderClass.LOCAL_WEAK and profile.contains_total_order():
-        return twosat.recognize_lwo_with_total(profile)
-    if profile.m <= oracle_bound:
-        return oracle.oracle_recognize(profile, Notion.PSP, bound=oracle_bound)
-    raise HardnessError(
-        "recognition for this order class is NP-complete and the instance "
-        f"exceeds the brute-force bound (m={profile.m} > {oracle_bound})"
-    )
+    return _runner(algorithm, notion, oracle_bound, guiding)(profile)
 
 
 def applicable_engines(profile, notion=Notion.PSP, oracle_bound=oracle.DEFAULT_BOUND):
     """(name, runner) pairs of every engine whose preconditions hold."""
     notion = Notion(notion)
     cls = profile.order_class()
-    engines = []
+    names = ["c1p"] if cls <= OrderClass.WEAK else []
+    guiding = None
     if notion == Notion.PSP:
         if cls <= OrderClass.WEAK:
-            engines.append(("c1p", c1p.recognize_psp_c1p))
             guiding = _guiding_vote(profile)
             if guiding is not None:
-                engines.append(
-                    ("guided", lambda p, g=guiding: guided_recognize(p, g))
-                )
+                names.append("guided")
         if cls <= OrderClass.TOP:
-            engines.append(("unguided", unguided.unguided_recognize))
+            names.append("unguided")
         if cls <= OrderClass.LOCAL_WEAK and profile.contains_total_order():
-            engines.append(("twosat", twosat.recognize_lwo_with_total))
-        if profile.m <= oracle_bound:
-            engines.append(
-                ("oracle", lambda p: oracle.oracle_recognize(p, Notion.PSP, oracle_bound))
-            )
+            names.append("twosat")
+        oracle_applies = True
     else:
-        if cls <= OrderClass.WEAK:
-            runner = {
-                Notion.PLATEAUED: c1p.recognize_plateaued,
-                Notion.BLACK: c1p.recognize_black,
-                Notion.NECESSARY: c1p.recognize_necessary,
-            }[notion]
-            engines.append(("c1p", runner))
-            if profile.m <= oracle_bound and not (
-                notion == Notion.NECESSARY and profile.m > 6
-            ):
-                engines.append(
-                    ("oracle", lambda p, nt=notion: oracle.oracle_recognize(p, nt, oracle_bound))
-                )
-    return engines
+        oracle_applies = cls <= OrderClass.WEAK and not (
+            notion == Notion.NECESSARY and profile.m > 6
+        )
+    if oracle_applies and profile.m <= oracle_bound:
+        names.append("oracle")
+    return [(name, _runner(name, notion, oracle_bound, guiding)) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -162,27 +144,45 @@ def _read_axis(path, names):
     return Axis(tuple(order))
 
 
+# order-class names of --seed-corpus and generate --class
+_ORDER_CLASSES = {
+    "total": OrderClass.TOTAL, "soc": OrderClass.TOTAL,
+    "top": OrderClass.TOP, "toi": OrderClass.TOP, "soi": OrderClass.TOP,
+    "weak": OrderClass.WEAK, "toc": OrderClass.WEAK,
+    "localweak": OrderClass.LOCAL_WEAK, "partial": OrderClass.PARTIAL,
+}
+
+
+def _order_class(name):
+    key = name.strip().lower()
+    if key not in _ORDER_CLASSES:
+        raise PeakcheckError(f"unknown class {key!r}")
+    return _ORDER_CLASSES[key]
+
+
+def _require_sizes(m, n):
+    if m < 1 or n < 1:
+        raise PeakcheckError(f"m and n must be at least 1 (got m={m}, n={n})")
+
+
 def _seed_corpus_profiles(spec):
     """Profiles from 'm,n,class,seed[,count]' (class: soc/toc/toi or order class)."""
     parts = spec.split(",")
     if len(parts) not in (4, 5):
         raise PeakcheckError("--seed-corpus expects m,n,class,seed[,count]")
-    m, n = int(parts[0]), int(parts[1])
-    cls_name = parts[2].strip().lower()
-    seed = int(parts[3])
-    count = int(parts[4]) if len(parts) == 5 else 1
-    classes = {
-        "total": OrderClass.TOTAL, "soc": OrderClass.TOTAL,
-        "top": OrderClass.TOP, "toi": OrderClass.TOP, "soi": OrderClass.TOP,
-        "weak": OrderClass.WEAK, "toc": OrderClass.WEAK,
-        "localweak": OrderClass.LOCAL_WEAK, "partial": OrderClass.PARTIAL,
-    }
-    if cls_name not in classes:
-        raise PeakcheckError(f"unknown class {cls_name!r}")
+    try:
+        m, n, seed = int(parts[0]), int(parts[1]), int(parts[3])
+        count = int(parts[4]) if len(parts) == 5 else 1
+    except ValueError:
+        raise PeakcheckError(
+            f"--seed-corpus expects integer m, n, seed and count, got {spec!r}"
+        ) from None
+    _require_sizes(m, n)
+    cls = _order_class(parts[2])
     for i in range(count):
         yield (
             f"seed-corpus[{i}]",
-            gadgets.random_profile(m, n, classes[cls_name], seed + i),
+            gadgets.random_profile(m, n, cls, seed + i),
             [str(c + 1) for c in range(m)],
         )
 
@@ -292,18 +292,17 @@ def main(argv=None):
 
 
 def _cmd_generate(args):
+    _require_sizes(args.m, args.n)
+    if not 0.0 <= args.incompleteness <= 1.0:
+        raise PeakcheckError(
+            f"--incompleteness must lie in [0, 1], got {args.incompleteness}"
+        )
     if args.kind == "sp":
         profile = gadgets.random_sp_profile(
             args.m, args.n, args.notion, args.incompleteness, args.seed
         )
     else:
-        cls = {
-            "total": OrderClass.TOTAL,
-            "top": OrderClass.TOP,
-            "weak": OrderClass.WEAK,
-            "localweak": OrderClass.LOCAL_WEAK,
-            "partial": OrderClass.PARTIAL,
-        }[args.order_class]
+        cls = _order_class(args.order_class)
         profile = gadgets.random_profile(args.m, args.n, cls, args.seed)
     comments = [
         f"GENERATOR: peakcheck {args.kind} m={args.m} n={args.n} "

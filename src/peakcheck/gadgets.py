@@ -100,7 +100,7 @@ def _merge_boundaries(seq, pos, peak_pos, notion, p, rng):
             if rng.random() < p:
                 dissolved[i] = True
         return dissolved
-    top_limit = m if notion == "plateaued" else (2 if notion == "necessary" else 1)
+    top_limit = m if notion == "plateaued" else min(m, 2 if notion == "necessary" else 1)
     i = 1
     while i < top_limit and rng.random() < p:
         dissolved[i] = True

@@ -102,10 +102,10 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
         ci_above_min = rci < worst
         max_above_ci = best < rci
         right_blocked = bool(
-            np.any((ci_above_min & (max_left < worst)) | (max_above_ci & (max_right < rci)))
+            ((ci_above_min & (max_left < worst)) | (max_above_ci & (max_right < rci))).any()
         )
         left_blocked = bool(
-            np.any((ci_above_min & (max_right < worst)) | (max_above_ci & (max_left < rci)))
+            ((ci_above_min & (max_right < worst)) | (max_above_ci & (max_left < rci))).any()
         )
         if pin_left is not None and seq[i] == pin_left:
             if left_blocked:

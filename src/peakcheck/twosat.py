@@ -166,23 +166,15 @@ def recognize_lwo_with_total(profile):
             Refusal("pair-ordering constraints are unsatisfiable"),
             algorithm="twosat",
         )
+    # candidates sorted by how many others they are left of; the axis check
+    # below, not a transitivity scan, catches an assignment that is no order
     m = profile.m
-    left_of = [[False] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if a != b and assignment[pair_var(a, b, m)]:
-                left_of[a][b] = True
-    # asymmetry and totality follow from the exclusive-or clauses;
-    # transitivity holds because the profile contains a total order
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if a != b and b != c and a != c:
-                    if left_of[a][b] and left_of[b][c] and not left_of[a][c]:
-                        raise InternalError("extracted axis relation is not transitive")
-    order = sorted(range(m), key=lambda c: -sum(left_of[c]))
+    left_counts = [
+        sum(assignment[c * m : (c + 1) * m]) - assignment[pair_var(c, c, m)]
+        for c in range(m)
+    ]
+    order = sorted(range(m), key=lambda c: -left_counts[c])
     axis = Axis(tuple(order))
-    verdict = axis_check.is_possibly_sp_on_axis(profile, axis)
-    if not verdict:
+    if not axis_check.is_possibly_sp_on_axis(profile, axis):
         raise InternalError("2-SAT assignment produced an invalid axis")
     return Verdict.yes(axis, algorithm="twosat")

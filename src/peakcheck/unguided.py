@@ -127,7 +127,6 @@ class IntersectionIndex:
         masks = []
         ranked_mask = []
         for vote in profile.votes:
-            mask = 0
             rm = 0
             for c in vote.ranked_candidates():
                 rm |= 1 << c

@@ -19,7 +19,6 @@ from peakcheck.axis_check import (
     has_u_valley,
     has_v_valley,
     is_possibly_sp_on_axis,
-    profile_sp_ok,
     v_valley_rows,
 )
 from peakcheck.errors import AxisError, ClassError, WitnessError
@@ -237,15 +236,6 @@ def test_degenerate_small_m():
     assert check_plateaued_on_axis(two, ax).consistent
     assert check_necessary_on_axis(two, ax).consistent
     assert not check_black_on_axis(two, ax).consistent  # top plateau of size 2
-
-
-def test_profile_sp_ok_matches_verdict():
-    rng = random.Random(6)
-    for _ in range(100):
-        m = rng.randint(1, 5)
-        prof = random_weak_profile(m, rng.randint(1, 4), rng)
-        for ax in list(all_axes(m))[:4]:
-            assert profile_sp_ok(prof, ax) == is_possibly_sp_on_axis(prof, ax).consistent
 
 
 def test_hypothesis_reversal_symmetry_weak_votes():

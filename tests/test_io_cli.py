@@ -4,8 +4,15 @@ import random
 import pytest
 
 from conftest import random_local_weak
-from peakcheck.cli import applicable_engines, dispatch, main
-from peakcheck.errors import ClassError, HardnessError, ParseError, UnknownCandidateError
+from peakcheck.cli import ALGORITHMS, applicable_engines, dispatch, main
+from peakcheck.errors import (
+    ClassError,
+    HardnessError,
+    ParseError,
+    PeakcheckError,
+    UnknownCandidateError,
+)
+from peakcheck.guided import find_implicit_guiding_vote
 from peakcheck.gadgets import random_profile, random_sp_profile
 from peakcheck.model import (
     Axis,
@@ -309,3 +316,128 @@ def test_cli_malformed_json_profile_is_an_error(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:")
+
+
+_T, _R = PreferenceOrder.from_total, PreferenceOrder.from_ranks
+_TOTAL = _T([1, 2, 0, 3])
+_LOCAL_WEAK = build_order([(0, 1), (0, 2)], 4)  # candidate 3 compares to none
+_PARTIAL = build_order([(0, 1), (2, 3)], 4)
+_WEAK_PLATEAU = "c1p c1p ClassError ClassError ClassError oracle"
+_LOOSE_PLATEAU = "ClassError ClassError ClassError ClassError ClassError ClassError"
+
+# (order class, guiding vote) -> votes over m=4, then dispatch's engine or
+# error per algorithm in ALGORITHMS order (auto first), for psp and for each
+# of the plateaued, black and necessary notions.  A top-order profile without
+# a total vote has no implicit guiding vote: no vote has a single last.
+ROUTES = {
+    ("total", "explicit"): (
+        [_T([0, 1, 2, 3]), _TOTAL],
+        "guided c1p guided unguided twosat oracle", _WEAK_PLATEAU,
+    ),
+    ("top", "explicit"): (
+        [_R([0, 1, 2, 2]), _TOTAL],
+        "guided c1p guided unguided twosat oracle", _WEAK_PLATEAU,
+    ),
+    ("top", "none"): (
+        [_R([0, 1, 1, 1]), _R([1, 0, 1, 1]), _R([1, 1, 0, 1]), _R([1, 1, 1, 0])],
+        "unguided c1p NoTotalOrderError unguided NoTotalOrderError oracle", _WEAK_PLATEAU,
+    ),
+    ("weak", "explicit"): (
+        [_R([0, 0, 1, 2]), _TOTAL],
+        "guided c1p guided ClassError twosat oracle", _WEAK_PLATEAU,
+    ),
+    ("weak", "implicit"): (
+        [_R([0, 1, 1, 2]), _R([0, 1, 2, 2])],
+        "guided c1p guided ClassError NoTotalOrderError oracle", _WEAK_PLATEAU,
+    ),
+    ("weak", "none"): (
+        [_R([0, 0, 1, 1]), _R([1, 1, 0, 0]), _R([0, 1, 1, 0]), _R([1, 0, 0, 1])],
+        "c1p c1p NoTotalOrderError ClassError NoTotalOrderError oracle", _WEAK_PLATEAU,
+    ),
+    ("local_weak", "explicit"): (
+        [_LOCAL_WEAK, _TOTAL],
+        "twosat ClassError ClassError ClassError twosat oracle", _LOOSE_PLATEAU,
+    ),
+    ("local_weak", "none"): (
+        [_LOCAL_WEAK],
+        "oracle ClassError NoTotalOrderError ClassError NoTotalOrderError oracle",
+        _LOOSE_PLATEAU,
+    ),
+    ("partial", "explicit"): (
+        [_PARTIAL, _TOTAL],
+        "oracle ClassError ClassError ClassError ClassError oracle", _LOOSE_PLATEAU,
+    ),
+    ("partial", "none"): (
+        [_PARTIAL],
+        "oracle ClassError NoTotalOrderError ClassError ClassError oracle", _LOOSE_PLATEAU,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(ROUTES), ids="-".join)
+def test_dispatch_routing_table(key):
+    (class_name, guiding), (votes, psp, plateau) = key, ROUTES[key]
+    prof = Profile(4, tuple(votes))
+    assert prof.order_class() == OrderClass[class_name.upper()]
+    assert (prof.first_total_order() is not None) == (guiding == "explicit")
+    if guiding != "explicit" and prof.order_class() <= OrderClass.WEAK:
+        assert (find_implicit_guiding_vote(prof) is not None) == (guiding == "implicit")
+    wrong = []
+    for notion in Notion:
+        expected = (psp if notion == Notion.PSP else plateau).split()
+        for algorithm, want in zip(ALGORITHMS, expected):
+            try:
+                got = dispatch(prof, notion, algorithm).algorithm
+            except PeakcheckError as exc:
+                got = type(exc).__name__
+            if got != want:
+                wrong.append((notion.value, algorithm, got, want))
+    assert not wrong
+
+
+def test_cli_cross_validate_runs_every_applicable_engine(tmp_path, capsys):
+    election = tmp_path / "total.soc"
+    election.write_text("# NUMBER ALTERNATIVES: 3\n1: 1,2,3\n1: 2,1,3\n")
+    rc = main(["recognize", str(election), "--cross-validate"])
+    assert rc == 0
+    assert "[psp/c1p+guided+unguided+twosat+oracle]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recognize", "--seed-corpus", "a,b,weak,1"],
+        ["recognize", "--seed-corpus", "3,0,weak,1"],
+        ["generate", "OUT", "--m", "5", "--n", "3", "--kind", "random", "--class", "bogus"],
+        ["generate", "OUT", "--m", "5", "--n", "3", "--incompleteness", "2"],
+        ["generate", "OUT", "--m", "0", "--n", "3"],
+    ],
+)
+def test_cli_malformed_arguments_are_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.toc"
+    rc = main([str(out) if a == "OUT" else a for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+def test_cli_class_names_are_shared(tmp_path, capsys):
+    # generate --class takes the PrefLib names that --seed-corpus takes
+    out = tmp_path / "x.toc"
+    rc = main(["generate", str(out), "--m", "4", "--n", "2", "--kind", "random", "--class", "toc"])
+    capsys.readouterr()
+    assert rc == 0
+    assert parse_preflib(out.read_text()).order_class() <= OrderClass.WEAK
+    rc = main(["recognize", "--seed-corpus", "4,2,LocalWeak,3"])
+    assert rc in (0, 1)
+    assert "seed-corpus[0]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("notion", ["psp", "plateaued", "black", "necessary"])
+def test_cli_generate_single_candidate(tmp_path, capsys, notion):
+    out = tmp_path / "one.toc"
+    argv = ["generate", str(out), "--m", "1", "--n", "2", "--notion", notion]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert parse_preflib(out.read_text()).m == 1

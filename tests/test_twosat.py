@@ -6,7 +6,7 @@ import pytest
 from conftest import random_local_weak, random_total, random_weak
 from peakcheck import oracle
 from peakcheck.axis_check import is_possibly_sp_on_axis
-from peakcheck.errors import ClassError, NoTotalOrderError
+from peakcheck.errors import ClassError, InternalError, NoTotalOrderError
 from peakcheck.guided import guided_recognize
 from peakcheck.model import PreferenceOrder, Profile, build_order
 from peakcheck.twosat import (
@@ -151,3 +151,24 @@ def test_dimacs_dump():
     text = inst.to_dimacs()
     assert text.splitlines()[0] == "p cnf 2 1"
     assert text.splitlines()[1] == "1 -2 0"
+
+
+def test_assignment_with_a_valley_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # the axis check, not a transitivity scan, rejects a bad assignment: this
+    # one is transitive (0 left of 2 left of 1) but puts a valley at 2 for
+    # the vote 0 > 1 > 2
+    from peakcheck import cli, twosat
+
+    m = 3
+    left = {(0, 1), (0, 2), (2, 1)}
+    assignment = [(a, b) in left for a in range(m) for b in range(m)]
+    monkeypatch.setattr(twosat, "solve_2sat", lambda instance: list(assignment))
+    with pytest.raises(InternalError):
+        recognize_lwo_with_total(Profile(m, (PreferenceOrder.from_total([0, 1, 2]),)))
+
+    election = tmp_path / "total.soc"
+    election.write_text("# NUMBER ALTERNATIVES: 3\n1: 1,2,3\n")
+    rc = cli.main(["recognize", str(election), "--algorithm", "twosat"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
