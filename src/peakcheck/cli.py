@@ -123,8 +123,16 @@ def applicable_engines(profile, notion=Notion.PSP, oracle_bound=oracle.DEFAULT_B
 # ---------------------------------------------------------------------------
 
 
+def _read_text(path):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not text in the expected encoding: {exc}") from None
+
+
 def _read_axis(path, names):
-    text = open(path).read().strip()
+    text = _read_text(path).strip()
     labels = [t for t in text.replace(",", " ").split() if t]
     index = {name: i for i, name in enumerate(names)}
     order = []
@@ -325,8 +333,7 @@ def _cmd_recognize(args):
     if args.seed_corpus:
         jobs.extend(_seed_corpus_profiles(args.seed_corpus))
     for path in args.files:
-        text = open(path).read()
-        profile, names = preflib.parse_any(text)
+        profile, names = preflib.parse_any(_read_text(path))
         jobs.append((path, profile, names))
     if not jobs:
         print("error: no input files (or --seed-corpus) given", file=sys.stderr)

@@ -80,6 +80,10 @@ class PreferenceOrder:
 
     Instances are immutable.  ``a`` is preferred to ``b`` iff ``prefers(a, b)``;
     incomparability and indifference are not distinguished.
+
+    Rank buckets are dense: every constructor, and every caller that passes
+    ``ranks`` to ``__init__``, stores ranks that use each level from 0 to
+    ``max(ranks)`` at least once.  Classification relies on it.
     """
 
     __slots__ = ("m", "_ranks", "_pairs", "_class", "_hash")
@@ -271,12 +275,12 @@ class PreferenceOrder:
     def _classify(self):
         m = self.m
         if self._ranks is not None:
-            sizes = [0] * (max(self._ranks) + 1)
-            for r in self._ranks:
-                sizes[r] += 1
-            if all(s == 1 for s in sizes):
+            # dense ranks: levels 0..top all occur, so the top level holds
+            # m - top candidates exactly when every other level holds one
+            top = max(self._ranks)
+            if top == m - 1:
                 return OrderClass.TOTAL
-            if all(s == 1 for s in sizes[:-1]):
+            if self._ranks.count(top) == m - top:
                 return OrderClass.TOP
             return OrderClass.WEAK
         # pairs representation: weak-or-tighter was ruled out on construction

@@ -1,8 +1,11 @@
-"""Shared test helpers: small generators and slow references for guided."""
+"""Shared test helpers: small generators and slow references for guided and
+the PrefLib parser."""
 
 from __future__ import annotations
 
+from peakcheck.errors import ParseError, UnknownCandidateError
 from peakcheck.model import Axis, PreferenceOrder, Profile
+from peakcheck.preflib import _COUNT_LINE, _META_LINE, _NAME_LINE
 
 
 def random_weak(m, rng):
@@ -142,3 +145,136 @@ def reference_implicit_guiding_vote(profile):
         removed.append(last[0])
         alive.remove(last[0])
     return PreferenceOrder.from_total(removed[::-1])
+
+
+def reference_parse_preflib(text):
+    """(Profile, names, metadata) by a character-at-a-time ballot scanner.
+
+    The parser's line-by-line predecessor: each ranking is read one character
+    at a time into tokens converted by ``int``, then placed into a rank list
+    candidate by candidate.  Used to cross-check the vectorised scan.
+    """
+    names = {}
+    metadata = {}
+    declared_m = None
+    ballots = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            match = _NAME_LINE.match(line)
+            if match:
+                names[int(match.group(1))] = match.group(2)
+                continue
+            match = _COUNT_LINE.match(line)
+            if match:
+                declared_m = int(match.group(1))
+                continue
+            match = _META_LINE.match(line)
+            if match:
+                metadata[match.group(1).strip().upper()] = match.group(2)
+            continue
+        if ":" not in line:
+            raise ParseError("expected 'count: ranking'", line=lineno)
+        head, _, tail = line.partition(":")
+        try:
+            mult = int(head.strip())
+        except ValueError:
+            raise ParseError(f"invalid multiplicity {head.strip()!r}", line=lineno)
+        if mult <= 0:
+            raise ParseError("multiplicity must be positive", line=lineno)
+        ballots.append((lineno, mult, _reference_ranking(tail, lineno)))
+    if declared_m is None:
+        seen = {c for _, _, groups in ballots for g in groups for c in g}
+        seen |= set(names)
+        declared_m = max(seen, default=0)
+    m = declared_m
+    if m == 0:
+        raise ParseError("no alternatives declared or referenced")
+    if not ballots:
+        raise ParseError("no ballots in file")
+    votes = []
+    mults = []
+    for lineno, mult, groups in ballots:
+        ranks = [None] * m
+        level = 0
+        for group in groups:
+            for c in group:
+                if not 1 <= c <= m:
+                    raise UnknownCandidateError(
+                        f"candidate {c} outside 1..{m}", line=lineno
+                    )
+                if ranks[c - 1] is not None:
+                    raise ParseError(f"candidate {c} listed twice", line=lineno)
+                ranks[c - 1] = level
+            level += 1
+        for c in range(m):
+            if ranks[c] is None:
+                ranks[c] = level  # unranked: jointly last
+        votes.append(PreferenceOrder.from_ranks(ranks))
+        mults.append(mult)
+    profile = Profile(m, tuple(votes), tuple(mults))
+    name_list = [names.get(i, str(i)) for i in range(1, m + 1)]
+    return profile, name_list, metadata
+
+
+def _reference_ranking(text, lineno):
+    groups = []
+    i = 0
+    token = ""
+    in_group = None
+
+    def flush_single():
+        nonlocal token
+        tok = token.strip()
+        token = ""
+        if not tok:
+            return
+        try:
+            groups.append([int(tok)])
+        except ValueError:
+            raise ParseError(f"invalid candidate {tok!r}", line=lineno, column=i)
+
+    while i < len(text):
+        ch = text[i]
+        if ch == "{":
+            if in_group is not None:
+                raise ParseError("nested '{'", line=lineno, column=i + 1)
+            flush_single()
+            in_group = []
+        elif ch == "}":
+            if in_group is None:
+                raise ParseError("unmatched '}'", line=lineno, column=i + 1)
+            tok = token.strip()
+            token = ""
+            if tok:
+                try:
+                    in_group.append(int(tok))
+                except ValueError:
+                    raise ParseError(
+                        f"invalid candidate {tok!r}", line=lineno, column=i
+                    )
+            if in_group:
+                groups.append(in_group)
+            in_group = None
+        elif ch == ",":
+            if in_group is not None:
+                tok = token.strip()
+                token = ""
+                if tok:
+                    try:
+                        in_group.append(int(tok))
+                    except ValueError:
+                        raise ParseError(
+                            f"invalid candidate {tok!r}", line=lineno, column=i
+                        )
+            else:
+                flush_single()
+        else:
+            token += ch
+        i += 1
+    if in_group is not None:
+        raise ParseError("unterminated '{'", line=lineno)
+    flush_single()
+    return groups

@@ -144,6 +144,21 @@ def test_from_ranks_roundtrip(ranks):
             assert order.prefers(a, b) == (ranks[a] < ranks[b])
 
 
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=9))
+@settings(max_examples=300, deadline=None)
+def test_rank_classification_matches_bucket_sizes(ranks):
+    order = PreferenceOrder.from_ranks(ranks)
+    sizes = [len(bucket) for bucket in order.buckets()]
+    assert all(sizes)  # stored ranks are dense
+    if all(size == 1 for size in sizes):
+        expected = OrderClass.TOTAL
+    elif all(size == 1 for size in sizes[:-1]):
+        expected = OrderClass.TOP
+    else:
+        expected = OrderClass.WEAK
+    assert order.order_class() == expected
+
+
 def test_ranked_candidates_and_peak():
     top = PreferenceOrder.top_order([2, 3], 7)
     assert top.ranked_candidates() == [2, 3]

@@ -1,0 +1,199 @@
+"""The vectorised PrefLib ballot scan against the character-at-a-time
+reference, plus fuzzing of ``parse_any`` and ``cli.main``."""
+
+import contextlib
+import io
+import json
+import os
+import re
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_parse_preflib
+from peakcheck import preflib
+from peakcheck.cli import main
+from peakcheck.errors import ParseError
+from peakcheck.gadgets import random_sp_profile
+from peakcheck.preflib import parse_any, parse_preflib_full, write_preflib
+
+
+def _outcome(parse, text):
+    """What a parser makes of ``text``: the profile, names and metadata, or
+    the exception class and line."""
+    try:
+        profile, names, metadata = parse(text)
+    except ParseError as exc:
+        return type(exc), exc.line
+    return (
+        profile.m,
+        [vote.ranks for vote in profile.votes],
+        profile.multiplicities,
+        names,
+        metadata,
+    )
+
+
+# ballot tails: arbitrary strings over the ranking alphabet, and well-formed
+# rankings of small ids with a sprinkling of spaces
+_RAW_TAIL = st.text("0123456789,{} \t", max_size=16)
+_ID = st.integers(0, 11).map(str)
+_GROUP = st.lists(_ID, max_size=3).map(lambda ids: "{" + ",".join(ids) + "}")
+_RANKING = st.builds(
+    lambda tokens, sep: sep.join(tokens),
+    st.lists(st.one_of(_ID, _GROUP), max_size=6),
+    st.sampled_from([",", ", ", " ,", ",\t"]),
+)
+# a well-formed ranking with a stray brace, digit or space at its end
+_SPOILT = st.builds(
+    lambda tail, end: tail + end, _RANKING, st.text("{}1 ", min_size=1, max_size=2)
+)
+_HEAD = st.sampled_from(["1", "2", " 3 ", "10", "0", "-1", "x", ""])
+_BALLOT = st.builds(
+    lambda head, tail: f"{head}:{tail}", _HEAD, st.one_of(_RAW_TAIL, _RANKING, _SPOILT)
+)
+_LINE = st.one_of(
+    _BALLOT,
+    _BALLOT,
+    _BALLOT,
+    st.sampled_from(["no colon", "# ALTERNATIVE NAME 2: Beta", "# TITLE: t", ""]),
+)
+
+
+@given(st.one_of(st.none(), st.integers(1, 9)), st.lists(_LINE, max_size=6))
+@example(None, ["1: 1,{2", "1: 3"])
+@example(3, ["1: {1,{2}}"])
+@example(3, ["1: 1}"])
+@example(3, ["1: 1 2"])
+@settings(max_examples=400, deadline=None)
+def test_scan_matches_reference_parser(declared, lines):
+    if declared is not None:
+        lines = [f"# NUMBER ALTERNATIVES: {declared}"] + lines
+    text = "\n".join(lines) + "\n"
+    # without a declared count the largest id sets m; keep it small
+    assume(declared is not None or not re.search(r"\d{4}", text))
+    assert _outcome(parse_preflib_full, text) == _outcome(reference_parse_preflib, text)
+
+
+@pytest.mark.parametrize("notion", ["psp", "plateaued", "black", "necessary"])
+@pytest.mark.parametrize("m, n", [(1000, 100), (100, 100)])
+def test_scan_matches_reference_on_written_profiles(monkeypatch, notion, m, n):
+    text = write_preflib(random_sp_profile(m, n, notion, 0.5, seed=m + n))
+    expected = _outcome(reference_parse_preflib, text)
+    assert _outcome(parse_preflib_full, text) == expected
+    # chunks of a few ballots each, and a ballot longer than the budget
+    monkeypatch.setattr(preflib, "_CHUNK_BYTES", 700)
+    assert _outcome(parse_preflib_full, text) == expected
+
+
+def test_huge_candidate_id_is_a_parse_error(tmp_path, capsys):
+    # with no NUMBER ALTERNATIVES line the largest id sets m; 10**12
+    # candidates cannot be held, and the allocation fails at once
+    path = tmp_path / "huge.soi"
+    path.write_text("1: 1000000000000\n")
+    assert main(["recognize", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "m=1000000000000" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# NUMBER ALTERNATIVES: 3\n1: +3\n",  # spellings int() accepted
+        "# NUMBER ALTERNATIVES: 20\n1: 1_0\n",
+        "# NUMBER ALTERNATIVES: 3\n1: ٣\n",
+        "# NUMBER ALTERNATIVES: 3\n1: 1,\xa02\n",
+        "# NUMBER ALTERNATIVES: 3\n1: 1 2\n",
+        "# NUMBER ALTERNATIVES: 3\n1: 1, " + "9" * 5000 + "\n",
+        "# NUMBER ALTERNATIVES: " + "9" * 5000 + "\n1: 1\n",
+        '{"m": 3, "votes": [{"pairs": [[0, 1], [1, 0]]}]}',
+        '{"m": [' + "[" * 100_000 + "]" * 100_000 + "]}",
+    ],
+)
+def test_malformed_input_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_any(text)
+
+
+def test_cli_undecodable_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "binary.soc"
+    path.write_bytes(b"1: 1,2\n\xff\xfe\n")
+    assert main(["recognize", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# fuzz inputs: arbitrary text, PrefLib-like lines and JSON-like payloads.
+# Candidate ids and counts stay below 1000 (a huge id has its own test).
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["m", "votes", "pairs", "multiplicity", "names"]),
+            inner,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+_PREFLIB_LIKE = st.lists(
+    st.one_of(
+        _LINE,
+        st.integers(0, 12).map(lambda k: f"# NUMBER ALTERNATIVES: {k}"),
+        st.text(max_size=10),
+    ),
+    max_size=8,
+).map("\n".join)
+_ANY_TEXT = st.one_of(
+    st.text(max_size=60),
+    _PREFLIB_LIKE,
+    _JSON_VALUE.map(json.dumps),
+    st.builds(
+        lambda m, votes: json.dumps({"m": m, "votes": votes}),
+        st.integers(0, 6),
+        st.lists(
+            st.fixed_dictionaries(
+                {"pairs": st.lists(st.lists(st.integers(-1, 6), min_size=2, max_size=2))}
+            ),
+            max_size=3,
+        ),
+    ),
+)
+
+
+def _small_ids(text):
+    return not re.search(r"\d{4}", text)
+
+
+@given(_ANY_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_fuzz_parse_any_returns_profile_or_parse_error(text):
+    assume(_small_ids(text))
+    try:
+        profile, names = parse_any(text)
+    except ParseError:
+        return
+    assert len(names) == profile.m
+
+
+@given(_ANY_TEXT)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_fuzz_cli_exit_codes(text):
+    assume(_small_ids(text))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["recognize", path])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error:")
