@@ -246,24 +246,33 @@ class PreferenceOrder:
     # -- classification -----------------------------------------------------
 
     def _try_bucketise(self):
-        """Ranks array if the incomparability relation is transitive, else None."""
+        """Ranks array if the incomparability relation is transitive, else None.
+
+        Candidates of a weak order sort by the size of their lower set, so
+        the levels are the distinct sizes, largest first.  The pairs form
+        that weak order iff each goes from a better level to a worse one and
+        they number as many as the level sizes allow.  O(m + |pairs|).
+        """
         m, pairs = self.m, self._pairs
         lower = [0] * m
         for a, _ in pairs:
             lower[a] += 1
-        # candidates of a weak order sort by |lower set|; equal counts must be
-        # genuinely indifferent with identical comparisons
-        order = sorted(range(m), key=lambda c: -lower[c])
-        ranks = [0] * m
-        level = 0
-        for i, c in enumerate(order):
-            if i > 0 and lower[c] != lower[order[i - 1]]:
-                level += 1
-            ranks[c] = level
-        for a in range(m):
-            for b in range(m):
-                if a != b and ((a, b) in pairs) != (ranks[a] < ranks[b]):
-                    return None
+        level_of = [None] * m
+        for size in lower:
+            level_of[size] = 0
+        levels = 0
+        for size in range(m - 1, -1, -1):
+            if level_of[size] is not None:
+                level_of[size] = levels
+                levels += 1
+        ranks = [level_of[size] for size in lower]
+        if any(ranks[a] >= ranks[b] for a, b in pairs):
+            return None
+        counts = [0] * levels
+        for r in ranks:
+            counts[r] += 1
+        if 2 * len(pairs) != m * m - sum(k * k for k in counts):
+            return None
         return ranks
 
     def order_class(self):

@@ -260,10 +260,15 @@ def solve_c1p_sets(rows, m):
     """Column permutation making every row's columns consecutive, or None.
 
     ``rows`` is an iterable of collections of distinct column indices.  Rows
-    of size <= 1 or
-    covering all columns are unconstraining and skipped; duplicates are
-    reduced once.  The distinct rows are reduced smallest first; rows of equal
-    size keep their input order.
+    of size <= 1 or covering all columns are unconstraining and skipped;
+    duplicates are reduced once.  The distinct rows are reduced smallest
+    first; rows of equal size keep their input order.
+
+    The work is about one mark per row cell, so callers pass few cells:
+    ``c1p.recognize`` passes one row per distinct upper set of a vote, not
+    one per candidate, and ``c1p.solve_c1p`` passes the rows cut into a
+    circular-ones instance on ``m + 1`` columns, in which every row holding
+    the cut column is replaced by its complement.
     """
     if m == 0:
         return []

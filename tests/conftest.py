@@ -1,5 +1,5 @@
-"""Shared test helpers: small generators and slow references for guided and
-the PrefLib parser."""
+"""Shared test helpers: small generators and slow references for guided,
+the PrefLib parser and weak-order detection."""
 
 from __future__ import annotations
 
@@ -145,6 +145,29 @@ def reference_implicit_guiding_vote(profile):
         removed.append(last[0])
         alive.remove(last[0])
     return PreferenceOrder.from_total(removed[::-1])
+
+
+def reference_bucketise(m, pairs):
+    """Ranks if the strict relation ``pairs`` is a weak order, else None.
+
+    Sorts candidates by the size of their lower set, then compares every
+    ordered pair of candidates with the resulting levels: O(m^2).
+    """
+    lower = [0] * m
+    for a, _ in pairs:
+        lower[a] += 1
+    order = sorted(range(m), key=lambda c: -lower[c])
+    ranks = [0] * m
+    level = 0
+    for i, c in enumerate(order):
+        if i > 0 and lower[c] != lower[order[i - 1]]:
+            level += 1
+        ranks[c] = level
+    for a in range(m):
+        for b in range(m):
+            if a != b and ((a, b) in pairs) != (ranks[a] < ranks[b]):
+                return None
+    return ranks
 
 
 def reference_parse_preflib(text):

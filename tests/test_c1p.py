@@ -277,3 +277,95 @@ def test_invalid_solver_axis_raises_internal_error(monkeypatch, tmp_path, capsys
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_cut_frontier_without_z_raises_internal_error(monkeypatch, tmp_path, capsys):
+    from peakcheck import c1p, cli
+    from peakcheck.errors import InternalError
+    from peakcheck.preflib import write_preflib
+
+    # rows {0,1} and {0,1,2} over four columns: cutting at column 2 saves a cell
+    profile = Profile(4, (PreferenceOrder.from_ranks([0, 1, 2, 3]),))
+    widths = []
+
+    def solver(rows, m):
+        widths.append(m)
+        return list(range(profile.m))  # the added column z = 4 is missing
+
+    monkeypatch.setattr(c1p, "solve_c1p_sets", solver)
+    with pytest.raises(InternalError):
+        recognize_psp_c1p(profile)
+    assert widths == [profile.m + 1]
+
+    path = tmp_path / "one.soc"
+    path.write_text(write_preflib(profile))
+    rc = cli.main(["recognize", str(path), "--algorithm", "c1p"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+def test_cut_agrees_with_backtracking(monkeypatch):
+    # the circular-ones cut against the uncut backtracking oracle, on the
+    # paper's matrices of all three constructions
+    from peakcheck import c1p
+
+    widths = []
+    solver = c1p.solve_c1p_sets
+
+    def recording(rows, m):
+        widths.append(m)
+        return solver(rows, m)
+
+    monkeypatch.setattr(c1p, "solve_c1p_sets", recording)
+    rng = random.Random(6)
+    branches = set()
+    for _ in range(1500):
+        m = rng.randint(1, 7)
+        prof = random_weak_profile(m, rng.randint(1, 4), rng)
+        for build in (build_psp_matrix, build_plateaued_matrix, build_black_matrix):
+            mat = build(prof)
+            widths.clear()
+            got = solve_c1p(mat)
+            ref = solve_c1p(mat, use_backtracking=True)
+            assert (got is None) == (ref is None)
+            if not mat.short_circuit:
+                branches.add((widths == [m + 1], got is not None))
+                assert widths in ([m], [m + 1])
+            rows = [{c for c in range(m) if (mask >> c) & 1} for mask in mat.rows]
+            for order in (got, ref):
+                if order is not None:
+                    assert sorted(order) == list(range(m))
+                    assert rows_consecutive_under(rows, order)
+    # cut and uncut, each with a yes and a no
+    assert branches == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_recognize_passes_distinct_cut_rows(monkeypatch):
+    # work count, no timing: a tie-dense profile with no guiding vote reaches
+    # the PQ-tree as distinct rows with at most 3/4 of the uncut cells
+    from peakcheck import c1p
+    from peakcheck.gadgets import random_sp_profile
+    from peakcheck.guided import find_implicit_guiding_vote
+
+    profile = random_sp_profile(350, 100, "psp", 0.9, seed=0)
+    assert find_implicit_guiding_vote(profile) is None
+    calls = []
+    solver = c1p.solve_c1p_sets
+
+    def recording(rows, m):
+        calls.append(rows)
+        return solver(rows, m)
+
+    monkeypatch.setattr(c1p, "solve_c1p_sets", recording)
+    assert recognize_psp_c1p(profile).consistent
+    (rows,) = calls
+    keys = [tuple(sorted(row)) for row in rows]
+    assert len(set(keys)) == len(keys)
+    full = (1 << profile.m) - 1
+    uncut = {
+        mask
+        for mask in build_psp_matrix(profile).rows
+        if mask & (mask - 1) and mask != full
+    }
+    assert sum(map(len, rows)) <= 0.75 * sum(mask.bit_count() for mask in uncut)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_bucketise
 from peakcheck.errors import CycleError
 from peakcheck.model import (
     Axis,
@@ -16,6 +17,7 @@ from peakcheck.model import (
     minimal_elements,
     restrict,
 )
+from peakcheck.preflib import parse_any
 
 
 def test_build_order_betweenness_gadget_vote():
@@ -196,3 +198,52 @@ def test_pairs_rank_consistency():
     order = build_order([(0, 1), (0, 2), (1, 2)], 3)
     assert order.has_ranks()
     assert classify(order) == OrderClass.TOTAL
+
+
+@st.composite
+def _strict_relations(draw):
+    """Irreflexive pair sets over m <= 6: arbitrary, or closed weak or partial
+    orders, so that both outcomes of the weak-order test occur."""
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["any", "weak", "partial"]))
+    if kind == "weak":
+        ranks = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        return m, frozenset(
+            (a, b) for a in range(m) for b in range(m) if ranks[a] < ranks[b]
+        )
+    pairs = draw(
+        st.frozensets(
+            st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(
+                lambda p: p[0] != p[1]
+            )
+        )
+    )
+    if kind == "partial":
+        # the pairs that agree with 0 > 1 > ... > m-1, transitively closed
+        pairs = {(a, b) for a, b in pairs if a < b}
+        for k in range(m):
+            pairs |= {
+                (a, c)
+                for a in range(m)
+                for c in range(m)
+                if (a, k) in pairs and (k, c) in pairs
+            }
+    return m, frozenset(pairs)
+
+
+@given(_strict_relations())
+@settings(max_examples=400, deadline=None)
+def test_bucketise_matches_reference(relation):
+    m, pairs = relation
+    assert PreferenceOrder(m, pairs=pairs)._try_bucketise() == reference_bucketise(
+        m, pairs
+    )
+
+
+def test_empty_vote_over_many_candidates_parses_as_one_tie():
+    # the weak-order test is linear in m and the pairs, so a 40-byte file
+    # naming 20,000 candidates parses to one all-tied vote
+    profile, names = parse_any('{"m": 20000, "votes": [{"pairs": []}]}')
+    assert profile.m == 20000 and len(names) == 20000
+    (vote,) = profile.votes
+    assert vote.has_ranks() and not any(vote.ranks)
