@@ -30,6 +30,7 @@ from .errors import (
     NoTotalOrderError,
     ParseError,
     PeakcheckError,
+    SizeError,
 )
 from .guided import find_implicit_guiding_vote, guided_recognize
 from .model import Axis, Notion, OrderClass, Verdict
@@ -274,7 +275,12 @@ def main(argv=None):
         metavar="M,N,CLASS,SEED[,COUNT]",
         help="recognise generated profiles instead of files",
     )
-    rec.add_argument("--oracle-bound", type=int, default=oracle.DEFAULT_BOUND)
+    rec.add_argument(
+        "--oracle-bound",
+        type=int,
+        default=oracle.DEFAULT_BOUND,
+        help=f"largest m the brute-force oracle takes (at most {oracle.MAX_BOUND})",
+    )
 
     gen = sub.add_parser("generate", help="write a reproducible corpus")
     gen.add_argument("out", help="output file")
@@ -329,6 +335,10 @@ def _cmd_generate(args):
 
 def _cmd_recognize(args):
     args.notion = Notion(args.notion)
+    if args.oracle_bound > oracle.MAX_BOUND:
+        raise SizeError(
+            f"--oracle-bound {args.oracle_bound} exceeds the maximum {oracle.MAX_BOUND}"
+        )
     jobs = []
     if args.seed_corpus:
         jobs.extend(_seed_corpus_profiles(args.seed_corpus))

@@ -2,7 +2,7 @@
 
 The oracle enumerates all axes (halved by reversal symmetry: only the
 lexicographically smaller of each axis/reverse pair is kept) and checks the
-requested notion directly on each.  The per-axis predicates are deliberately
+requested notion directly on each.  The per-vote tests are deliberately
 primitive and independent of the recognition algorithms:
 
 * possibly single-peaked: no u-/v-valley substructures,
@@ -10,6 +10,12 @@ primitive and independent of the recognition algorithms:
   (strictly falling buckets, optionally flat at the minimum, strictly rising),
 * necessarily single-peaked: every linear extension of every vote is
   single-peaked, by full extension enumeration.
+
+One survivor loop serves every notion.  It keeps the indices of the axes no
+vote has ruled out yet and tests each vote only on those, with ``int8``
+position arrays; it stops as soon as no axis is left.  Dropping an axis keeps
+the others in enumeration order, so the first survivor is the
+lexicographically least witness.
 
 Also hosts the majority-relation utilities used to reproduce the
 intransitive-majority counterexample.
@@ -26,92 +32,71 @@ from .errors import ClassError, SizeError
 from .model import Axis, Notion, OrderClass, Refusal, Verdict
 
 DEFAULT_BOUND = 8
+# 9!/2 = 181,440 axes; 10 would enumerate 1.8 M and 15 would never finish
+MAX_BOUND = 9
 
 
 @functools.lru_cache(maxsize=8)
 def _axes_and_positions(m):
-    """All axes (lex order, reversal-deduplicated) and their position arrays."""
+    """All axes (lex order, reversal-deduplicated), one per column, and each
+    candidate's position on each: read-only ``int8`` arrays of m rows.
+
+    One column per axis keeps each row contiguous, so a test on the live
+    axes runs over long rows rather than over short ones.
+    """
     kept = [p for p in itertools.permutations(range(m)) if p[::-1] >= p]
-    axes = np.array(kept, dtype=np.int64)
+    axes = np.array(kept, dtype=np.int8).reshape(len(kept), m).T.copy()
     pos = np.empty_like(axes)
-    rows = np.arange(len(kept))[:, None]
-    pos[rows, axes] = np.arange(m)[None, :]
+    pos[axes, np.arange(len(kept))] = np.arange(m, dtype=np.int8)[:, None]
+    axes.flags.writeable = pos.flags.writeable = False
     return axes, pos
 
 
-def _rows_have_valley(seqs):
-    if seqs.shape[1] < 3:
-        return np.zeros(len(seqs), dtype=bool)
-    d = np.diff(seqs, axis=1)
-    rose = np.maximum.accumulate(d > 0, axis=1)
-    return np.any(rose[:, :-1] & (d[:, 1:] < 0), axis=1)
+def _rank_steps(vote, axes):
+    """Rank differences between neighbours along each axis (column)."""
+    return np.diff(np.asarray(vote.ranks, dtype=np.int8)[axes], axis=0)
 
 
-def _dominator_positions(vote, pos):
-    """Per axis and candidate: extreme positions of the vote's dominators."""
-    n_axes, m = pos.shape
-    lo = np.full((n_axes, m), m + 1, dtype=np.int64)
-    hi = np.full((n_axes, m), -1, dtype=np.int64)
-    for c in range(m):
-        dom = sorted(vote.upper_set(c))
-        if dom:
-            sub = pos[:, dom]
-            lo[:, c] = sub.min(axis=1)
-            hi[:, c] = sub.max(axis=1)
-    return lo, hi
+def _psp_bad_axes(vote, axes, pos):
+    """Axes on which ``vote`` contains a valley."""
+    if vote.has_ranks():
+        d = _rank_steps(vote, axes)
+        rose = np.maximum.accumulate(d > 0, axis=0)
+        return np.any(rose[:-1] & (d[1:] < 0), axis=0)
+    ups = [[] for _ in range(vote.m)]
+    for a, c in vote.pairs():
+        ups[c].append(a)
+    dominated = [c for c, up in enumerate(ups) if up]
+    bad = np.zeros(pos.shape[1], dtype=bool)
+    if not dominated:
+        return bad
+    # u-valley: a dominator of c left of both c and d and a dominator of d
+    # right of both; with c == d it is a v-valley, c between two dominators
+    p = pos[dominated]
+    hi = np.array([pos[ups[d]].max(axis=0) for d in dominated])
+    for c, pc in zip(dominated, p):
+        lo = pos[ups[c]].min(axis=0)
+        bad |= ((lo < np.minimum(pc, p)) & (hi > np.maximum(pc, p))).any(axis=0)
+    return bad
 
 
-def _psp_ok_per_axis(profile, axes, pos):
-    ok = np.ones(len(axes), dtype=bool)
-    for vote in profile.votes:
-        if vote.has_ranks():
-            seqs = np.asarray(vote.ranks)[axes]
-            ok &= ~_rows_have_valley(seqs)
-        else:
-            lo, hi = _dominator_positions(vote, pos)
-            v_valley = np.any((lo < pos) & (pos < hi), axis=1)
-            inner_lo = np.minimum(pos[:, :, None], pos[:, None, :])
-            inner_hi = np.maximum(pos[:, :, None], pos[:, None, :])
-            u = (lo[:, :, None] < inner_lo) & (hi[:, None, :] > inner_hi)
-            u &= ~np.eye(profile.m, dtype=bool)[None, :, :]
-            ok &= ~(v_valley | np.any(u, axis=(1, 2)))
-        if not ok.any():
-            break
-    return ok
+def _plateaued_bad_axes(vote, axes, pos):
+    """Raw shape fails: steps must read (falling)* (flat)* (rising)*."""
+    d = _rank_steps(vote, axes)
+    seen_flat_or_rise = np.maximum.accumulate(d >= 0, axis=0)
+    seen_rise = np.maximum.accumulate(d > 0, axis=0)
+    bad = np.any(seen_flat_or_rise[:-1] & (d[1:] < 0), axis=0)
+    bad |= np.any(seen_rise[:-1] & (d[1:] == 0), axis=0)
+    return bad
 
 
-def _plateaued_ok_rows(seqs):
-    """Raw shape: diffs read (falling)* (flat)* (rising)*."""
-    if seqs.shape[1] < 2:
-        return np.ones(len(seqs), dtype=bool)
-    d = np.diff(seqs, axis=1)
-    seen_flat_or_rise = np.maximum.accumulate(d >= 0, axis=1)
-    seen_rise = np.maximum.accumulate(d > 0, axis=1)
-    bad = np.any(seen_flat_or_rise[:, :-1] & (d[:, 1:] < 0), axis=1)
-    bad |= np.any(seen_rise[:, :-1] & (d[:, 1:] == 0), axis=1)
-    return ~bad
-
-
-def _black_ok_rows(seqs):
-    """Raw shape: diffs read (falling)* (rising)* with no flat step."""
-    if seqs.shape[1] < 2:
-        return np.ones(len(seqs), dtype=bool)
-    d = np.diff(seqs, axis=1)
-    bad = np.any(d == 0, axis=1)
-    seen_rise = np.maximum.accumulate(d > 0, axis=1)
-    bad |= np.any(seen_rise[:, :-1] & (d[:, 1:] < 0), axis=1)
-    return ~bad
-
-
-def _shape_ok_per_axis(profile, axes, row_check):
-    if profile.order_class() > OrderClass.WEAK:
-        raise ClassError("plateau-based notions are defined for weak orders only")
-    ok = np.ones(len(axes), dtype=bool)
-    for vote in profile.votes:
-        ok &= row_check(np.asarray(vote.ranks)[axes])
-        if not ok.any():
-            break
-    return ok
+def _black_bad_axes(vote, axes, pos):
+    """Raw shape fails: steps must read (falling)* (rising)* with no flat step."""
+    d = _rank_steps(vote, axes)
+    bad = np.any(d == 0, axis=0)
+    seen_rise = np.maximum.accumulate(d > 0, axis=0)
+    bad |= np.any(seen_rise[:-1] & (d[1:] < 0), axis=0)
+    return bad
 
 
 def _vote_necessarily_sp(vote, axis_order):
@@ -135,15 +120,36 @@ def _vote_necessarily_sp(vote, axis_order):
     return True
 
 
-def _necessary_ok_per_axis(profile, axes):
-    if profile.order_class() > OrderClass.WEAK:
-        raise ClassError("necessarily single-peaked is defined for weak orders only")
-    ok = np.ones(len(axes), dtype=bool)
+def _necessary_bad_axes(vote, axes, pos):
+    """Axes on which some linear extension of ``vote`` has a valley."""
+    return np.array(
+        [not _vote_necessarily_sp(vote, axis) for axis in axes.T.tolist()],
+        dtype=bool,
+    )
+
+
+# per notion: the test naming the axes (columns) one vote rules out
+_BAD_AXES = {
+    Notion.PSP: _psp_bad_axes,
+    Notion.PLATEAUED: _plateaued_bad_axes,
+    Notion.BLACK: _black_bad_axes,
+    Notion.NECESSARY: _necessary_bad_axes,
+}
+
+
+def _live_axes(profile, axes, pos, bad_axes):
+    """Indices of the axes on which no vote is bad, in enumeration order.
+
+    Each vote is tested only on the axes still standing, and the loop stops
+    once none is left.
+    """
+    live = np.arange(axes.shape[1])
     for vote in profile.votes:
-        for i in range(len(axes)):
-            if ok[i] and not _vote_necessarily_sp(vote, axes[i]):
-                ok[i] = False
-    return ok
+        if len(live) == 0:
+            break
+        bad = bad_axes(vote, axes.take(live, axis=1), pos.take(live, axis=1))
+        live = live[~bad]
+    return live
 
 
 def oracle_recognize(profile, notion=Notion.PSP, bound=DEFAULT_BOUND):
@@ -151,28 +157,30 @@ def oracle_recognize(profile, notion=Notion.PSP, bound=DEFAULT_BOUND):
 
     The least witness is taken after reversal-symmetry reduction (for each
     axis/reverse pair only the lexicographically smaller one is enumerated).
+    ``bound`` may not exceed ``MAX_BOUND``.
     """
     notion = Notion(notion)
+    if bound > MAX_BOUND:
+        raise SizeError(f"oracle bound {bound} exceeds the maximum {MAX_BOUND}")
     if profile.m > bound:
         raise SizeError(f"m={profile.m} exceeds the oracle bound {bound}")
+    if notion != Notion.PSP and profile.order_class() > OrderClass.WEAK:
+        what = (
+            "necessarily single-peaked is"
+            if notion == Notion.NECESSARY
+            else "plateau-based notions are"
+        )
+        raise ClassError(f"{what} defined for weak orders only")
     axes, pos = _axes_and_positions(profile.m)
-    if notion == Notion.PSP:
-        ok = _psp_ok_per_axis(profile, axes, pos)
-    elif notion == Notion.PLATEAUED:
-        ok = _shape_ok_per_axis(profile, axes, _plateaued_ok_rows)
-    elif notion == Notion.BLACK:
-        ok = _shape_ok_per_axis(profile, axes, _black_ok_rows)
-    else:
-        ok = _necessary_ok_per_axis(profile, axes)
-    hits = np.flatnonzero(ok)
-    if len(hits) == 0:
+    live = _live_axes(profile, axes, pos, _BAD_AXES[notion])
+    if len(live) == 0:
         return Verdict.no(
             Refusal("every axis contains a forbidden substructure"),
             notion=notion,
             algorithm="oracle",
         )
     return Verdict.yes(
-        Axis(tuple(int(c) for c in axes[hits[0]])), notion=notion, algorithm="oracle"
+        Axis(tuple(int(c) for c in axes[:, live[0]])), notion=notion, algorithm="oracle"
     )
 
 

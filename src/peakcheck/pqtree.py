@@ -21,8 +21,8 @@ Booth and Lueker (1976, *JCSS* 13):
   children, which it regroups.
 
 The marks live in dictionaries local to one reduction.  ``solve_c1p_sets``
-reduces the distinct rows in ascending size order, which on tie-dense weak
-profiles is 15-25 % faster than reducing them in vote order.
+reduces the rows in ascending size order, which on tie-dense weak profiles
+is 15-25 % faster than reducing them in vote order.
 
 ``solve_c1p_sets`` is the production solver; ``backtracking_c1p`` is an
 independent small-scale oracle used to cross-check it.
@@ -259,27 +259,23 @@ class PQTree:
 def solve_c1p_sets(rows, m):
     """Column permutation making every row's columns consecutive, or None.
 
-    ``rows`` is an iterable of collections of distinct column indices.  Rows
-    of size <= 1 or covering all columns are unconstraining and skipped;
-    duplicates are reduced once.  The distinct rows are reduced smallest
-    first; rows of equal size keep their input order.
+    ``rows`` is an iterable of sized collections of distinct column indices.
+    Rows of size <= 1 or covering all columns are unconstraining and skipped.
+    The rows are reduced smallest first; rows of equal size keep their input
+    order.  Callers pass distinct rows: a repeated row, in any column order,
+    is still correct but is reduced again.
 
     The work is about one mark per row cell, so callers pass few cells:
     ``c1p.recognize`` passes one row per distinct upper set of a vote, not
-    one per candidate, and ``c1p.solve_c1p`` passes the rows cut into a
-    circular-ones instance on ``m + 1`` columns, in which every row holding
-    the cut column is replaced by its complement.
+    one per candidate, and ``c1p.solve_c1p`` passes the distinct rows cut
+    into a circular-ones instance on ``m + 1`` columns, in which every row
+    holding the cut column is replaced by its complement.
     """
     if m == 0:
         return []
-    distinct = {}
-    for row in rows:
-        key = tuple(sorted(row))
-        if 1 < len(key) < m:
-            distinct[key] = None
     tree = PQTree(m)
-    for key in sorted(distinct, key=len):
-        if not tree.reduce(key):
+    for row in sorted(rows, key=len):
+        if not tree.reduce(row):
             return None
     return tree.frontier()
 

@@ -1,10 +1,14 @@
 """Shared test helpers: small generators and slow references for guided,
-the PrefLib parser and weak-order detection."""
+the PrefLib parser, weak-order detection and the oracle's per-axis tests."""
 
 from __future__ import annotations
 
-from peakcheck.errors import ParseError, UnknownCandidateError
-from peakcheck.model import Axis, PreferenceOrder, Profile
+import itertools
+
+import numpy as np
+
+from peakcheck.errors import ClassError, ParseError, UnknownCandidateError
+from peakcheck.model import Axis, Notion, OrderClass, PreferenceOrder, Profile
 from peakcheck.preflib import _COUNT_LINE, _META_LINE, _NAME_LINE
 
 
@@ -301,3 +305,130 @@ def _reference_ranking(text, lineno):
         raise ParseError("unterminated '{'", line=lineno)
     flush_single()
     return groups
+
+
+def reference_oracle_ok(profile, notion):
+    """(axes, ok): every axis one row, in the oracle's enumeration order, and
+    whether the profile has ``notion`` on it.
+
+    The oracle's predecessor: every vote is tested on every axis (except
+    once no axis is left), with ``int64`` position arrays of one row per
+    axis.  Used to cross-check the survivor loop.
+    """
+    notion = Notion(notion)
+    m = profile.m
+    kept = [p for p in itertools.permutations(range(m)) if p[::-1] >= p]
+    axes = np.array(kept, dtype=np.int64).reshape(len(kept), m)
+    pos = np.empty_like(axes)
+    pos[np.arange(len(kept))[:, None], axes] = np.arange(m)[None, :]
+    return axes, _reference_ok(profile, notion, axes, pos)
+
+
+def _reference_ok(profile, notion, axes, pos):
+    if notion == Notion.PSP:
+        return _reference_psp_ok(profile, axes, pos)
+    if notion == Notion.PLATEAUED:
+        return _reference_shape_ok(profile, axes, _reference_plateaued_rows)
+    if notion == Notion.BLACK:
+        return _reference_shape_ok(profile, axes, _reference_black_rows)
+    return _reference_necessary_ok(profile, axes)
+
+
+def _reference_rows_have_valley(seqs):
+    if seqs.shape[1] < 3:
+        return np.zeros(len(seqs), dtype=bool)
+    d = np.diff(seqs, axis=1)
+    rose = np.maximum.accumulate(d > 0, axis=1)
+    return np.any(rose[:, :-1] & (d[:, 1:] < 0), axis=1)
+
+
+def _reference_dominator_positions(vote, pos):
+    n_axes, m = pos.shape
+    lo = np.full((n_axes, m), m + 1, dtype=np.int64)
+    hi = np.full((n_axes, m), -1, dtype=np.int64)
+    for c in range(m):
+        dom = sorted(vote.upper_set(c))
+        if dom:
+            sub = pos[:, dom]
+            lo[:, c] = sub.min(axis=1)
+            hi[:, c] = sub.max(axis=1)
+    return lo, hi
+
+
+def _reference_psp_ok(profile, axes, pos):
+    ok = np.ones(len(axes), dtype=bool)
+    for vote in profile.votes:
+        if vote.has_ranks():
+            seqs = np.asarray(vote.ranks)[axes]
+            ok &= ~_reference_rows_have_valley(seqs)
+        else:
+            lo, hi = _reference_dominator_positions(vote, pos)
+            v_valley = np.any((lo < pos) & (pos < hi), axis=1)
+            inner_lo = np.minimum(pos[:, :, None], pos[:, None, :])
+            inner_hi = np.maximum(pos[:, :, None], pos[:, None, :])
+            u = (lo[:, :, None] < inner_lo) & (hi[:, None, :] > inner_hi)
+            u &= ~np.eye(profile.m, dtype=bool)[None, :, :]
+            ok &= ~(v_valley | np.any(u, axis=(1, 2)))
+        if not ok.any():
+            break
+    return ok
+
+
+def _reference_plateaued_rows(seqs):
+    if seqs.shape[1] < 2:
+        return np.ones(len(seqs), dtype=bool)
+    d = np.diff(seqs, axis=1)
+    seen_flat_or_rise = np.maximum.accumulate(d >= 0, axis=1)
+    seen_rise = np.maximum.accumulate(d > 0, axis=1)
+    bad = np.any(seen_flat_or_rise[:, :-1] & (d[:, 1:] < 0), axis=1)
+    bad |= np.any(seen_rise[:, :-1] & (d[:, 1:] == 0), axis=1)
+    return ~bad
+
+
+def _reference_black_rows(seqs):
+    if seqs.shape[1] < 2:
+        return np.ones(len(seqs), dtype=bool)
+    d = np.diff(seqs, axis=1)
+    bad = np.any(d == 0, axis=1)
+    seen_rise = np.maximum.accumulate(d > 0, axis=1)
+    bad |= np.any(seen_rise[:, :-1] & (d[:, 1:] < 0), axis=1)
+    return ~bad
+
+
+def _reference_shape_ok(profile, axes, row_check):
+    if profile.order_class() > OrderClass.WEAK:
+        raise ClassError("plateau-based notions are defined for weak orders only")
+    ok = np.ones(len(axes), dtype=bool)
+    for vote in profile.votes:
+        ok &= row_check(np.asarray(vote.ranks)[axes])
+        if not ok.any():
+            break
+    return ok
+
+
+def _reference_vote_necessarily_sp(vote, axis_order):
+    positions = {c: i for i, c in enumerate(axis_order)}
+    for ext in vote.extensions():
+        seq = [0] * len(ext)
+        for r, c in enumerate(ext):
+            seq[positions[c]] = r
+        rose = False
+        prev = seq[0]
+        for x in seq[1:]:
+            if x > prev:
+                rose = True
+            elif x < prev and rose:
+                return False
+            prev = x
+    return True
+
+
+def _reference_necessary_ok(profile, axes):
+    if profile.order_class() > OrderClass.WEAK:
+        raise ClassError("necessarily single-peaked is defined for weak orders only")
+    ok = np.ones(len(axes), dtype=bool)
+    for vote in profile.votes:
+        for i in range(len(axes)):
+            if ok[i] and not _reference_vote_necessarily_sp(vote, axes[i]):
+                ok[i] = False
+    return ok

@@ -441,3 +441,19 @@ def test_cli_generate_single_candidate(tmp_path, capsys, notion):
     assert main(argv) == 0
     capsys.readouterr()
     assert parse_preflib(out.read_text()).m == 1
+
+
+def test_cli_oracle_bound_above_the_maximum_is_an_error(tmp_path, capsys, monkeypatch):
+    # 15!/2 axes would never finish: refused before any enumeration
+    from peakcheck import oracle
+
+    def enumerate_axes(m):
+        raise AssertionError(f"axes enumerated for m={m}")
+
+    monkeypatch.setattr(oracle, "_axes_and_positions", enumerate_axes)
+    path = tmp_path / "partial.json"
+    path.write_text(write_profile_json(Profile(15, (build_order([(0, 1), (2, 3)], 15),))))
+    rc = main(["recognize", "--oracle-bound", "20", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "--oracle-bound" in err

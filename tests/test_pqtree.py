@@ -149,3 +149,35 @@ def test_hypothesis_agreement_with_backtracking():
             assert rows_consecutive_under(rows, got)
 
     run()
+
+
+def test_repeated_rows_in_any_column_order_agree_with_backtracking():
+    # callers pass distinct rows; a repeated row, in any column order, is
+    # only reduced again
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def instances(draw):
+        m = draw(st.integers(2, 7))
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(0, m - 1), unique=True, max_size=m), max_size=6
+            )
+        )
+        repeats = draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+        repeats = [draw(st.permutations(row)) for row in repeats]
+        return m, draw(st.permutations(rows + repeats))
+
+    @given(instances())
+    @settings(max_examples=300, deadline=None)
+    def run(case):
+        m, rows = case
+        got = solve_c1p_sets(rows, m)
+        ref = backtracking_c1p(rows, m)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert sorted(got) == list(range(m))
+            assert rows_consecutive_under(rows, got)
+
+    run()
