@@ -140,7 +140,10 @@ def _read_axis(path, names):
     for label in labels:
         if label in index:
             order.append(index[label])
-        elif label.isdigit() and 1 <= int(label) <= len(names):
+        # ASCII digits only: str.isdigit() also passes '²', which int() refuses
+        elif label.isascii() and label.isdigit() and (
+            1 <= preflib._header_int(label, None) <= len(names)
+        ):
             order.append(int(label) - 1)
         else:
             raise ParseError(f"unknown candidate {label!r} in axis file")

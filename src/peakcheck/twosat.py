@@ -1,15 +1,13 @@
 """2-SAT based recognition for local weak orders containing a total order.
 
-One Boolean variable per ordered candidate pair: ``ab`` true means ``a`` is
-left of ``b`` on the axis.  For every vote and every candidate pair ``a, c``
-both preferred to some ``b`` (a potential valley around ``b``), the clauses
-``(ba or cb)`` and ``(ab or bc)`` forbid placing ``b`` between ``a`` and
-``c``; exclusive-or clauses make the pair variables a proper orientation.
-With a total order present in the profile, any satisfying assignment is
-transitive and therefore an axis.
-
-Variables are indexed ``a*m + b``; the complement variable of ``v`` is
-``(v % m) * m + (v // m)``.
+One Boolean variable per ordered candidate pair, indexed ``a*m + b``: ``ab``
+true means ``a`` is left of ``b`` on the axis.  Every clause of the paper's
+encoding pairs with another into an equivalence.  The exclusive-or clauses
+make ``ba == not ab``; the valley clauses ``(ba or cb)`` and ``(ab or bc)``
+of a vote preferring ``a`` and ``c`` to ``b`` then say ``ab == cb``, so a
+chain over the sorted dominators of ``b`` states them all.  A union-find
+with a parity bit decides such a system.  With a total order in the
+profile, any solution is transitive and therefore an axis.
 """
 
 from __future__ import annotations
@@ -23,24 +21,10 @@ from .model import Axis, OrderClass, Refusal, Verdict
 
 @dataclass
 class TwoSatInstance:
-    """Clauses over pair variables; literals are (variable, negated) pairs."""
+    """Equivalences over pair variables: ``(u, v, flip)`` says u == v xor flip."""
 
     num_vars: int
-    clauses: list[tuple[tuple[int, bool], tuple[int, bool]]] = field(
-        default_factory=list
-    )
-
-    def add(self, lit1, lit2):
-        self.clauses.append((lit1, lit2))
-
-    def to_dimacs(self):
-        """DIMACS-style dump (variables 1-based, '-' for negation)."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for (v1, n1), (v2, n2) in self.clauses:
-            a = -(v1 + 1) if n1 else v1 + 1
-            b = -(v2 + 1) if n2 else v2 + 1
-            lines.append(f"{a} {b} 0")
-        return "\n".join(lines)
+    clauses: list[tuple[int, int, bool]] = field(default_factory=list)
 
 
 def pair_var(a, b, m):
@@ -48,11 +32,11 @@ def pair_var(a, b, m):
 
 
 def encode(profile):
-    """2-SAT instance for a local-weak-order profile containing a total order.
+    """Equivalence system for a local-weak-order profile containing a total order.
 
-    Only triples forming a potential valley (``a > b`` and ``c > b`` in some
-    vote) generate clauses; the pairwise exclusive-or clauses are always
-    present.
+    One ``flip`` equivalence ``ab == not ba`` per unordered pair, and per
+    vote and candidate ``b`` the equalities ``ab == cb`` between consecutive
+    sorted dominators ``a, c`` of ``b``.
     """
     if profile.order_class() > OrderClass.LOCAL_WEAK:
         raise ClassError("the 2-SAT encoding requires local weak orders")
@@ -61,100 +45,58 @@ def encode(profile):
             "the 2-SAT recognizer requires a profile containing a total order"
         )
     m = profile.m
-    inst = TwoSatInstance(m * m)
-    seen = set()
+    clauses = [
+        (pair_var(a, b, m), pair_var(b, a, m), True)
+        for a in range(m)
+        for b in range(a + 1, m)
+    ]
     for vote in profile.votes:
         for b in range(m):
             dominators = sorted(vote.upper_set(b))
-            for i, a in enumerate(dominators):
-                for c in dominators[i + 1 :]:
-                    key = (a, b, c)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    # b must not lie between a and c
-                    inst.add((pair_var(b, a, m), False), (pair_var(c, b, m), False))
-                    inst.add((pair_var(a, b, m), False), (pair_var(b, c, m), False))
-    for a in range(m):
-        for b in range(a + 1, m):
-            ab, ba = pair_var(a, b, m), pair_var(b, a, m)
-            inst.add((ab, False), (ba, False))
-            inst.add((ab, True), (ba, True))
-    return inst
+            clauses.extend(
+                (pair_var(a, b, m), pair_var(c, b, m), False)
+                for a, c in zip(dominators, dominators[1:])
+            )
+    return TwoSatInstance(m * m, clauses)
 
 
 def solve_2sat(instance):
-    """Satisfying assignment (list of bool) or None.
+    """Assignment (list of bool) satisfying every equivalence, or None.
 
-    Implication-graph strongly connected components (iterative Tarjan);
-    variable true iff its component comes after its negation's in reverse
-    topological order.
+    Union-find by size with a parity bit: ``parity[v]`` is v's value xor its
+    parent's.  An equivalence inside one class that disagrees with the
+    parities closes an odd cycle, so the system has no solution.  Every root
+    is false, so a variable's value is its parity to its root.
     """
     n = instance.num_vars
-    size = 2 * n  # literal 2v = positive, 2v+1 = negative
-    adj = [[] for _ in range(size)]
+    parent = list(range(n))
+    parity = [False] * n
+    size = [1] * n
 
-    def lit(v, negated):
-        return 2 * v + (1 if negated else 0)
+    def find(v):
+        """Root of v and v's parity to it; compresses the path."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        flip = False
+        for u in reversed(path):
+            flip ^= parity[u]
+            parent[u], parity[u] = v, flip
+        return v, flip
 
-    for (v1, n1), (v2, n2) in instance.clauses:
-        a, b = lit(v1, n1), lit(v2, n2)
-        adj[a ^ 1].append(b)
-        adj[b ^ 1].append(a)
-
-    comp = [-1] * size
-    low = [0] * size
-    num = [0] * size
-    visited = [False] * size
-    counter = 0
-    ncomp = 0
-    stack = []
-    on_stack = [False] * size
-
-    for root in range(size):
-        if visited[root]:
+    for u, v, flip in instance.clauses:
+        ru, pu = find(u)
+        rv, pv = find(v)
+        if ru == rv:
+            if pu ^ pv != flip:
+                return None
             continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                visited[node] = True
-                num[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            recurse = False
-            for i in range(pi, len(adj[node])):
-                nxt = adj[node][i]
-                if not visited[nxt]:
-                    work[-1] = (node, i + 1)
-                    work.append((nxt, 0))
-                    recurse = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], num[nxt])
-            if recurse:
-                continue
-            if low[node] == num[node]:
-                while True:
-                    top = stack.pop()
-                    on_stack[top] = False
-                    comp[top] = ncomp
-                    if top == node:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    assignment = []
-    for v in range(n):
-        if comp[2 * v] == comp[2 * v + 1]:
-            return None
-        # Tarjan numbers components in reverse topological order
-        assignment.append(comp[2 * v] < comp[2 * v + 1])
-    return assignment
+        if size[ru] > size[rv]:
+            ru, rv = rv, ru
+        parent[ru], parity[ru] = rv, pu ^ pv ^ flip
+        size[rv] += size[ru]
+    return [find(v)[1] for v in range(n)]
 
 
 def recognize_lwo_with_total(profile):

@@ -1,9 +1,11 @@
 """Shared test helpers: small generators and slow references for guided,
-the PrefLib parser, weak-order detection and the oracle's per-axis tests."""
+the PrefLib parser, weak-order detection, the oracle's per-axis tests and
+the 2-SAT engine."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -432,3 +434,108 @@ def _reference_necessary_ok(profile, axes):
             if ok[i] and not _reference_vote_necessarily_sp(vote, axes[i]):
                 ok[i] = False
     return ok
+
+
+@dataclass
+class ClauseInstance:
+    """2-SAT clauses over variables; literals are (variable, negated) pairs."""
+
+    num_vars: int
+    clauses: list = field(default_factory=list)
+
+    def add(self, lit1, lit2):
+        self.clauses.append((lit1, lit2))
+
+
+def reference_encode_clauses(profile):
+    """The paper's clause encoding of a local-weak-order profile: for every
+    valley triple ``(a, b, c)`` (``a`` and ``c`` preferred to ``b`` in some
+    vote) the clauses ``(ba or cb)`` and ``(ab or bc)``, plus exclusive-or
+    clauses over every unordered pair.  Variables are indexed ``a*m + b``."""
+    m = profile.m
+    inst = ClauseInstance(m * m)
+    seen = set()
+    for vote in profile.votes:
+        for b in range(m):
+            dominators = sorted(vote.upper_set(b))
+            for i, a in enumerate(dominators):
+                for c in dominators[i + 1 :]:
+                    if (a, b, c) in seen:
+                        continue
+                    seen.add((a, b, c))
+                    inst.add((b * m + a, False), (c * m + b, False))
+                    inst.add((a * m + b, False), (b * m + c, False))
+    for a in range(m):
+        for b in range(a + 1, m):
+            inst.add((a * m + b, False), (b * m + a, False))
+            inst.add((a * m + b, True), (b * m + a, True))
+    return inst
+
+
+def tarjan_2sat(instance):
+    """Satisfying assignment (list of bool) of a ``ClauseInstance``, or None.
+
+    Implication-graph strongly connected components (iterative Tarjan;
+    Aspvall, Plass & Tarjan 1979): a variable is true iff its component
+    comes after its negation's in reverse topological order.
+    """
+    n = instance.num_vars
+    size = 2 * n  # literal 2v = positive, 2v+1 = negative
+    adj = [[] for _ in range(size)]
+    for (v1, n1), (v2, n2) in instance.clauses:
+        a, b = 2 * v1 + n1, 2 * v2 + n2
+        adj[a ^ 1].append(b)
+        adj[b ^ 1].append(a)
+
+    comp = [-1] * size
+    low = [0] * size
+    num = [0] * size
+    visited = [False] * size
+    counter = 0
+    ncomp = 0
+    stack = []
+    on_stack = [False] * size
+    for root in range(size):
+        if visited[root]:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, pi = work[-1]
+            if pi == 0:
+                visited[node] = True
+                num[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            recurse = False
+            for i in range(pi, len(adj[node])):
+                nxt = adj[node][i]
+                if not visited[nxt]:
+                    work[-1] = (node, i + 1)
+                    work.append((nxt, 0))
+                    recurse = True
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], num[nxt])
+            if recurse:
+                continue
+            if low[node] == num[node]:
+                while True:
+                    top = stack.pop()
+                    on_stack[top] = False
+                    comp[top] = ncomp
+                    if top == node:
+                        break
+                ncomp += 1
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+
+    assignment = []
+    for v in range(n):
+        if comp[2 * v] == comp[2 * v + 1]:
+            return None
+        # Tarjan numbers components in reverse topological order
+        assignment.append(comp[2 * v] < comp[2 * v + 1])
+    return assignment

@@ -280,9 +280,19 @@ def test_cli_generate_roundtrip(tmp_path, capsys):
     assert rc == 0  # generated single-peaked corpus is consistent
 
 
-@pytest.mark.parametrize("axis_text", ["1 2\n", "1 2 2\n", "1 2 3 1\n"])
+@pytest.mark.parametrize(
+    "axis_text",
+    [
+        "1 2\n",
+        "1 2 2\n",
+        "1 2 3 1\n",
+        pytest.param("1 2 \u00b2\n", id="superscript-two"),
+        pytest.param("1 2 " + "3" * 5000 + "\n", id="5000-digits"),
+    ],
+)
 def test_cli_axis_file_must_order_every_candidate_once(tmp_path, capsys, axis_text):
-    # too short, a repeat in place of a candidate, and a repeat on top of all
+    # too short, a repeat in place of a candidate, a repeat on top of all, a
+    # non-ASCII digit, and a number beyond the interpreter's digit limit
     election = tmp_path / "three.soc"
     election.write_text("# NUMBER ALTERNATIVES: 3\n1: 1,2,3\n")
     axis_file = tmp_path / "axis.txt"

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from conftest import random_local_weak, random_total, random_weak
+from conftest import (
+    ClauseInstance,
+    random_local_weak,
+    random_total,
+    random_weak,
+    reference_encode_clauses,
+    tarjan_2sat,
+)
 from peakcheck import oracle
 from peakcheck.axis_check import is_possibly_sp_on_axis
 from peakcheck.errors import ClassError, InternalError, NoTotalOrderError
@@ -23,14 +30,12 @@ def test_encode_valley_clauses():
     total = PreferenceOrder.from_total([0, 2, 1])
     inst = encode(Profile(3, (vote, total)))
     m = 3
-    assert ((pair_var(1, 0, m), False), (pair_var(2, 1, m), False)) in inst.clauses
-    assert ((pair_var(0, 1, m), False), (pair_var(1, 2, m), False)) in inst.clauses
-    # exclusive-or clauses for every unordered pair
+    # the valley triple (0, 1, 2): 0 and 2 lie on one side of 1
+    assert (pair_var(0, 1, m), pair_var(2, 1, m), False) in inst.clauses
+    # exclusive-or equivalences for every unordered pair
     for a in range(m):
         for b in range(a + 1, m):
-            ab, ba = pair_var(a, b, m), pair_var(b, a, m)
-            assert ((ab, False), (ba, False)) in inst.clauses
-            assert ((ab, True), (ba, True)) in inst.clauses
+            assert (pair_var(a, b, m), pair_var(b, a, m), True) in inst.clauses
 
 
 def test_encode_requires_total_vote():
@@ -56,28 +61,28 @@ def test_single_total_order_satisfiable():
 
 
 def test_solve_2sat_spec_examples():
-    inst = TwoSatInstance(2)
+    inst = ClauseInstance(2)
     inst.add((0, False), (1, False))
     inst.add((0, True), (1, False))
-    model = solve_2sat(inst)
+    model = tarjan_2sat(inst)
     assert model is not None and model[1] is True
-    forced = TwoSatInstance(1)
+    forced = ClauseInstance(1)
     forced.add((0, False), (0, False))
     forced.add((0, True), (0, True))
-    assert solve_2sat(forced) is None
+    assert tarjan_2sat(forced) is None
 
 
 def test_solve_2sat_against_enumeration():
     rng = random.Random(0)
     for _ in range(1500):
         nv = rng.randint(1, 10)
-        inst = TwoSatInstance(nv)
+        inst = ClauseInstance(nv)
         for _ in range(rng.randint(1, 14)):
             inst.add(
                 (rng.randrange(nv), rng.random() < 0.5),
                 (rng.randrange(nv), rng.random() < 0.5),
             )
-        got = solve_2sat(inst)
+        got = tarjan_2sat(inst)
         ref = any(
             all(
                 (bits[v1] != n1) or (bits[v2] != n2)
@@ -91,6 +96,28 @@ def test_solve_2sat_against_enumeration():
                 (got[v1] != n1) or (got[v2] != n2)
                 for (v1, n1), (v2, n2) in inst.clauses
             )
+
+
+def test_solve_2sat_on_equivalence_systems_against_enumeration():
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(1500):
+        nv = rng.randint(1, 10)
+        eqs = [
+            (rng.randrange(nv), rng.randrange(nv), rng.random() < 0.5)
+            for _ in range(rng.randint(1, 14))
+        ]
+        got = solve_2sat(TwoSatInstance(nv, eqs))
+        ref = any(
+            all(bits[u] == (bits[v] ^ flip) for u, v, flip in eqs)
+            for bits in itertools.product([False, True], repeat=nv)
+        )
+        assert (got is not None) == ref
+        outcomes.add(ref)
+        if got is not None:
+            assert len(got) == nv
+            assert all(got[u] == (got[v] ^ flip) for u, v, flip in eqs)
+    assert outcomes == {False, True}
 
 
 def test_betweenness_gadget_forces_middle():
@@ -145,12 +172,69 @@ def test_agreement_with_guided_on_weak_profiles():
         assert lhs == rhs
 
 
-def test_dimacs_dump():
-    inst = TwoSatInstance(2)
-    inst.add((0, False), (1, True))
-    text = inst.to_dimacs()
-    assert text.splitlines()[0] == "p cnf 2 1"
-    assert text.splitlines()[1] == "1 -2 0"
+def _sp_sequence(axis, rng):
+    """A random total order single-peaked on ``axis``, best first."""
+    lo = hi = rng.randrange(len(axis))
+    seq = [axis[lo]]
+    while len(seq) < len(axis):
+        if hi == len(axis) - 1 or (lo > 0 and rng.random() < 0.5):
+            lo -= 1
+            seq.append(axis[lo])
+        else:
+            hi += 1
+            seq.append(axis[hi])
+    return seq
+
+
+def _sp_local_weak_vote(axis, rng):
+    """``_sp_sequence`` coarsened into levels of neighbours and restricted to
+    a random subset of candidates."""
+    seq = _sp_sequence(axis, rng)
+    level, cur = {}, 0
+    for c in seq:
+        cur += rng.random() < 0.7
+        level[c] = cur
+    keep = rng.sample(seq, rng.randint(2, len(seq)))
+    pairs = [(a, b) for a in keep for b in keep if level[a] < level[b]]
+    return PreferenceOrder.from_pairs(pairs, len(axis))
+
+
+def test_agreement_with_clause_encoding_beyond_the_oracle():
+    # m 10-40: the equivalence engine against the paper's clause encoding
+    # solved by the Tarjan reference; half the profiles get one random vote
+    rng = random.Random(4)
+    verdicts = set()
+    for _ in range(40):
+        m = rng.randint(10, 40)
+        axis = rng.sample(range(m), m)
+        votes = [_sp_local_weak_vote(axis, rng) for _ in range(rng.randint(2, 6))]
+        votes.append(PreferenceOrder.from_total(_sp_sequence(axis, rng)))
+        if rng.random() < 0.5:
+            votes[rng.randrange(len(votes) - 1)] = random_local_weak(m, rng)
+        prof = Profile(m, tuple(votes))
+        res = recognize_lwo_with_total(prof)
+        ref = tarjan_2sat(reference_encode_clauses(prof)) is not None
+        assert res.consistent == ref
+        verdicts.add(ref)
+        if res.consistent:
+            assert is_possibly_sp_on_axis(prof, res.axis).consistent
+    assert verdicts == {False, True}
+
+
+def test_encode_size_is_quadratic_per_vote():
+    # one xor per unordered pair, then |U|-1 chained equalities per (vote, b)
+    rng = random.Random(5)
+    for _ in range(50):
+        m = rng.randint(1, 12)
+        votes = [random_local_weak(m, rng) for _ in range(rng.randint(0, 5))]
+        votes.append(random_total(m, rng))
+        prof = Profile(m, tuple(votes))
+        chained = sum(
+            max(len(vote.upper_set(b)) - 1, 0) for vote in votes for b in range(m)
+        )
+        inst = encode(prof)
+        assert inst.num_vars == m * m
+        assert len(inst.clauses) == m * (m - 1) // 2 + chained
 
 
 def test_assignment_with_a_valley_is_an_internal_error(monkeypatch, tmp_path, capsys):
