@@ -66,17 +66,17 @@ def v_valley_rows(ranks):
 
 
 def _upper_positions(vote, pos):
-    """Per candidate: (min, max) axis position of its strict dominators."""
+    """Per candidate: (min, max) axis position of its strict dominators, from
+    one pass over the vote's pairs."""
     m = vote.m
     lo = [m] * m
     hi = [-1] * m
-    for a in range(m):
+    for a, b in vote.pairs():
         pa = pos[a]
-        for b in vote.lower_set(a):
-            if pa < lo[b]:
-                lo[b] = pa
-            if pa > hi[b]:
-                hi[b] = pa
+        if pa < lo[b]:
+            lo[b] = pa
+        if pa > hi[b]:
+            hi[b] = pa
     return lo, hi
 
 

@@ -13,11 +13,20 @@ placed ones):
 R1 or R2 forbids the right side, L1 or L2 the left side; both sides blocked
 means the profile is not possibly single-peaked.  When both sides are free
 the candidate is placed right.  All extrema reduce to comparisons of bucket
-indices, so one placement step is O(n) and the whole run O(m*n); the
-implementation vectorises the n-dimension with numpy.
+indices, so one placement step is O(n) and the whole run O(m*n).
 
-The final axis is re-checked for v-valleys on the same rank matrix, one
-vectorised pass over all votes.
+The placement and the implicit search both read the profile's cached rank
+matrix (``Profile.rank_matrix``), built once per profile.  The placement
+copies it into an m x n array with one row per candidate in guiding order.
+For a block of steps at a time, one pass over the block's rows turns the
+per-vote conditions into one threshold row per candidate: the "c_i above
+the remaining minimum" and "remaining maximum above c_i" masks select the
+buckets that can block.  A step is then one comparison of its row against
+the tops of both axis halves, and the left side is tested only when the
+right one is blocked or ``c_i`` is pinned left.
+
+The final axis is re-checked for v-valleys on the profile's rank matrix,
+vectorised over a few votes at a time.
 
 Endpoint pins (used by the unguided algorithm's subproblems) require the
 pinned-right candidate to be ranked last in the guiding vote and the
@@ -45,99 +54,149 @@ from .model import (
 )
 
 _BIG = np.iinfo(np.int32).max // 2
+# Rank cells handled at once.  The placement builds the threshold rows for
+# about this many cells of rg at a time, and the final check reads this many
+# cells of the rank matrix at a time.  Built whole, those arrays took fresh
+# pages from the system on every call at m = 10,000, and the run time grew
+# faster than m.
+_BLOCK_CELLS = 1 << 17
 
 
-def _guiding_sequence(guiding):
-    """Guiding vote candidates worst-to-last first (c_1, c_2, ..., c_m)."""
-    if guiding.order_class() != OrderClass.TOTAL:
-        raise ClassError("the guiding vote must be a total order")
-    seq = sorted(range(guiding.m), key=lambda c: guiding.ranks[c], reverse=True)
-    return seq
+def _thresholds(block, after_max, after_min):
+    """Threshold rows [worst' | best'] of consecutive steps, for the rules
+    R1 and R2, given the worst and best buckets of the candidates after them.
+
+    c_i may not go right iff max(A_L) or max(A_R) lies above (is a smaller
+    bucket than) its entry of the row in some vote:
+      worst' = max_k(C_>i)'s bucket where c_i >_k min_k(C_>i), else -1
+      best'  = c_i's bucket where max_k(C_>i) >_k c_i, else -1
+    With A_L and A_R swapped the same row gives L1 and L2.  Buckets are
+    >= 0, so a -1 never blocks.
+    """
+    k, n = block.shape
+    gate = np.empty((k, 2 * n), np.int32)
+    worst, best = gate[:, :n], gate[:, n:]
+    # exclusive suffix extrema of C_>i
+    worst[-1], best[-1] = after_max, after_min
+    np.maximum.accumulate(block[:0:-1], axis=0, out=worst[-2::-1])
+    np.minimum.accumulate(block[:0:-1], axis=0, out=best[-2::-1])
+    np.maximum(worst[:-1], after_max, out=worst[:-1])
+    np.minimum(best[:-1], after_min, out=best[:-1])
+    np.putmask(worst, block >= worst, -1)
+    above_ci = best < block
+    best.fill(-1)
+    np.copyto(best, block, where=above_ci)
+    return gate
+
+
+def _place(rg, pinned_left):
+    """Place c_2, ..., c_m on the axis, ``rg[i]`` holding c_{i+1}'s buckets.
+
+    Returns the steps (indices into the guiding sequence) in axis order and
+    None, or None and the first step whose candidate fits on neither side.
+    With ``pinned_left`` step 1 may only go left.
+    """
+    m, n = rg.shape
+    size = max(1, _BLOCK_CELLS // n)  # steps per block
+    starts = range(0, m, size)
+    # worst and best bucket of the candidates from each block on; the last
+    # row, for none, blocks nothing
+    tail_max = np.full((len(starts) + 1, n), -1, np.int32)
+    tail_min = np.full((len(starts) + 1, n), _BIG, np.int32)
+    block_max = np.maximum.reduceat(rg, starts, axis=0)
+    block_min = np.minimum.reduceat(rg, starts, axis=0)
+    np.maximum.accumulate(block_max[::-1], axis=0, out=tail_max[-2::-1])
+    np.minimum.accumulate(block_min[::-1], axis=0, out=tail_min[-2::-1])
+
+    # rows max(A_L), max(A_R), max(A_R), max(A_L): the first two face the
+    # threshold row for the right side, the last two the row for the left
+    state = np.empty((4, n), np.int32)
+    max_left, max_right = state[::3], state[1:3]
+    max_left.fill(_BIG)
+    max_right[:] = rg[0]
+    right_state, left_state = state[:2].reshape(-1), state[2:].reshape(-1)
+    pinned_step = 1 if pinned_left else None
+    left_part = []
+    right_part = [0]
+    for b, start in enumerate(starts):
+        block = rg[start : start + size]
+        gate = _thresholds(block, tail_max[b + 1], tail_min[b + 1])
+        for i in range(max(start, 1), start + len(block)):
+            row = gate[i - start]
+            # the left side is tested only when the right one is blocked or
+            # c_i is pinned left
+            if i != pinned_step and not np.count_nonzero(right_state < row):
+                right_part.append(i)
+                np.minimum(max_right, rg[i], out=max_right)
+            elif not np.count_nonzero(left_state < row):
+                left_part.append(i)
+                np.minimum(max_left, rg[i], out=max_left)
+            else:
+                return None, i
+    return left_part + right_part[::-1], None
+
+
+def _has_valley(ranks, order):
+    """Whether a row of ``ranks`` has a v-valley along the candidate order
+    ``order``, checked ``_BLOCK_CELLS`` cells at a time."""
+    order = np.asarray(order)
+    rows = max(1, _BLOCK_CELLS // len(order))
+    return any(
+        axis_check.v_valley_rows(ranks[k : k + rows][:, order]).any()
+        for k in range(0, len(ranks), rows)
+    )
 
 
 def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
     """Recognise a weak-order profile guided by a total order.
 
-    The guiding vote is treated as part of the constraint set; if it is not
-    already a vote of the profile it is appended as one.  Raises
-    :class:`PinError` when an endpoint pin cannot be respected.
+    The guiding vote is treated as part of the constraint set.  When it is
+    not a vote of the profile it never blocks a placement (each ``c_i`` is
+    its worst remaining candidate), so only the final check reads it.
+    Raises :class:`PinError` when an endpoint pin cannot be respected.
     """
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("the guided algorithm requires weak-or-tighter votes")
     if guiding.m != profile.m:
         raise ValueError("guiding vote ranges over a different candidate set")
-    votes = list(profile.votes)
-    if guiding not in votes:
-        votes.append(guiding)
+    if guiding.order_class() != OrderClass.TOTAL:
+        raise ClassError("the guiding vote must be a total order")
 
     m = profile.m
-    seq = _guiding_sequence(guiding)
-    if pin_right is not None and seq[0] != pin_right:
+    # c_1, ..., c_m: the guiding vote's candidates, worst first
+    seq = np.argsort(guiding.ranks)[::-1]
+    order = seq.tolist()
+    if pin_right is not None and order[0] != pin_right:
         raise PinError("pinned-right candidate must be ranked last in the guiding vote")
-    if pin_left is not None and (m < 2 or seq[1] != pin_left):
+    if pin_left is not None and (m < 2 or order[1] != pin_left):
         raise PinError(
             "pinned-left candidate must be ranked second-to-last in the guiding vote"
         )
     if m == 1:
         return Verdict.yes(Axis((0,)), algorithm="guided")
 
-    ranks = np.array([v.ranks for v in votes], dtype=np.int32)
-    rg = ranks[:, seq]  # rg[k, i] = bucket of candidate c_{i+1} in vote k
-    # exclusive suffix extrema over the not-yet-placed candidates
-    best_sfx = np.full_like(rg, _BIG)
-    worst_sfx = np.full_like(rg, -1)
-    best_sfx[:, :-1] = np.minimum.accumulate(rg[:, :0:-1], axis=1)[:, ::-1]
-    worst_sfx[:, :-1] = np.maximum.accumulate(rg[:, :0:-1], axis=1)[:, ::-1]
-
-    n = len(votes)
-    max_left = np.full(n, _BIG, dtype=np.int32)
-    max_right = rg[:, 0].copy()
-    left_part = []
-    right_part = [seq[0]]
-
-    for i in range(1, m):
-        rci = rg[:, i]
-        worst = worst_sfx[:, i]
-        best = best_sfx[:, i]
-        ci_above_min = rci < worst
-        max_above_ci = best < rci
-        right_blocked = bool(
-            ((ci_above_min & (max_left < worst)) | (max_above_ci & (max_right < rci))).any()
+    # rg[i, k] = bucket of candidate c_{i+1} in vote k of the profile
+    rg = profile.rank_matrix().T[seq]
+    steps, blocked = _place(rg, pinned_left=pin_left is not None)
+    if blocked == 1 and pin_left is not None:
+        raise PinError(f"candidate {pin_left} cannot be placed at the left end")
+    if blocked is not None:
+        return Verdict.no(
+            Refusal(
+                "both axis sides blocked",
+                detail=f"while placing candidate {order[blocked]}",
+            ),
+            algorithm="guided",
         )
-        left_blocked = bool(
-            ((ci_above_min & (max_right < worst)) | (max_above_ci & (max_left < rci))).any()
-        )
-        if pin_left is not None and seq[i] == pin_left:
-            if left_blocked:
-                raise PinError(
-                    f"candidate {pin_left} cannot be placed at the left end"
-                )
-            go_right = False
-        elif not right_blocked:
-            go_right = True
-        elif not left_blocked:
-            go_right = False
-        else:
-            return Verdict.no(
-                Refusal(
-                    "both axis sides blocked",
-                    detail=f"while placing candidate {seq[i]}",
-                ),
-                algorithm="guided",
-            )
-        if go_right:
-            right_part.append(seq[i])
-            np.minimum(max_right, rci, out=max_right)
-        else:
-            left_part.append(seq[i])
-            np.minimum(max_left, rci, out=max_left)
-
-    axis = Axis(tuple(left_part + right_part[::-1]))
+    axis = Axis(tuple(order[i] for i in steps))
     if pin_left is not None and axis[0] != pin_left:
         raise PinError(f"candidate {pin_left} did not end up leftmost")
     if pin_right is not None and axis[-1] != pin_right:
         raise PinError(f"candidate {pin_right} did not end up rightmost")
-    if axis_check.v_valley_rows(ranks[:, axis.order]).any():
+    checked = [profile.rank_matrix()]
+    if guiding not in profile.votes:
+        checked.append(np.array([guiding.ranks], np.int32))
+    if any(_has_valley(ranks, axis.order) for ranks in checked):
         raise InternalError("guided algorithm produced an invalid axis")
     return Verdict.yes(axis, algorithm="guided")
 
@@ -164,7 +223,7 @@ def find_implicit_guiding_vote(profile):
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("implicit guiding votes are defined for weak orders")
     m = profile.m
-    ranks = np.array([v.ranks for v in profile.votes], dtype=np.int64)
+    ranks = profile.rank_matrix()
     size = ranks.max(axis=1) + 1  # buckets per vote
     first = np.cumsum(size) - size  # flat index of each vote's top bucket
     cell = (ranks + first[:, None]).ravel()  # flat (vote, bucket) per candidate

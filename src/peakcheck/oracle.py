@@ -24,7 +24,6 @@ intransitive-majority counterexample.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -44,10 +43,21 @@ def _axes_and_positions(m):
     One column per axis keeps each row contiguous, so a test on the live
     axes runs over long rows rather than over short ones.
     """
-    kept = [p for p in itertools.permutations(range(m)) if p[::-1] >= p]
-    axes = np.array(kept, dtype=np.int8).reshape(len(kept), m).T.copy()
+    perms = np.zeros((1, 0), np.int8)
+    for k in range(1, m + 1):
+        # the permutations of k items in lex order: each first item in turn,
+        # followed by those of k - 1 items relabelled to skip it
+        first = np.repeat(np.arange(k, dtype=np.int8), len(perms))
+        rest = np.tile(perms, (k, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack((first, rest))
+    if m >= 2:
+        # a permutation is the lex-smaller of its reversal pair iff its first
+        # item is smaller than its last
+        perms = perms[perms[:, 0] < perms[:, -1]]
+    axes = perms.T.copy()
     pos = np.empty_like(axes)
-    pos[axes, np.arange(len(kept))] = np.arange(m, dtype=np.int8)[:, None]
+    pos[axes, np.arange(len(perms))] = np.arange(m, dtype=np.int8)[:, None]
     axes.flags.writeable = pos.flags.writeable = False
     return axes, pos
 

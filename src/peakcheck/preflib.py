@@ -114,8 +114,7 @@ def parse_preflib_full(text):
     # candidates a ballot leaves out share the level after its last bucket
     ranks[:] = groups[:, None]
     ranks[lines, values - 1] = levels
-    votes = tuple(PreferenceOrder(m, ranks=row) for row in ranks.tolist())
-    profile = Profile(m, votes, tuple(mults))
+    profile = Profile.from_rank_matrix(ranks, mults)
     name_list = [names.get(i, str(i)) for i in range(1, m + 1)]
     return profile, name_list, metadata
 

@@ -9,8 +9,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from peakcheck.errors import ClassError, ParseError, UnknownCandidateError
-from peakcheck.model import Axis, Notion, OrderClass, PreferenceOrder, Profile
+from peakcheck import axis_check
+from peakcheck.errors import (
+    ClassError,
+    InternalError,
+    ParseError,
+    PinError,
+    UnknownCandidateError,
+)
+from peakcheck.model import (
+    Axis,
+    Notion,
+    OrderClass,
+    PreferenceOrder,
+    Profile,
+    Refusal,
+    Verdict,
+)
 from peakcheck.preflib import _COUNT_LINE, _META_LINE, _NAME_LINE
 
 
@@ -130,6 +145,92 @@ class ReferenceGuided:
                     "placement invariant violated: candidate strictly below "
                     "both axis halves"
                 )
+
+
+def reference_guided_recognize(profile, guiding, pin_left=None, pin_right=None):
+    """The guided placement as it was before the profile's rank matrix: the
+    ranks converted per call, both sides tested at every step with the four
+    rule masks, and the same verdicts, refusal texts and ``PinError``s."""
+    if profile.order_class() > OrderClass.WEAK:
+        raise ClassError("the guided algorithm requires weak-or-tighter votes")
+    if guiding.m != profile.m:
+        raise ValueError("guiding vote ranges over a different candidate set")
+    votes = list(profile.votes)
+    if guiding not in votes:
+        votes.append(guiding)
+
+    m = profile.m
+    if guiding.order_class() != OrderClass.TOTAL:
+        raise ClassError("the guiding vote must be a total order")
+    seq = sorted(range(guiding.m), key=lambda c: guiding.ranks[c], reverse=True)
+    if pin_right is not None and seq[0] != pin_right:
+        raise PinError("pinned-right candidate must be ranked last in the guiding vote")
+    if pin_left is not None and (m < 2 or seq[1] != pin_left):
+        raise PinError(
+            "pinned-left candidate must be ranked second-to-last in the guiding vote"
+        )
+    if m == 1:
+        return Verdict.yes(Axis((0,)), algorithm="guided")
+
+    big = np.iinfo(np.int32).max // 2
+    ranks = np.array([v.ranks for v in votes], dtype=np.int32)
+    rg = ranks[:, seq]  # rg[k, i] = bucket of candidate c_{i+1} in vote k
+    best_sfx = np.full_like(rg, big)
+    worst_sfx = np.full_like(rg, -1)
+    best_sfx[:, :-1] = np.minimum.accumulate(rg[:, :0:-1], axis=1)[:, ::-1]
+    worst_sfx[:, :-1] = np.maximum.accumulate(rg[:, :0:-1], axis=1)[:, ::-1]
+
+    n = len(votes)
+    max_left = np.full(n, big, dtype=np.int32)
+    max_right = rg[:, 0].copy()
+    left_part = []
+    right_part = [seq[0]]
+
+    for i in range(1, m):
+        rci = rg[:, i]
+        worst = worst_sfx[:, i]
+        best = best_sfx[:, i]
+        ci_above_min = rci < worst
+        max_above_ci = best < rci
+        right_blocked = bool(
+            ((ci_above_min & (max_left < worst)) | (max_above_ci & (max_right < rci))).any()
+        )
+        left_blocked = bool(
+            ((ci_above_min & (max_right < worst)) | (max_above_ci & (max_left < rci))).any()
+        )
+        if pin_left is not None and seq[i] == pin_left:
+            if left_blocked:
+                raise PinError(
+                    f"candidate {pin_left} cannot be placed at the left end"
+                )
+            go_right = False
+        elif not right_blocked:
+            go_right = True
+        elif not left_blocked:
+            go_right = False
+        else:
+            return Verdict.no(
+                Refusal(
+                    "both axis sides blocked",
+                    detail=f"while placing candidate {seq[i]}",
+                ),
+                algorithm="guided",
+            )
+        if go_right:
+            right_part.append(seq[i])
+            np.minimum(max_right, rci, out=max_right)
+        else:
+            left_part.append(seq[i])
+            np.minimum(max_left, rci, out=max_left)
+
+    axis = Axis(tuple(left_part + right_part[::-1]))
+    if pin_left is not None and axis[0] != pin_left:
+        raise PinError(f"candidate {pin_left} did not end up leftmost")
+    if pin_right is not None and axis[-1] != pin_right:
+        raise PinError(f"candidate {pin_right} did not end up rightmost")
+    if axis_check.v_valley_rows(ranks[:, axis.order]).any():
+        raise InternalError("guided algorithm produced an invalid axis")
+    return Verdict.yes(axis, algorithm="guided")
 
 
 def reference_implicit_guiding_vote(profile):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_weak, random_weak, random_weak_profile
+from conftest import random_local_weak, random_partial, random_weak, random_weak_profile
 from peakcheck.axis_check import (
+    _upper_positions,
     _v_valley_exists_ranked,
     check_black_on_axis,
     check_necessary_on_axis,
@@ -282,3 +283,20 @@ def test_check_on_axis_rejects_axis_of_other_size():
     for ax in (axis(0, 1), axis(0, 1, 2, 3)):
         with pytest.raises(AxisError):
             check_on_axis(prof, ax)
+
+
+def test_dominator_positions_match_lower_set_scan():
+    # the one pass over the pairs gives the bounds a per-candidate scan of
+    # lower sets gives, for pair-based and rank-based votes
+    rng = random.Random(41)
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        vote = rng.choice((random_partial, random_local_weak, random_weak))(m, rng)
+        order = list(range(m))
+        rng.shuffle(order)
+        pos = Axis(tuple(order)).positions()
+        lo, hi = [m] * m, [-1] * m
+        for a in range(m):
+            for b in vote.lower_set(a):
+                lo[b], hi[b] = min(lo[b], pos[a]), max(hi[b], pos[a])
+        assert _upper_positions(vote, pos) == (lo, hi)

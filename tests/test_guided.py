@@ -6,20 +6,22 @@ import pytest
 
 from conftest import (
     ReferenceGuided,
+    random_top_profile,
     random_total,
     random_weak,
+    reference_guided_recognize,
     reference_implicit_guiding_vote,
 )
-from peakcheck import axis_check, c1p, cli, oracle
-from peakcheck.axis_check import is_possibly_sp_on_axis
-from peakcheck.errors import ClassError, InternalError, PinError
+from peakcheck import axis_check, c1p, cli, guided, oracle, unguided
+from peakcheck.axis_check import check_on_axis, is_possibly_sp_on_axis
+from peakcheck.errors import ClassError, InternalError, PeakcheckError, PinError
 from peakcheck.guided import (
     enumerate_implicit_guiding_votes,
     find_implicit_guiding_vote,
     guided_recognize,
 )
 from peakcheck.gadgets import random_sp_profile
-from peakcheck.model import PreferenceOrder, Profile, build_order
+from peakcheck.model import Axis, PreferenceOrder, Profile, build_order
 from peakcheck.preflib import write_preflib
 
 EX2_V1 = PreferenceOrder.from_ranks([0, 1, 2, 2, 3])  # <a > b > c~d > e>
@@ -248,3 +250,115 @@ def test_fixed_budget_doubling_stays_linear():
         if doubled / base <= 1.3:
             break
     assert doubled / base <= 1.3, f"ratio {doubled / base:.2f}"
+
+
+def _outcome(recognize, profile, guiding, **pins):
+    """Verdict bit, axis and certificate, or the error's type and text."""
+    try:
+        verdict = recognize(profile, guiding, **pins)
+    except (PeakcheckError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    axis = verdict.axis.order if verdict.axis else None
+    return verdict.consistent, axis, verdict.certificate, verdict.algorithm
+
+
+def _plant_no(profile, rng):
+    """Three votes replaced by a triple whose every member is ranked below
+    the other two in one of them, so every axis has a v-valley."""
+    votes = list(profile.votes)
+    triple = rng.sample(range(profile.m), 3)
+    for k, t in zip(rng.sample(range(1, len(votes)), 3), triple):
+        ranks = [1] * profile.m
+        for c in triple:
+            if c != t:
+                ranks[c] = 0
+        votes[k] = PreferenceOrder.from_ranks(ranks)
+    return Profile(profile.m, tuple(votes))
+
+
+def _guided_cases(rng):
+    """(profile, guiding) pairs: explicit and implicit guiding votes, yes
+    instances, planted noes and random weak profiles that mostly refuse."""
+    for i in range(60):
+        m = rng.randint(4, 300 if i % 6 == 0 else 12)
+        n = rng.randint(4, 12)
+        prof = random_sp_profile(m, n, "psp", rng.choice((0.1, 0.3, 0.6)), seed=i)
+        if i % 3 == 1:
+            prof = _plant_no(prof, rng)
+        implicit = find_implicit_guiding_vote(prof)
+        if implicit is not None:
+            yield prof, implicit
+            yield Profile(m, (implicit,) + prof.votes), implicit
+        # a total order on another hidden axis: mostly a refusal
+        total = random_sp_profile(m, 1, "psp", 0.0, seed=1000 + i).votes[0]
+        yield Profile(m, (total,) + prof.votes[1:]), total
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        votes = [random_weak(m, rng) for _ in range(rng.randint(1, 5))]
+        guiding = random_total(m, rng)
+        if rng.random() < 0.5:
+            votes.append(guiding)
+        yield Profile(m, tuple(votes)), guiding
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_matches_reference_guided_with_explicit_and_implicit_votes(
+    monkeypatch, small_blocks
+):
+    if small_blocks:
+        # threshold rows built a few steps at a time, and the final check
+        # reading a row or a few at a time
+        monkeypatch.setattr(guided, "_BLOCK_CELLS", 24)
+    rng = random.Random(31)
+    seen = set()
+    for prof, guiding in _guided_cases(rng):
+        expected = _outcome(reference_guided_recognize, prof, guiding)
+        assert _outcome(guided_recognize, prof, guiding) == expected
+        if expected[0] is True:
+            assert check_on_axis(prof, Axis(expected[1])).consistent
+        seen.add(expected[0])
+    assert seen == {True, False}
+
+
+def test_matches_reference_guided_on_unguided_subproblems(monkeypatch):
+    # the pinned subproblems the unguided engine poses, replayed on both
+    calls = []
+
+    def recording(profile, guiding, pin_left=None, pin_right=None):
+        calls.append((profile, guiding, {"pin_left": pin_left, "pin_right": pin_right}))
+        return guided_recognize(profile, guiding, pin_left=pin_left, pin_right=pin_right)
+
+    monkeypatch.setattr(unguided, "guided_recognize", recording)
+    rng = random.Random(32)
+    for i in range(150):
+        m = rng.randint(3, 9)
+        unguided.unguided_recognize(random_top_profile(m, rng.randint(1, 5), rng))
+        if i % 10 == 0:
+            # single-peaked total orders cut to top orders: yes-instances
+            # over more candidates
+            m = rng.randint(20, 60)
+            totals = random_sp_profile(m, 8, "psp", 0.0, seed=i).votes
+            tops = tuple(
+                PreferenceOrder.top_order(
+                    sorted(range(m), key=v.ranks.__getitem__)[: rng.randint(1, m)], m
+                )
+                for v in totals
+            )
+            unguided.unguided_recognize(Profile(m, tops))
+    kinds = set()
+    for prof, guiding, pins in calls:
+        expected = _outcome(reference_guided_recognize, prof, guiding, **pins)
+        assert _outcome(guided_recognize, prof, guiding, **pins) == expected
+        kinds.add(expected[0])
+    assert {True, False, "PinError"} <= kinds
+
+
+def test_final_check_reads_rows_in_chunks_like_one_pass(monkeypatch):
+    monkeypatch.setattr(guided, "_BLOCK_CELLS", 10)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m, n = rng.integers(1, 8, size=2)
+        ranks = rng.integers(0, m, size=(n, m)).astype(np.int32)
+        order = rng.permutation(m)
+        expected = bool(axis_check.v_valley_rows(ranks[:, order]).any())
+        assert guided._has_valley(ranks, order) == expected

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_bucketise
-from peakcheck.errors import CycleError
+from peakcheck.errors import ClassError, CycleError
 from peakcheck.model import (
     Axis,
     OrderClass,
@@ -247,3 +248,69 @@ def test_empty_vote_over_many_candidates_parses_as_one_tie():
     assert profile.m == 20000 and len(names) == 20000
     (vote,) = profile.votes
     assert vote.has_ranks() and not any(vote.ranks)
+
+
+@st.composite
+def _ranked_profiles(draw):
+    """Profiles of total, top and weak votes (rank buckets only)."""
+    m = draw(st.integers(1, 8))
+    votes = []
+    for _ in range(draw(st.integers(1, 5))):
+        order = draw(st.permutations(range(m)))
+        kind = draw(st.sampled_from(("total", "top", "weak")))
+        if kind == "total":
+            votes.append(PreferenceOrder.from_total(order))
+        elif kind == "top":
+            votes.append(PreferenceOrder.top_order(order[: draw(st.integers(0, m))], m))
+        else:
+            ranks = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+            votes.append(PreferenceOrder.from_ranks(ranks))
+    return Profile(m, tuple(votes))
+
+
+@given(_ranked_profiles())
+@settings(max_examples=300, deadline=None)
+def test_rank_matrix_holds_the_votes_and_is_read_only(profile):
+    ranks = profile.rank_matrix()
+    assert ranks.dtype == np.int32 and ranks.shape == (profile.n, profile.m)
+    assert ranks.tolist() == [list(v.ranks) for v in profile.votes]
+    assert profile.rank_matrix() is ranks
+    with pytest.raises(ValueError):
+        ranks[0, 0] = 1
+    # the cache lies outside the dataclass fields
+    fresh = Profile(profile.m, profile.votes, profile.multiplicities)
+    assert fresh == profile and hash(fresh) == hash(profile)
+    source = ranks.copy()
+    rebuilt = Profile.from_rank_matrix(source, profile.multiplicities)
+    source[...] = 0
+    assert rebuilt == profile
+    assert rebuilt.rank_matrix().tolist() == ranks.tolist()
+    assert not rebuilt.rank_matrix().flags.writeable
+
+
+@given(_ranked_profiles())
+@settings(max_examples=300, deadline=None)
+def test_vectorised_classes_match_each_vote(profile):
+    classes = [v._classify() for v in profile.votes]
+    assert profile._vote_classes().tolist() == classes
+    assert profile.order_class() == max(classes)
+    totals = [v for v, c in zip(profile.votes, classes) if c == OrderClass.TOTAL]
+    assert profile.first_total_order() is (totals[0] if totals else None)
+    assert profile.contains_total_order() == bool(totals)
+
+
+def test_pair_based_profile_classifies_vote_by_vote():
+    total = PreferenceOrder.from_total([2, 0, 1, 3])
+    local_weak = build_order([(0, 2), (1, 2)], 4)
+    partial = build_order([(0, 1), (2, 3)], 4)
+    assert not local_weak.has_ranks() and not partial.has_ranks()
+    profile = Profile(4, (local_weak, total))
+    with pytest.raises(ClassError):
+        profile.rank_matrix()
+    assert profile.order_class() == OrderClass.LOCAL_WEAK
+    assert profile.first_total_order() is total
+    assert profile.contains_total_order()
+    profile = Profile(4, (partial, local_weak))
+    assert profile.order_class() == OrderClass.PARTIAL
+    assert profile.first_total_order() is None
+    assert not profile.contains_total_order()

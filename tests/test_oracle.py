@@ -17,7 +17,7 @@ from conftest import (
 )
 from peakcheck import oracle
 from peakcheck.errors import ClassError, SizeError
-from peakcheck.model import Notion, PreferenceOrder, Profile, build_order
+from peakcheck.model import Notion, PreferenceOrder, Profile, all_axes, build_order
 from peakcheck.oracle import (
     extension_enumerate,
     majority_relation,
@@ -247,3 +247,15 @@ def test_bound_above_the_maximum_is_refused_before_enumeration(monkeypatch):
 def test_bound_at_the_maximum_is_accepted():
     prof = Profile(3, (PreferenceOrder.from_total([1, 0, 2]),))
     assert oracle_recognize(prof, "psp", bound=oracle.MAX_BOUND).consistent
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_axis_table_is_all_axes(m):
+    axes, pos = oracle._axes_and_positions(m)
+    assert [tuple(column) for column in axes.T.tolist()] == [
+        a.order for a in all_axes(m)
+    ]
+    # pos is the inverse of each axis
+    inverse = np.take_along_axis(pos, axes.astype(np.intp), axis=0)
+    assert (inverse == np.arange(m)[:, None]).all()
+    assert not axes.flags.writeable and not pos.flags.writeable

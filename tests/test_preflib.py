@@ -8,6 +8,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -197,3 +198,13 @@ def test_fuzz_cli_exit_codes(text):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert err.getvalue().startswith("error:")
+
+
+def test_parser_hands_over_its_rank_matrix():
+    profile = random_sp_profile(300, 20, "psp", 0.5, seed=3)
+    parsed = parse_any(write_preflib(profile))[0]
+    ranks = parsed.__dict__["_rank_matrix"]  # set by the parser, not rebuilt
+    assert parsed.rank_matrix() is ranks
+    assert ranks.dtype == np.int32 and not ranks.flags.writeable
+    assert ranks.tolist() == [list(v.ranks) for v in parsed.votes]
+    assert parsed == profile
