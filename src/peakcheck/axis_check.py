@@ -12,57 +12,82 @@ Possibly single-peaked = no u/v-valley; single-plateaued = no v-valley and no
 nonpeak plateau; Black = no v-valley and no plateau; necessarily single-peaked
 = single-plateaued with every top indifference class of size at most two.
 
-Witness searches scan candidate triples/quadruples in lexicographic axis
-position, so certificates are deterministic.
+Every axis is verified here, in two steps.  First one row rule per notion
+flags the rows of a rank matrix whose columns are in axis order, reading the
+steps between axis neighbours (a fall is a step to a better bucket):
+
+* psp (:func:`v_valley_rows`): a rise followed by a fall;
+* plateaued (:func:`plateaued_rows`): steps that do not read
+  (falling)* (flat)* (rising)*;
+* Black (:func:`black_rows`): a v-valley, or any flat step.
+
+A weak-or-tighter profile is read from its rank matrix, a block of cells at
+a time; any other profile vote by vote, where a pair-based vote gets one
+u/v-valley test.  Then the first flagged vote alone is scanned for its
+witness over candidate triples/quadruples in lexicographic axis position, so
+certificates are deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import AxisError, ClassError, WitnessError
+from .errors import AxisError, ClassError, InternalError, WitnessError
 from .model import (
-    Axis,
     Notion,
     OrderClass,
     PreferenceOrder,
-    Profile,
     Refusal,
     ValleyWitness,
     Verdict,
     WitnessKind,
 )
 
+# Rank cells read at once from a profile's rank matrix.  Read whole, the
+# axis-ordered copy took fresh pages from the system on every call at
+# m = 10,000.
+_BLOCK_CELLS = 1 << 17
+
 # ---------------------------------------------------------------------------
-# fast existence tests (no witness construction)
+# row rules (one vote per row, columns in axis order)
 # ---------------------------------------------------------------------------
-
-
-def _rank_seq(vote, axis):
-    r = vote.ranks
-    return [r[c] for c in axis]
-
-
-def _v_valley_exists_ranked(seq):
-    """Strict rise followed by a strict fall in the rank sequence."""
-    rose = False
-    prev = seq[0]
-    for x in seq[1:]:
-        if x > prev:
-            rose = True
-        elif x < prev and rose:
-            return True
-        prev = x
-    return False
 
 
 def v_valley_rows(ranks):
-    """Per row of a rank matrix (one vote per row, columns in axis order):
-    whether it holds a v-valley, by the rule of :func:`_v_valley_exists_ranked`
-    applied to every row at once."""
+    """Per row of a rank matrix: whether it holds a v-valley, a strict rise
+    followed by a strict fall."""
     step = np.diff(ranks, axis=1)
     rose = np.logical_or.accumulate(step > 0, axis=1)
     return np.any(rose[:, :-1] & (step[:, 1:] < 0), axis=1)
+
+
+def plateaued_rows(ranks):
+    """Per row: whether it is not single-plateaued, i.e. a fall follows a
+    flat or rising step, or a flat step follows a rising one."""
+    step = np.diff(ranks, axis=1)
+    rose = np.logical_or.accumulate(step > 0, axis=1)
+    level = np.logical_or.accumulate(step >= 0, axis=1)
+    after = step[:, 1:]
+    return np.any((level[:, :-1] & (after < 0)) | (rose[:, :-1] & (after == 0)), axis=1)
+
+
+def black_rows(ranks):
+    """Per row: whether it holds a v-valley or an axis-adjacent tie."""
+    return v_valley_rows(ranks) | np.any(np.diff(ranks, axis=1) == 0, axis=1)
+
+
+def _rule(notion):
+    # looked up when a check runs, so a replaced module attribute is used
+    if notion == Notion.PSP:
+        return v_valley_rows
+    if notion == Notion.BLACK:
+        return black_rows
+    return plateaued_rows
+
+
+def _rank_row(vote, order):
+    """The vote's buckets in axis order, as a one-row rank matrix."""
+    return np.asarray(vote.ranks, np.int32)[None, order]
 
 
 def _upper_positions(vote, pos):
@@ -80,25 +105,48 @@ def _upper_positions(vote, pos):
     return lo, hi
 
 
-def _v_valley_exists_pairs(vote, pos):
-    lo, hi = _upper_positions(vote, pos)
-    return any(lo[c] < pos[c] < hi[c] for c in range(vote.m))
+def _pair_valley(vote, pos):
+    """Whether the vote has a u- or v-valley: candidates b and c (b == c for
+    a v-valley) with a dominator of b left of both and one of c right of
+    both."""
+    lo, hi = map(np.array, _upper_positions(vote, pos))
+    pos = np.array(pos)
+    b = np.flatnonzero(lo < pos)
+    c = np.flatnonzero(hi > pos)
+    return bool(np.any((lo[b, None] < pos[c]) & (hi[c] > pos[b, None])))
 
 
-def _u_valley_exists_pairs(vote, pos):
-    lo, hi = _upper_positions(vote, pos)
-    m = vote.m
-    for b in range(m):
-        if lo[b] >= m:
-            continue
-        for c in range(m):
-            if c == b or hi[c] < 0:
-                continue
-            inner_lo = min(pos[b], pos[c])
-            inner_hi = max(pos[b], pos[c])
-            if lo[b] < inner_lo and hi[c] > inner_hi:
-                return True
-    return False
+def _first_flagged(profile, axis, rule):
+    """Index of the first vote ``rule`` flags on ``axis``, or None."""
+    order = np.asarray(axis.order, np.intp)
+    # votes all have rank buckets exactly when the profile is weak or
+    # tighter, and testing that classifies no pair-based vote
+    if all(vote.has_ranks() for vote in profile.votes):
+        ranks = profile.rank_matrix()
+        rows = max(1, _BLOCK_CELLS // max(1, profile.m))
+        for start in range(0, len(ranks), rows):
+            hit = np.flatnonzero(rule(ranks[start : start + rows][:, order]))
+            if len(hit):
+                return start + int(hit[0])
+        return None
+    pos = axis.positions()
+    for idx, vote in enumerate(profile.votes):
+        if vote.has_ranks():
+            flagged = rule(_rank_row(vote, order))[0]
+        else:
+            flagged = _pair_valley(vote, pos)
+        if flagged:
+            return idx
+    return None
+
+
+def top_class_refusal(profile):
+    """The refusal naming the first vote of a weak-or-tighter profile whose
+    top indifference class has more than two members, or None."""
+    wide = np.flatnonzero(np.count_nonzero(profile.rank_matrix() == 0, axis=1) > 2)
+    if len(wide):
+        return Refusal("top indifference class larger than two", int(wide[0]))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +192,8 @@ def _lex_u_valley(vote, axis, vote_index):
 
 def has_v_valley(vote, axis, vote_index=0):
     """First v-valley of ``vote`` on ``axis`` in lexicographic position order."""
-    if vote.has_ranks():
-        if not _v_valley_exists_ranked(_rank_seq(vote, axis)):
-            return None
-    else:
-        if not _v_valley_exists_pairs(vote, axis.positions()):
-            return None
+    if vote.has_ranks() and not v_valley_rows(_rank_row(vote, list(axis.order)))[0]:
+        return None
     return _lex_v_valley(vote, axis, vote_index)
 
 
@@ -160,17 +204,80 @@ def has_u_valley(vote, axis, vote_index=0):
     comes with a v-valley on the same axis, so recognition only needs this
     test for genuinely partial votes.
     """
-    if not _u_valley_exists_pairs(vote, axis.positions()):
+    if not _pair_valley(vote, axis.positions()):
         return None
     return _lex_u_valley(vote, axis, vote_index)
 
 
-def _vote_psp_ok(vote, axis, pos):
-    if vote.has_ranks():
-        return not _v_valley_exists_ranked(_rank_seq(vote, axis))
-    return not (
-        _v_valley_exists_pairs(vote, pos) or _u_valley_exists_pairs(vote, pos)
-    )
+def has_nonpeak_plateau(vote, axis, vote_index=0):
+    """First nonpeak plateau of ``vote`` on ``axis``."""
+    order = axis.order
+    m = len(order)
+    for i in range(m - 2):
+        for j in range(i + 1, m - 1):
+            for k in range(j + 1, m):
+                x, y, z = order[i], order[j], order[k]
+                if (
+                    vote.prefers(x, y) and not vote.prefers(y, z) and not vote.prefers(z, y)
+                ) or (
+                    vote.prefers(z, y) and not vote.prefers(y, x) and not vote.prefers(x, y)
+                ):
+                    return ValleyWitness(
+                        WitnessKind.NONPEAK_PLATEAU, vote_index, (x, y, z)
+                    )
+    return None
+
+
+def has_plateau(vote, axis, vote_index=0):
+    """First axis-adjacent indifferent pair."""
+    r = vote.ranks
+    for i in range(len(axis) - 1):
+        if r[axis[i]] == r[axis[i + 1]]:
+            return ValleyWitness(
+                WitnessKind.PLATEAU, vote_index, (axis[i], axis[i + 1])
+            )
+    return None
+
+
+def _witness(notion, vote, axis, vote_index):
+    """The flagged vote's first v-valley, else its first substructure of the
+    notion's own kind."""
+    witness = _lex_v_valley(vote, axis, vote_index)
+    if witness is None:
+        if notion == Notion.BLACK:
+            witness = has_plateau(vote, axis, vote_index)
+        elif notion != Notion.PSP:
+            witness = has_nonpeak_plateau(vote, axis, vote_index)
+        elif not vote.has_ranks():
+            witness = _lex_u_valley(vote, axis, vote_index)
+    if witness is None:
+        raise InternalError(f"axis check flagged vote {vote_index} but found no witness")
+    return witness
+
+
+# ---------------------------------------------------------------------------
+# the verifiers
+# ---------------------------------------------------------------------------
+
+
+def _check(profile, axis, notion):
+    """Whether ``profile`` has ``notion`` on ``axis``: the first flagged
+    vote's witness, or the axis."""
+    if axis.m != profile.m:
+        raise AxisError(
+            f"axis orders {axis.m} candidates, the profile has {profile.m}"
+        )
+    if notion != Notion.PSP and profile.order_class() > OrderClass.WEAK:
+        raise ClassError("plateau-based checks are defined for weak orders only")
+    if notion == Notion.NECESSARY:
+        refusal = top_class_refusal(profile)
+        if refusal is not None:
+            return Verdict.no(refusal, notion=notion, algorithm="axis-check")
+    idx = _first_flagged(profile, axis, _rule(notion))
+    if idx is None:
+        return Verdict.yes(axis, notion=notion, algorithm="axis-check")
+    witness = _witness(notion, profile.votes[idx], axis, idx)
+    return Verdict.no(witness, notion=notion, algorithm="axis-check")
 
 
 def is_possibly_sp_on_axis(profile, axis):
@@ -179,98 +286,17 @@ def is_possibly_sp_on_axis(profile, axis):
     Weak-or-tighter votes only need the v-valley test; u-valleys are checked
     for genuinely partial votes.
     """
-    pos = axis.positions()
-    for idx, vote in enumerate(profile.votes):
-        if not _vote_psp_ok(vote, axis, pos):
-            witness = has_v_valley(vote, axis, idx) or has_u_valley(vote, axis, idx)
-            return Verdict.no(witness, algorithm="axis-check")
-    return Verdict.yes(axis, algorithm="axis-check")
-
-
-# ---------------------------------------------------------------------------
-# plateau-based notions (weak orders)
-# ---------------------------------------------------------------------------
-
-
-def _nonpeak_plateau_exists(seq):
-    m = len(seq)
-    first = {}
-    last = {}
-    for i, x in enumerate(seq):
-        first.setdefault(x, i)
-        last[x] = i
-    # strictly better somewhere left + same rank somewhere right, or mirrored
-    best = seq[0]
-    for j in range(1, m):
-        if best < seq[j] and last[seq[j]] > j:
-            return True
-        best = min(best, seq[j])
-    best = seq[-1]
-    for j in range(m - 2, -1, -1):
-        if best < seq[j] and first[seq[j]] < j:
-            return True
-        best = min(best, seq[j])
-    return False
-
-
-def _lex_nonpeak_plateau(vote, axis, vote_index):
-    order = axis.order
-    m = len(order)
-    for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            for k in range(j + 1, m):
-                x, y, z = order[i], order[j], order[k]
-                if vote.prefers(x, y) and not vote.prefers(y, z) and not vote.prefers(z, y):
-                    return ValleyWitness(
-                        WitnessKind.NONPEAK_PLATEAU, vote_index, (x, y, z)
-                    )
-                if vote.prefers(z, y) and not vote.prefers(y, x) and not vote.prefers(x, y):
-                    return ValleyWitness(
-                        WitnessKind.NONPEAK_PLATEAU, vote_index, (x, y, z)
-                    )
-    return None
-
-
-def has_nonpeak_plateau(vote, axis, vote_index=0):
-    if not _nonpeak_plateau_exists(_rank_seq(vote, axis)):
-        return None
-    return _lex_nonpeak_plateau(vote, axis, vote_index)
-
-
-def has_plateau(vote, axis, vote_index=0):
-    """First axis-adjacent indifferent pair."""
-    seq = _rank_seq(vote, axis)
-    for i in range(len(seq) - 1):
-        if seq[i] == seq[i + 1]:
-            return ValleyWitness(
-                WitnessKind.PLATEAU, vote_index, (axis[i], axis[i + 1])
-            )
-    return None
-
-
-def _require_weak(profile):
-    if profile.order_class() > OrderClass.WEAK:
-        raise ClassError("plateau-based checks are defined for weak orders only")
+    return _check(profile, axis, Notion.PSP)
 
 
 def check_plateaued_on_axis(profile, axis):
     """Single-plateaued w.r.t. ``axis``: no v-valley, no nonpeak plateau."""
-    _require_weak(profile)
-    for idx, vote in enumerate(profile.votes):
-        w = has_v_valley(vote, axis, idx) or has_nonpeak_plateau(vote, axis, idx)
-        if w is not None:
-            return Verdict.no(w, notion=Notion.PLATEAUED, algorithm="axis-check")
-    return Verdict.yes(axis, notion=Notion.PLATEAUED, algorithm="axis-check")
+    return _check(profile, axis, Notion.PLATEAUED)
 
 
 def check_black_on_axis(profile, axis):
     """Black single-peaked w.r.t. ``axis``: no v-valley, no plateau at all."""
-    _require_weak(profile)
-    for idx, vote in enumerate(profile.votes):
-        w = has_v_valley(vote, axis, idx) or has_plateau(vote, axis, idx)
-        if w is not None:
-            return Verdict.no(w, notion=Notion.BLACK, algorithm="axis-check")
-    return Verdict.yes(axis, notion=Notion.BLACK, algorithm="axis-check")
+    return _check(profile, axis, Notion.BLACK)
 
 
 def check_necessary_on_axis(profile, axis):
@@ -280,28 +306,12 @@ def check_necessary_on_axis(profile, axis):
     plateau of a single-plateaued vote is its top indifference class, whose
     size does not depend on the axis.
     """
-    _require_weak(profile)
-    for idx, vote in enumerate(profile.votes):
-        top = vote.buckets()[0]
-        if len(top) > 2:
-            return Verdict.no(
-                Refusal("top indifference class larger than two", idx),
-                notion=Notion.NECESSARY,
-                algorithm="axis-check",
-            )
-    inner = check_plateaued_on_axis(profile, axis)
-    if not inner:
-        return Verdict.no(inner.certificate, notion=Notion.NECESSARY, algorithm="axis-check")
-    return Verdict.yes(axis, notion=Notion.NECESSARY, algorithm="axis-check")
+    return _check(profile, axis, Notion.NECESSARY)
 
 
 def check_on_axis(profile, axis, notion=Notion.PSP):
     """Dispatch to the verifier for ``notion``."""
     notion = Notion(notion)
-    if axis.m != profile.m:
-        raise AxisError(
-            f"axis orders {axis.m} candidates, the profile has {profile.m}"
-        )
     if notion == Notion.PSP:
         return is_possibly_sp_on_axis(profile, axis)
     if notion == Notion.PLATEAUED:

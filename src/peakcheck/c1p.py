@@ -254,13 +254,9 @@ def recognize(profile, notion=Notion.PSP):
     notion = Notion(notion)
     if notion == Notion.NECESSARY:
         _require_weak(profile, "necessarily-single-peaked recognition")
-        for k, vote in enumerate(profile.votes):
-            if len(vote.buckets()[0]) > 2:
-                return Verdict.no(
-                    Refusal("top indifference class larger than two", vote_index=k),
-                    notion=notion,
-                    algorithm="c1p",
-                )
+        refusal = axis_check.top_class_refusal(profile)
+        if refusal is not None:
+            return Verdict.no(refusal, notion=notion, algorithm="c1p")
     matrix = _build(profile, notion, chain=True)
     perm = solve_c1p(matrix)
     if perm is None:

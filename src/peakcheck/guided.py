@@ -25,8 +25,9 @@ buckets that can block.  A step is then one comparison of its row against
 the tops of both axis halves, and the left side is tested only when the
 right one is blocked or ``c_i`` is pinned left.
 
-The final axis is re-checked for v-valleys on the profile's rank matrix,
-vectorised over a few votes at a time.
+The final axis goes through the axis verifier
+(``axis_check.is_possibly_sp_on_axis``), and an outside guiding vote through
+``axis_check.has_v_valley``; a valley there is an ``InternalError``.
 
 Endpoint pins (used by the unguided algorithm's subproblems) require the
 pinned-right candidate to be ranked last in the guiding vote and the
@@ -54,9 +55,8 @@ from .model import (
 )
 
 _BIG = np.iinfo(np.int32).max // 2
-# Rank cells handled at once.  The placement builds the threshold rows for
-# about this many cells of rg at a time, and the final check reads this many
-# cells of the rank matrix at a time.  Built whole, those arrays took fresh
+# Rank cells handled at once: the placement builds the threshold rows for
+# about this many cells of rg at a time.  Built whole, the array took fresh
 # pages from the system on every call at m = 10,000, and the run time grew
 # faster than m.
 _BLOCK_CELLS = 1 << 17
@@ -136,17 +136,6 @@ def _place(rg, pinned_left):
     return left_part + right_part[::-1], None
 
 
-def _has_valley(ranks, order):
-    """Whether a row of ``ranks`` has a v-valley along the candidate order
-    ``order``, checked ``_BLOCK_CELLS`` cells at a time."""
-    order = np.asarray(order)
-    rows = max(1, _BLOCK_CELLS // len(order))
-    return any(
-        axis_check.v_valley_rows(ranks[k : k + rows][:, order]).any()
-        for k in range(0, len(ranks), rows)
-    )
-
-
 def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
     """Recognise a weak-order profile guided by a total order.
 
@@ -193,10 +182,10 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
         raise PinError(f"candidate {pin_left} did not end up leftmost")
     if pin_right is not None and axis[-1] != pin_right:
         raise PinError(f"candidate {pin_right} did not end up rightmost")
-    checked = [profile.rank_matrix()]
-    if guiding not in profile.votes:
-        checked.append(np.array([guiding.ranks], np.int32))
-    if any(_has_valley(ranks, axis.order) for ranks in checked):
+    if not axis_check.is_possibly_sp_on_axis(profile, axis) or (
+        guiding not in profile.votes
+        and axis_check.has_v_valley(guiding, axis) is not None
+    ):
         raise InternalError("guided algorithm produced an invalid axis")
     return Verdict.yes(axis, algorithm="guided")
 

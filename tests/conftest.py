@@ -1,6 +1,6 @@
 """Shared test helpers: small generators and slow references for guided,
-the PrefLib parser, weak-order detection, the oracle's per-axis tests and
-the 2-SAT engine."""
+the PrefLib parser, weak-order detection, the oracle's per-axis tests, the
+2-SAT engine and the axis verifiers."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import numpy as np
 
 from peakcheck import axis_check
 from peakcheck.errors import (
+    AxisError,
     ClassError,
     InternalError,
     ParseError,
@@ -640,3 +641,122 @@ def tarjan_2sat(instance):
         # Tarjan numbers components in reverse topological order
         assignment.append(comp[2 * v] < comp[2 * v + 1])
     return assignment
+
+
+# ---------------------------------------------------------------------------
+# axis verifiers: one Python loop per notion, vote by vote
+# ---------------------------------------------------------------------------
+
+
+def reference_v_valley_exists_ranked(seq):
+    """Strict rise followed by a strict fall in the rank sequence."""
+    rose = False
+    prev = seq[0]
+    for x in seq[1:]:
+        if x > prev:
+            rose = True
+        elif x < prev and rose:
+            return True
+        prev = x
+    return False
+
+
+def reference_nonpeak_plateau_exists(seq):
+    """A rank strictly better somewhere left and the same rank somewhere
+    right, or mirrored."""
+    m = len(seq)
+    first = {}
+    last = {}
+    for i, x in enumerate(seq):
+        first.setdefault(x, i)
+        last[x] = i
+    best = seq[0]
+    for j in range(1, m):
+        if best < seq[j] and last[seq[j]] > j:
+            return True
+        best = min(best, seq[j])
+    best = seq[-1]
+    for j in range(m - 2, -1, -1):
+        if best < seq[j] and first[seq[j]] < j:
+            return True
+        best = min(best, seq[j])
+    return False
+
+
+def _reference_bounds(vote, pos):
+    """Per candidate: (min, max) axis position of its strict dominators."""
+    m = vote.m
+    lo, hi = [m] * m, [-1] * m
+    for c in range(m):
+        for a in vote.upper_set(c):
+            lo[c], hi[c] = min(lo[c], pos[a]), max(hi[c], pos[a])
+    return lo, hi
+
+
+def _reference_v_valley(vote, axis, idx):
+    if vote.has_ranks():
+        found = reference_v_valley_exists_ranked([vote.ranks[c] for c in axis])
+    else:
+        pos = axis.positions()
+        lo, hi = _reference_bounds(vote, pos)
+        found = any(lo[c] < pos[c] < hi[c] for c in range(vote.m))
+    return axis_check._lex_v_valley(vote, axis, idx) if found else None
+
+
+def _reference_u_valley(vote, axis, idx):
+    pos = axis.positions()
+    lo, hi = _reference_bounds(vote, pos)
+    found = any(
+        b != c and lo[b] < min(pos[b], pos[c]) and hi[c] > max(pos[b], pos[c])
+        for b in range(vote.m)
+        for c in range(vote.m)
+    )
+    return axis_check._lex_u_valley(vote, axis, idx) if found else None
+
+
+def _reference_nonpeak_plateau(vote, axis, idx):
+    if not reference_nonpeak_plateau_exists([vote.ranks[c] for c in axis]):
+        return None
+    return axis_check.has_nonpeak_plateau(vote, axis, idx)
+
+
+def _reference_vote_witness(notion, vote, axis, idx):
+    if notion == Notion.PSP:
+        # a u-valley of a weak order comes with a v-valley
+        return _reference_v_valley(vote, axis, idx) or (
+            None if vote.has_ranks() else _reference_u_valley(vote, axis, idx)
+        )
+    if notion == Notion.BLACK:
+        return _reference_v_valley(vote, axis, idx) or axis_check.has_plateau(
+            vote, axis, idx
+        )
+    return _reference_v_valley(vote, axis, idx) or _reference_nonpeak_plateau(
+        vote, axis, idx
+    )
+
+
+def reference_check_on_axis(profile, axis, notion=Notion.PSP):
+    """The verifier as one per-vote loop per notion: each vote's existence
+    test in pure Python, then the witness scan on the first vote that fails.
+    Necessarily single-peaked first refuses a top indifference class larger
+    than two, then is single-plateaued.  Used to cross-check the row rules."""
+    notion = Notion(notion)
+    if axis.m != profile.m:
+        raise AxisError(
+            f"axis orders {axis.m} candidates, the profile has {profile.m}"
+        )
+    if notion != Notion.PSP and profile.order_class() > OrderClass.WEAK:
+        raise ClassError("plateau-based checks are defined for weak orders only")
+    if notion == Notion.NECESSARY:
+        for idx, vote in enumerate(profile.votes):
+            if len(vote.buckets()[0]) > 2:
+                return Verdict.no(
+                    Refusal("top indifference class larger than two", idx),
+                    notion=notion,
+                    algorithm="axis-check",
+                )
+    for idx, vote in enumerate(profile.votes):
+        witness = _reference_vote_witness(notion, vote, axis, idx)
+        if witness is not None:
+            return Verdict.no(witness, notion=notion, algorithm="axis-check")
+    return Verdict.yes(axis, notion=notion, algorithm="axis-check")

@@ -1,15 +1,27 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_weak, random_partial, random_weak, random_weak_profile
+from conftest import (
+    random_local_weak,
+    random_partial,
+    random_top,
+    random_total,
+    random_weak,
+    random_weak_profile,
+    reference_check_on_axis,
+    reference_nonpeak_plateau_exists,
+    reference_v_valley_exists_ranked,
+)
+from peakcheck import axis_check, c1p, oracle
 from peakcheck.axis_check import (
     _upper_positions,
-    _v_valley_exists_ranked,
+    black_rows,
     check_black_on_axis,
     check_necessary_on_axis,
     check_on_axis,
@@ -20,11 +32,14 @@ from peakcheck.axis_check import (
     has_u_valley,
     has_v_valley,
     is_possibly_sp_on_axis,
+    plateaued_rows,
     v_valley_rows,
 )
-from peakcheck.errors import AxisError, ClassError, WitnessError
+from peakcheck.errors import AxisError, ClassError, PeakcheckError, WitnessError
+from peakcheck.gadgets import random_sp_profile
 from peakcheck.model import (
     Axis,
+    Notion,
     PreferenceOrder,
     Profile,
     WitnessKind,
@@ -272,17 +287,169 @@ def test_hypothesis_reversal_symmetry_weak_votes():
 )
 @settings(max_examples=300, deadline=None)
 def test_v_valley_rows_matches_scalar_rule(rows):
-    # rank matrices with ties: the row check flags exactly the rows the
-    # scalar rule flags
-    flagged = v_valley_rows(np.array(rows, dtype=np.int32))
-    assert flagged.tolist() == [_v_valley_exists_ranked(row) for row in rows]
+    # rank matrices with ties: each notion's row rule flags exactly the rows
+    # its scalar rules flag
+    ranks = np.array(rows, dtype=np.int32)
+    valley = [reference_v_valley_exists_ranked(row) for row in rows]
+    assert v_valley_rows(ranks).tolist() == valley
+    assert plateaued_rows(ranks).tolist() == [
+        v or reference_nonpeak_plateau_exists(row) for v, row in zip(valley, rows)
+    ]
+    assert black_rows(ranks).tolist() == [
+        v or any(a == b for a, b in zip(row, row[1:])) for v, row in zip(valley, rows)
+    ]
 
 
 def test_check_on_axis_rejects_axis_of_other_size():
     prof = Profile(3, (PreferenceOrder.from_total([0, 1, 2]),))
-    for ax in (axis(0, 1), axis(0, 1, 2, 3)):
-        with pytest.raises(AxisError):
-            check_on_axis(prof, ax)
+    verifiers = (
+        check_on_axis,
+        is_possibly_sp_on_axis,
+        check_plateaued_on_axis,
+        check_black_on_axis,
+        check_necessary_on_axis,
+    )
+    for verify in verifiers:
+        for ax in (axis(0, 1), axis(0, 1, 2, 3)):
+            with pytest.raises(AxisError):
+                verify(prof, ax)
+
+
+def _outcome(check, profile, ax, notion):
+    """Verdict bit, axis, certificate, notion and engine, or the error's type
+    and text."""
+    try:
+        verdict = check(profile, ax, notion)
+    except PeakcheckError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        verdict.consistent,
+        verdict.axis,
+        verdict.certificate,
+        verdict.notion,
+        verdict.algorithm,
+    )
+
+
+def _kind(outcome):
+    """Yes, the witness kind, a refusal, or the error's type."""
+    if outcome[0] is True:
+        return "yes"
+    if outcome[0] is False:
+        return getattr(outcome[2], "kind", "refusal")
+    return outcome[0]
+
+
+_MAKERS = {
+    "total": random_total,
+    "top": random_top,
+    "weak": random_weak,
+    "local-weak": random_local_weak,
+    "partial": random_partial,
+}
+
+
+def _random_axis(m, rng):
+    order = list(range(m))
+    rng.shuffle(order)
+    return Axis(tuple(order))
+
+
+def test_matches_reference_check_on_axis():
+    # every notion on profiles of every order class at m <= 8, on random
+    # axes and on the oracle's axis when there is one
+    rng = random.Random(43)
+    kinds = Counter()
+    vote_indices = set()
+    for i in range(400):
+        m = rng.randint(1, 8)
+        if i % 3 == 0:
+            notion = rng.choice(("psp", "plateaued", "black"))
+            prof = random_sp_profile(
+                m, rng.randint(1, 5), notion, rng.choice((0.0, 0.3, 0.7)), seed=i
+            )
+            votes = list(prof.votes)
+            if rng.random() < 0.5:
+                votes[rng.randrange(len(votes))] = random_weak(m, rng)
+            prof = Profile(m, tuple(votes))
+        else:
+            classes = rng.sample(list(_MAKERS), rng.randint(1, 2))
+            votes = [_MAKERS[rng.choice(classes)](m, rng) for _ in range(rng.randint(1, 5))]
+            prof = Profile(m, tuple(votes))
+        axes = [_random_axis(m, rng), _random_axis(m, rng)]
+        found = oracle.oracle_recognize(prof, "psp")
+        if found:
+            axes.append(found.axis)
+        for ax in axes:
+            for notion in Notion:
+                expected = _outcome(reference_check_on_axis, prof, ax, notion)
+                assert _outcome(check_on_axis, prof, ax, notion) == expected
+                kinds[_kind(expected)] += 1
+                if expected[0] is False:
+                    vote_indices.add(expected[2].vote_index)
+    assert set(kinds) == {"yes", "refusal", "ClassError", *WitnessKind}
+    assert max(vote_indices) >= 3
+
+
+def _bad_vote(ax, rng):
+    """A vote with a v-valley on ``ax`` (one middle candidate ranked below
+    all others), or a random weak vote."""
+    if rng.random() < 0.5:
+        return random_weak(ax.m, rng)
+    ranks = [0] * ax.m
+    ranks[ax[rng.randrange(1, ax.m - 1)]] = 1
+    return PreferenceOrder.from_ranks(ranks)
+
+
+def test_matches_reference_on_wide_profiles_across_blocks(monkeypatch):
+    # consistent wide profiles with a few bad votes planted: with one, three
+    # or seven rows per block the first flagged vote falls inside a later
+    # block, and every block size reports the same vote and witness
+    rng = random.Random(44)
+    offsets = set()
+    for i in range(18):
+        notion = ("psp", "plateaued", "black")[i % 3]
+        m, n = rng.randint(20, 60), rng.randint(10, 40)
+        prof = random_sp_profile(m, n, notion, 0.3, seed=100 + i)
+        ax = c1p.recognize(prof, notion).axis
+        votes = list(prof.votes)
+        for k in rng.sample(range(n), rng.randint(1, 3)):
+            votes[k] = _bad_vote(ax, rng)
+        prof = Profile(m, tuple(votes))
+        expected = {nt: _outcome(reference_check_on_axis, prof, ax, nt) for nt in Notion}
+        for rows in (1, 3, 7, None):
+            if rows is not None:
+                monkeypatch.setattr(axis_check, "_BLOCK_CELLS", rows * m)
+            else:
+                monkeypatch.undo()
+            for nt in Notion:
+                assert _outcome(check_on_axis, prof, ax, nt) == expected[nt]
+            if rows == 7 and expected[Notion.PSP][0] is False:
+                offsets.add(expected[Notion.PSP][2].vote_index % rows)
+    assert len(offsets) >= 3
+
+
+def test_verifier_reads_rows_in_blocks_like_one_pass(monkeypatch):
+    # a few cells per block give the verdict and witness of the default size
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(200):
+        m, n = (int(x) for x in rng.integers(1, 8, size=2))
+        rows = rng.integers(0, m, size=(n, m)).tolist()
+        votes = tuple(PreferenceOrder.from_ranks(row) for row in rows)
+        cases.append((Profile(m, votes), Axis(tuple(rng.permutation(m).tolist()))))
+    default = [
+        _outcome(check_on_axis, prof, ax, notion)
+        for prof, ax in cases
+        for notion in Notion
+    ]
+    assert {outcome[0] for outcome in default} == {True, False}
+    monkeypatch.setattr(axis_check, "_BLOCK_CELLS", 10)
+    assert [
+        _outcome(check_on_axis, prof, ax, notion)
+        for prof, ax in cases
+        for notion in Notion
+    ] == default
 
 
 def test_dominator_positions_match_lower_set_scan():

@@ -309,6 +309,7 @@ def test_matches_reference_guided_with_explicit_and_implicit_votes(
         # threshold rows built a few steps at a time, and the final check
         # reading a row or a few at a time
         monkeypatch.setattr(guided, "_BLOCK_CELLS", 24)
+        monkeypatch.setattr(axis_check, "_BLOCK_CELLS", 24)
     rng = random.Random(31)
     seen = set()
     for prof, guiding in _guided_cases(rng):
@@ -352,13 +353,3 @@ def test_matches_reference_guided_on_unguided_subproblems(monkeypatch):
         kinds.add(expected[0])
     assert {True, False, "PinError"} <= kinds
 
-
-def test_final_check_reads_rows_in_chunks_like_one_pass(monkeypatch):
-    monkeypatch.setattr(guided, "_BLOCK_CELLS", 10)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        m, n = rng.integers(1, 8, size=2)
-        ranks = rng.integers(0, m, size=(n, m)).astype(np.int32)
-        order = rng.permutation(m)
-        expected = bool(axis_check.v_valley_rows(ranks[:, order]).any())
-        assert guided._has_valley(ranks, order) == expected
