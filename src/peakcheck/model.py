@@ -410,16 +410,23 @@ class Profile:
 
     @classmethod
     def from_rank_matrix(cls, ranks, multiplicities=()):
-        """Profile with one vote per row of an n×m matrix of dense ranks.
+        """Profile with one vote per row of an n×m matrix of bucket indices.
 
-        A copy of the matrix becomes the profile's rank matrix, so it is not
-        built again from the votes.
+        Each row is renumbered to dense ranks, as by ``PreferenceOrder.from_ranks``,
+        in O(n · largest index).  The result becomes the profile's rank
+        matrix, so it is not built again from the votes.
         """
         ranks = np.asarray(ranks)
-        m = ranks.shape[1]
-        votes = tuple(PreferenceOrder(m, ranks=row) for row in ranks.tolist())
+        if ranks.min() < 0:
+            raise ValueError("bucket indices must be non-negative")
+        n, m = ranks.shape
+        rows = np.arange(n)[:, None]
+        present = np.zeros((n, int(ranks.max()) + 1), bool)
+        present[rows, ranks] = True
+        dense = (np.cumsum(present, axis=1, dtype=np.int32) - 1)[rows, ranks]
+        votes = tuple(PreferenceOrder(m, ranks=row) for row in dense.tolist())
         profile = cls(m, votes, tuple(multiplicities))
-        profile._cache("_rank_matrix", ranks.astype(np.int32))
+        profile._cache("_rank_matrix", dense)
         return profile
 
     def _cache(self, name, array):

@@ -1,16 +1,21 @@
 """The Unguided Algorithm: recognition of top-order profiles.
 
 Works per connected component of the co-rankedness graph (candidates joined
-when some vote ranks both).  Within a component, each candidate is tried as
-the leftmost axis candidate; the axis grows rightwards by absorbing votes
-whose peak is already placed (the ``oplus`` extension).  When no vote peaks
-at the current right end, an intersecting vote is fetched and the stretch of
-candidates it ranks above the right end is ordered by a pinned run of the
-guided algorithm, with a fresh boundary candidate ``x`` standing in for the
-highest-ranked candidate outside the subproblem in every vote.
+when some vote ranks both).  Each component gets one rank matrix, and each
+vote's chain, its ranked candidates best first, is read from it once.
+Within a component, each candidate is tried as the leftmost axis candidate;
+the axis grows rightwards by absorbing votes whose peak is already placed
+(the ``oplus`` extension).  When no vote peaks at the current right end, an
+intersecting vote is fetched and the stretch of candidates it ranks above
+the right end is ordered by a pinned run of the guided algorithm.  That
+subproblem is one gather of the matrix's columns, with a fresh boundary
+candidate ``x`` standing in for the highest-ranked candidate outside the
+subproblem in every vote (``rep_top``'s rule, applied to all rows at once).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import axis_check
 from .errors import ClassError, InternalError, NoIntersectionError, PinError
@@ -30,6 +35,16 @@ def _require_top(profile):
         raise ClassError("the unguided algorithm requires top orders")
 
 
+def _chains(ranks):
+    """Each row's ranked candidates, best first, from a matrix of dense top
+    orders: ranks 0, 1, … in order, plus the bottom level only for a total
+    vote."""
+    top = ranks.max(axis=1)
+    lengths = top + (top == ranks.shape[1] - 1)
+    order = np.argsort(ranks, axis=1, kind="stable")
+    return [row[:k] for row, k in zip(order.tolist(), lengths.tolist())]
+
+
 def connected_components(profile):
     """Partition of the candidates by co-rankedness, with each part's votes.
 
@@ -46,11 +61,9 @@ def connected_components(profile):
             x = parent[x]
         return x
 
-    ranked_sets = []
-    for vote in profile.votes:
-        ranked = vote.ranked_candidates()
-        ranked_sets.append(ranked)
-        for a, b in zip(ranked, ranked[1:]):
+    chains = _chains(profile.rank_matrix())
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
@@ -62,9 +75,7 @@ def connected_components(profile):
     out = []
     for part in parts:
         root = find(part[0])
-        vote_idx = [
-            k for k, ranked in enumerate(ranked_sets) if ranked and find(ranked[0]) == root
-        ]
+        vote_idx = [k for k, chain in enumerate(chains) if chain and find(chain[0]) == root]
         out.append((part, vote_idx))
     return out
 
@@ -80,25 +91,19 @@ def oplus(axis_candidates, vote):
     placed = set(axis_candidates)
     extension = [c for c in vote.ranked_candidates() if c not in placed]
     new_axis = list(axis_candidates) + extension
-    sub, remap = vote.restrict_with_map(new_axis)
-    sub_axis = Axis(tuple(remap[c] for c in new_axis))
-    if axis_check.has_v_valley(sub, sub_axis) is not None:
+    if axis_check.v_valley_rows(np.asarray(vote.ranks)[None, new_axis])[0]:
         return None
     return new_axis
 
 
-def rep_top(vote, replace_set, x=None):
+def rep_top(vote, replace_set):
     """Substitute the vote's highest-ranked member of ``replace_set`` by a
     fresh candidate ``x`` (id ``m``), extending the domain by one.
 
     If the vote ranks no member of the set it is unchanged apart from ``x``
     joining its minimal candidates.
     """
-    m = vote.m
-    if x is None:
-        x = m
-    if x != m:
-        raise ValueError("the boundary candidate must be the next free id")
+    x = vote.m
     ranks = list(vote.ranks)
     ranked = set(vote.ranked_candidates())
     targets = [c for c in replace_set if c in ranked]
@@ -111,49 +116,46 @@ def rep_top(vote, replace_set, x=None):
     return PreferenceOrder.from_ranks(ranks)
 
 
+def _subproblem(ranks, keep, outside):
+    """The guided subproblem on the ``keep`` columns plus a last column x.
+
+    Row by row this is ``rep_top(vote, outside)`` restricted to ``keep``
+    and x: x holds the best rank among the ``outside`` columns, capped at
+    the row's bottom level, which is m (a new level) for a total vote and
+    the top level otherwise.
+    """
+    m = ranks.shape[1]
+    top = ranks.max(axis=1)
+    bottom = np.where(top == m - 1, m, top)
+    x = np.minimum(bottom, ranks[:, outside].min(axis=1, initial=m))
+    return Profile.from_rank_matrix(np.column_stack((ranks[:, keep], x)))
+
+
 class IntersectionIndex:
     """Per candidate, the votes whose strictly-above sets are set-maximal.
 
     On a single-peaked axis the candidates strictly above ``c`` in a vote form
     a contiguous stretch directly left or right of ``c``, so at most two
     distinct maximal sets may exist per candidate and they must be disjoint;
-    otherwise the component is not possibly single-peaked.
+    otherwise the component is not possibly single-peaked.  Only votes
+    ranking ``c`` pin their above-set next to ``c``, and there that set is a
+    prefix of the vote's chain.
     """
 
     def __init__(self, profile):
         self.profile = profile
         self.refusal = None
         self.maximal = []
-        masks = []
-        ranked_mask = []
-        for vote in profile.votes:
-            rm = 0
-            for c in vote.ranked_candidates():
-                rm |= 1 << c
-            ranked_mask.append(rm)
-            masks.append([0] * profile.m)
-        for k, vote in enumerate(profile.votes):
-            ranks = vote.ranks
-            above = 0
-            by_rank = sorted(range(profile.m), key=lambda c: ranks[c])
-            i = 0
-            while i < profile.m:
-                j = i
-                while j < profile.m and ranks[by_rank[j]] == ranks[by_rank[i]]:
-                    j += 1
-                bucket_mask = 0
-                for t in range(i, j):
-                    masks[k][by_rank[t]] = above
-                    bucket_mask |= 1 << by_rank[t]
-                above |= bucket_mask
-                i = j
-        self.ranked_masks = ranked_mask
-        for c in range(profile.m):
-            sets = {}
-            for k in range(profile.n):
-                # only votes ranking c pin their above-set next to c on an axis
-                if ranked_mask[k] >> c & 1:
-                    sets.setdefault(masks[k][c], []).append(k)
+        self.chains = _chains(profile.rank_matrix())
+        self.ranked_masks = []
+        above = [{} for _ in range(profile.m)]  # above-set mask -> first vote
+        for k, chain in enumerate(self.chains):
+            mask = 0
+            for c in chain:
+                above[c].setdefault(mask, k)
+                mask |= 1 << c
+            self.ranked_masks.append(mask)
+        for c, sets in enumerate(above):
             keys = [s for s in sets if s]
             maximal = [
                 s for s in keys if not any(s != t and s & t == s for t in keys)
@@ -170,7 +172,7 @@ class IntersectionIndex:
                     detail=f"candidate {c}",
                 )
                 return
-            self.maximal.append([(s, sets[s][0]) for s in maximal])
+            self.maximal.append([(s, sets[s]) for s in maximal])
 
 
 def build_intersection_index(profile):
@@ -186,7 +188,7 @@ def intersecting_vote(index, axis_candidates):
     :class:`NoIntersectionError` if none exists (impossible for a connected
     component).
     """
-    profile = index.profile
+    ranks = index.profile.rank_matrix()
     placed_mask = 0
     for c in axis_candidates:
         placed_mask |= 1 << c
@@ -200,13 +202,11 @@ def intersecting_vote(index, axis_candidates):
     candidates = [k for (_, k) in index.maximal[a_i] if qualifies(k)]
     if candidates:
         if prev is not None:
-            preferred = [
-                k for k in candidates if not profile.votes[k].prefers(prev, a_i)
-            ]
+            preferred = [k for k in candidates if ranks[k, prev] >= ranks[k, a_i]]
             if preferred:
                 return preferred[0]
         return candidates[0]
-    for k in range(profile.n):
+    for k in range(index.profile.n):
         if qualifies(k):
             return k
     raise NoIntersectionError("no intersecting vote; component is disconnected")
@@ -225,77 +225,61 @@ def _solve_component(profile, starts=None):
     if index.refusal is not None:
         return None
     peak_votes = {}
-    for k, vote in enumerate(profile.votes):
-        p = vote.peak()
-        if p is not None:
-            peak_votes.setdefault(p, []).append(k)
-
+    for k, chain in enumerate(index.chains):
+        if chain:
+            peak_votes.setdefault(chain[0], []).append(k)
     for c_start in (range(m) if starts is None else starts):
-        axis = [c_start]
-        consumed = [False] * profile.n
-        i = 0
-        failed = False
-        while i < len(axis):
-            a_i = axis[i]
-            for k in peak_votes.get(a_i, ()):
-                if consumed[k]:
-                    continue
-                extended = oplus(axis, profile.votes[k])
-                if extended is None:
-                    failed = True
-                    break
-                axis = extended
-                consumed[k] = True
-            if failed:
-                break
-            if len(axis) == i + 1 and len(axis) < m:
-                k = intersecting_vote(index, axis)
-                vote = profile.votes[k]
-                if a_i not in vote.ranked_candidates():
-                    failed = True
-                    break
-                upper = [c for c in vote.ranked_candidates() if vote.prefers(c, a_i)]
-                if any(c in set(axis) for c in upper):
-                    failed = True
-                    break
-                sub_candidates = sorted(upper + [a_i])
-                x = profile.m  # boundary candidate in the original space
-                outside = set(range(m)) - set(axis) - set(sub_candidates)
-                transformed = [rep_top(v, outside, x) for v in profile.votes]
-                keep = sorted(sub_candidates + [x])
-                remap = {c: j for j, c in enumerate(keep)}
-                sub_votes = tuple(v.restrict(keep) for v in transformed)
-                sub_profile = Profile(len(keep), sub_votes)
-                guiding = sub_votes[k]
-                try:
-                    result = guided_recognize(
-                        sub_profile,
-                        guiding,
-                        pin_left=remap[a_i],
-                        pin_right=remap[x],
-                    )
-                except PinError:
-                    failed = True
-                    break
-                if not result:
-                    failed = True
-                    break
-                inverse = {j: c for c, j in remap.items()}
-                spliced = [inverse[j] for j in result.axis.order]
-                if spliced[0] != a_i or spliced[-1] != x:
-                    raise InternalError("pinned guided subproblem moved an endpoint")
-                axis.extend(spliced[1:-1])
-            i += 1
-        if not failed and len(axis) == m:
+        axis = _grow_axis(profile, index, peak_votes, c_start)
+        if axis is not None:
             return axis
     return None
+
+
+def _grow_axis(profile, index, peak_votes, c_start):
+    """The component axis grown rightwards from ``c_start``, or None."""
+    m = profile.m
+    ranks = profile.rank_matrix()
+    axis = [c_start]
+    consumed = [False] * profile.n
+    i = 0
+    while i < len(axis):
+        a_i = axis[i]
+        for k in peak_votes.get(a_i, ()):
+            if not consumed[k]:
+                axis = oplus(axis, profile.votes[k])
+                if axis is None:
+                    return None
+                consumed[k] = True
+        if len(axis) == i + 1 and len(axis) < m:
+            k = intersecting_vote(index, axis)
+            upper = index.chains[k][: ranks[k, a_i]]
+            placed = set(axis)
+            if not index.ranked_masks[k] >> a_i & 1 or any(c in placed for c in upper):
+                return None
+            keep = sorted(upper + [a_i])
+            sub = _subproblem(ranks, keep, sorted(set(range(m)) - placed - set(keep)))
+            try:
+                result = guided_recognize(
+                    sub, sub.votes[k], pin_left=keep.index(a_i), pin_right=len(keep)
+                )
+            except PinError:
+                return None
+            if not result:
+                return None
+            order = result.axis.order
+            if keep[order[0]] != a_i or order[-1] != len(keep):
+                raise InternalError("pinned guided subproblem moved an endpoint")
+            axis.extend(keep[j] for j in order[1:-1])
+        i += 1
+    return axis if len(axis) == m else None
 
 
 def unguided_recognize(profile):
     """Recognise a top-order profile without a guiding vote.
 
-    Decomposes into connected components, solves each, concatenates the
-    component axes (smallest-candidate order) and verifies the result.
+    Decomposes into connected components, solves each on its own rank
+    matrix, concatenates the component axes (smallest-candidate order) and
+    verifies the result.
     """
     _require_top(profile)
     order = []
@@ -303,22 +287,18 @@ def unguided_recognize(profile):
         if len(candidates) == 1:
             order.extend(candidates)
             continue
-        remap = {c: j for j, c in enumerate(candidates)}
-        votes = tuple(profile.votes[k].restrict(candidates) for k in vote_idx)
-        if not votes:
-            order.extend(candidates)
-            continue
-        part_axis = _solve_component(Profile(len(candidates), votes))
+        ranks = profile.rank_matrix()[np.ix_(vote_idx, candidates)]
+        part_axis = _solve_component(Profile.from_rank_matrix(ranks))
         if part_axis is None:
             return Verdict.no(
                 Refusal(
                     "no start candidate completes a component axis",
-                    detail=f"component {candidates}",
+                    detail=f"component of {len(candidates)} candidates, "
+                    f"smallest {candidates[0]}",
                 ),
                 algorithm="unguided",
             )
-        inverse = {j: c for c, j in remap.items()}
-        order.extend(inverse[j] for j in part_axis)
+        order.extend(candidates[j] for j in part_axis)
     axis = Axis(tuple(order))
     verdict = axis_check.is_possibly_sp_on_axis(profile, axis)
     if not verdict:

@@ -1,6 +1,6 @@
 """Shared test helpers: small generators and slow references for guided,
 the PrefLib parser, weak-order detection, the oracle's per-axis tests, the
-2-SAT engine and the axis verifiers."""
+2-SAT engine, the axis verifiers and unguided's subproblems."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from peakcheck.model import (
     Verdict,
 )
 from peakcheck.preflib import _COUNT_LINE, _META_LINE, _NAME_LINE
+from peakcheck.unguided import rep_top
 
 
 def random_weak(m, rng):
@@ -253,6 +254,15 @@ def reference_implicit_guiding_vote(profile):
         removed.append(last[0])
         alive.remove(last[0])
     return PreferenceOrder.from_total(removed[::-1])
+
+
+def reference_subproblem(profile, keep, outside):
+    """Unguided's guided subproblem built vote by vote: each vote's best
+    ``outside`` candidate replaced by the boundary candidate m, then
+    restricted to ``keep`` and m."""
+    columns = sorted(keep) + [profile.m]
+    votes = tuple(rep_top(v, outside).restrict(columns) for v in profile.votes)
+    return Profile(len(columns), votes)
 
 
 def reference_bucketise(m, pairs):

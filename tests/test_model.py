@@ -314,3 +314,39 @@ def test_pair_based_profile_classifies_vote_by_vote():
     assert profile.order_class() == OrderClass.PARTIAL
     assert profile.first_total_order() is None
     assert not profile.contains_total_order()
+
+
+@st.composite
+def _rank_matrices(draw):
+    """n×m matrices of non-negative ints, dense or not."""
+    m = draw(st.integers(1, 8))
+    top = draw(st.integers(0, 40))
+    row = st.lists(st.integers(0, top), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=1, max_size=5))
+
+
+def _assert_from_rank_matrix_renumbers(rows):
+    m = len(rows[0])
+    built = Profile.from_rank_matrix(np.array(rows))
+    expected = Profile(m, tuple(PreferenceOrder.from_ranks(r) for r in rows))
+    assert built.votes == expected.votes
+    assert built.rank_matrix().tolist() == expected.rank_matrix().tolist()
+    assert built._vote_classes().tolist() == [v._classify() for v in expected.votes]
+    assert built.order_class() == expected.order_class()
+    return built
+
+
+@given(_rank_matrices())
+@settings(max_examples=300, deadline=None)
+def test_from_rank_matrix_renumbers_each_row_to_dense_ranks(rows):
+    _assert_from_rank_matrix_renumbers(rows)
+
+
+def test_from_rank_matrix_with_a_skipped_level_is_not_total():
+    # row 0 skips level 1: it is <0 > 1~2>, a top order, not a total one
+    profile = _assert_from_rank_matrix_renumbers([[0, 2, 2], [1, 0, 2]])
+    assert profile.votes[0].order_class() == OrderClass.TOP
+    assert repr(profile.votes[0]) == "PreferenceOrder<0 > 1~2>"
+    assert profile.first_total_order() is profile.votes[1]
+    with pytest.raises(ValueError):
+        Profile.from_rank_matrix([[0, -1]])

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from conftest import random_top_profile
+from conftest import random_top_profile, reference_subproblem
 from peakcheck import oracle
 from peakcheck.axis_check import is_possibly_sp_on_axis
 from peakcheck.errors import ClassError
 from peakcheck.model import PreferenceOrder, Profile
 from peakcheck.unguided import (
     _solve_component,
+    _subproblem,
     build_intersection_index,
     connected_components,
     intersecting_vote,
@@ -181,3 +182,53 @@ def test_index_refusals_agree_with_oracle():
     )
     prof = Profile(4, votes)
     assert not oracle.oracle_recognize(prof, "psp").consistent
+
+
+def _subproblem_vote(m, rng, kinds):
+    seq = rng.sample(range(m), m)
+    kind = rng.choice(("total", "empty", "all but one", "top"))
+    kinds[kind] += 1
+    if kind == "total":
+        return PreferenceOrder.from_total(seq)
+    if kind == "empty":
+        return PreferenceOrder.empty(m)
+    if kind == "all but one":  # the last candidate alone in the bottom bucket
+        return PreferenceOrder.top_order(seq[: m - 1], m)
+    return PreferenceOrder.top_order(seq[: rng.randint(0, m - 2)], m)
+
+
+def test_subproblem_gather_matches_per_vote_reference():
+    rng = random.Random(11)
+    kinds = dict.fromkeys(("total", "empty", "all but one", "top"), 0)
+    empty_outside = 0
+    for _ in range(1500):
+        m = rng.randint(2, 12)
+        profile = Profile(
+            m, tuple(_subproblem_vote(m, rng, kinds) for _ in range(rng.randint(1, 8)))
+        )
+        # split the candidates into the subproblem, the partial axis and the rest
+        seq = rng.sample(range(m), m)
+        cut = rng.randint(1, m)
+        keep = sorted(seq[:cut])
+        outside = sorted(seq[rng.randint(cut, m) :])
+        empty_outside += not outside
+        sub = _subproblem(profile.rank_matrix(), keep, outside)
+        ref = reference_subproblem(profile, keep, outside)
+        assert sub.votes == ref.votes
+        assert sub.rank_matrix().tolist() == ref.rank_matrix().tolist()
+        assert sub._vote_classes().tolist() == ref._vote_classes().tolist()
+    assert min(kinds.values()) > 300 and empty_outside > 100
+
+
+def test_refusal_detail_is_bounded():
+    # one component of 300 candidates (1..300) whose three pair votes would
+    # each need their pair adjacent on the axis; 0 and 301 stay unranked
+    m = 302
+    votes = (PreferenceOrder.top_order(list(range(1, 301)), m),) + tuple(
+        PreferenceOrder.top_order(pair, m) for pair in ([1, 150], [1, 300], [150, 300])
+    )
+    res = unguided_recognize(Profile(m, votes))
+    assert not res.consistent
+    assert res.certificate.reason == "no start candidate completes a component axis"
+    assert res.certificate.detail == "component of 300 candidates, smallest 1"
+    assert len(res.certificate.detail) < 80
