@@ -419,14 +419,21 @@ class Profile:
         ranks = np.asarray(ranks)
         if ranks.min() < 0:
             raise ValueError("bucket indices must be non-negative")
-        n, m = ranks.shape
+        n, _ = ranks.shape
         rows = np.arange(n)[:, None]
         present = np.zeros((n, int(ranks.max()) + 1), bool)
         present[rows, ranks] = True
         dense = (np.cumsum(present, axis=1, dtype=np.int32) - 1)[rows, ranks]
-        votes = tuple(PreferenceOrder(m, ranks=row) for row in dense.tolist())
+        return cls._from_dense_ranks(dense, multiplicities)
+
+    @classmethod
+    def _from_dense_ranks(cls, ranks, multiplicities=()):
+        """``from_rank_matrix`` for an ``int32`` matrix whose rows are dense
+        ranks already, which becomes the profile's rank matrix as it is."""
+        m = ranks.shape[1]
+        votes = tuple(PreferenceOrder(m, ranks=row) for row in ranks.tolist())
         profile = cls(m, votes, tuple(multiplicities))
-        profile._cache("_rank_matrix", dense)
+        profile._cache("_rank_matrix", ranks)
         return profile
 
     def _cache(self, name, array):

@@ -6,8 +6,15 @@ only read forwards or backwards.  Reducing the tree by each row's column set
 restricts the represented permutations to those where the set is consecutive;
 the tree's frontier after all reductions is a witnessing permutation.
 
-A reduction works on the row's leaves and their ancestors only, after
-Booth and Lueker (1976, *JCSS* 13):
+Every node keeps the bitmask of its leaf columns, and a Q-node caches the
+running OR of its children's masks until its child list changes.  Most rows
+of a tie-dense weak profile are already consecutive in every permutation the
+tree represents, so a reduction first climbs from the row's lowest leaf to
+the first node covering the row, the pertinent root, and stops there if the
+row is all of that node or a run of that Q-node's children (two binary
+searches over the cached prefixes).  Exactly these reductions leave the tree
+as it was.  Any other row is reduced after Booth and Lueker (1976, *JCSS*
+13), on the row's leaves and their ancestors only:
 
 - each leaf of the row walks up only until it meets an ancestor already
   marked by this row, and every marked node records its marked children;
@@ -22,7 +29,8 @@ Booth and Lueker (1976, *JCSS* 13):
 
 The marks live in dictionaries local to one reduction.  ``solve_c1p_sets``
 reduces the rows in ascending size order, which on tie-dense weak profiles
-is 15-25 % faster than reducing them in vote order.
+is 15-25 % faster than reducing them in vote order; in that order about 80 %
+of the distinct rows ``c1p.recognize`` passes leave the tree unchanged.
 
 ``solve_c1p_sets`` is the production solver; ``backtracking_c1p`` is an
 independent small-scale oracle used to cross-check it.
@@ -30,19 +38,28 @@ independent small-scale oracle used to cross-check it.
 
 from __future__ import annotations
 
+import itertools
+import operator
+from bisect import bisect_left
+
 FULL, PARTIAL = 1, 2
 
 
 class _Node:
-    __slots__ = ("kind", "children", "parent", "col")
+    __slots__ = ("kind", "children", "parent", "col", "mask", "prefix")
 
     def __init__(self, kind, children=None, col=None):
         self.kind = kind  # 'P', 'Q' or 'L'
         self.children = children or []
         self.parent = None
         self.col = col
+        # bitmask of the node's leaf columns; for a Q-node, ``prefix`` caches
+        # the running OR of its children's masks and is None until needed
+        self.mask = 1 << col if kind == "L" else 0
+        self.prefix = None
         for ch in self.children:
             ch.parent = self
+            self.mask |= ch.mask
 
 
 def _group(nodes, parent):
@@ -63,6 +80,7 @@ class PQTree:
     def __init__(self, m):
         self.m = m
         self.leaves = [_Node("L", col=c) for c in range(m)]
+        self._bits = [leaf.mask for leaf in self.leaves]
         if m == 1:
             self.root = self.leaves[0]
         else:
@@ -89,6 +107,41 @@ class PQTree:
         """
         if len(cols) <= 1 or len(cols) >= self.m:
             return True
+        if self._keeps(sum(map(self._bits.__getitem__, cols))):
+            return True
+        return self._reduce_marked(cols)
+
+    def _keeps(self, row):
+        """Whether every represented permutation already keeps the columns
+        of the bitmask ``row`` consecutive, so reducing by it changes nothing.
+
+        Climbs from the leaf of the row's lowest column to the first node
+        whose leaves cover the row, the pertinent root.  The row is kept
+        exactly when it is all of that node's leaves, or when that node is a
+        Q-node and the row is the union of a run of its children: a Q3 root
+        with no partial child, or a full pertinent root.
+        """
+        node = self.leaves[(row & -row).bit_length() - 1]
+        while node.mask & row != row:
+            node = node.parent
+        if node.mask == row:
+            return True
+        if node.kind != "Q":
+            return False
+        prefix = node.prefix
+        if prefix is None:
+            masks = [ch.mask for ch in node.children]
+            prefix = node.prefix = list(itertools.accumulate(masks, operator.or_))
+        # the children are disjoint, so ``p & row`` grows along the prefixes:
+        # the run starts at the first prefix meeting the row and ends at the
+        # first covering it
+        first = bisect_left(prefix, 1, key=row.__and__)
+        last = bisect_left(prefix, row, key=row.__and__)
+        before = prefix[first - 1] if first else 0
+        return prefix[last] ^ before == row
+
+    def _reduce_marked(self, cols):
+        """``reduce`` by marking every leaf of ``cols`` and its ancestors."""
         # marked node -> its marked children (None for a leaf)
         marked = {}
         leaves = self.leaves
@@ -206,13 +259,16 @@ class PQTree:
         # P4/P6: one Q-node holds the partial children and the full ones
         q = parts[0]
         if len(kids) > len(parts):
-            fulls = [ch for ch in kids if ch not in parts]
-            q.children.append(_group(fulls, q))
+            fulls = _group([ch for ch in kids if ch not in parts], q)
+            q.children.append(fulls)
+            q.mask |= fulls.mask
         if len(parts) == 2:
             moved = parts[1].children
             moved.reverse()
             _adopt(q, moved)
             q.children.extend(moved)
+            q.mask |= parts[1].mask
+        q.prefix = None
         if empties:
             empties.append(q)
             node.children = empties
@@ -239,6 +295,7 @@ class PQTree:
             grand = left.children  # full side faces right
             _adopt(node, grand)
             children[lo : lo + 1] = grand
+        node.prefix = None
         return True
 
     # -- output ------------------------------------------------------------
@@ -262,14 +319,15 @@ def solve_c1p_sets(rows, m):
     ``rows`` is an iterable of sized collections of distinct column indices.
     Rows of size <= 1 or covering all columns are unconstraining and skipped.
     The rows are reduced smallest first; rows of equal size keep their input
-    order.  Callers pass distinct rows: a repeated row, in any column order,
-    is still correct but is reduced again.
+    order.  A repeated row, in any column order, leaves the tree unchanged.
 
-    The work is about one mark per row cell, so callers pass few cells:
-    ``c1p.recognize`` passes one row per distinct upper set of a vote, not
-    one per candidate, and ``c1p.solve_c1p`` passes the distinct rows cut
-    into a circular-ones instance on ``m + 1`` columns, in which every row
-    holding the cut column is replaced by its complement.
+    Each row costs one pass over its cells to build its bitmask; only a row
+    the tree does not already keep consecutive then costs about one mark
+    per cell.  So callers pass few cells: ``c1p.recognize`` passes one row
+    per distinct upper set of a vote, not one per candidate, and
+    ``c1p.solve_c1p`` passes the distinct rows cut into a circular-ones
+    instance on ``m + 1`` columns, in which every row holding the cut column
+    is replaced by its complement.
     """
     if m == 0:
         return []

@@ -98,7 +98,7 @@ def parse_preflib_full(text):
         raise ParseError("no ballots in file")
     n = len(tails)
     try:
-        ranks = np.empty((n, m), np.min_scalar_type(m))
+        ranks = np.empty((n, m), np.int32)
         listed = np.zeros((n, m), bool)
     except (MemoryError, ValueError):
         raise ParseError(
@@ -114,7 +114,7 @@ def parse_preflib_full(text):
     # candidates a ballot leaves out share the level after its last bucket
     ranks[:] = groups[:, None]
     ranks[lines, values - 1] = levels
-    profile = Profile.from_rank_matrix(ranks, mults)
+    profile = Profile._from_dense_ranks(ranks, mults)
     name_list = [names.get(i, str(i)) for i in range(1, m + 1)]
     return profile, name_list, metadata
 

@@ -1,5 +1,11 @@
+import copy
+import functools
+import itertools
+import operator
 import random
 
+from peakcheck import c1p
+from peakcheck.gadgets import random_sp_profile
 from peakcheck.pqtree import (
     PQTree,
     backtracking_c1p,
@@ -181,3 +187,122 @@ def test_repeated_rows_in_any_column_order_agree_with_backtracking():
             assert rows_consecutive_under(rows, got)
 
     run()
+
+
+def _shape(node):
+    """The tree below ``node`` as nested kind and leaf tuples, in child order."""
+    if node.kind == "L":
+        return node.col
+    return node.kind, tuple(_shape(ch) for ch in node.children)
+
+
+def _assert_keeps_is_exact(m, rows):
+    """Reduce ``rows`` in order; before each one, ``_keeps`` must say the row
+    changes nothing exactly when the marking body, run on a copy, leaves the
+    tree's shape as it was."""
+    tree = PQTree(m)
+    for row in rows:
+        if 1 < len(row) < m:
+            before = _shape(tree.root)
+            marked = copy.deepcopy(tree)
+            unchanged = marked._reduce_marked(row) and _shape(marked.root) == before
+            assert tree._keeps(sum(1 << c for c in row)) == unchanged
+        if not tree.reduce(row):
+            return
+
+
+def _row_sequences(rng, count):
+    """Random row sequences at m <= 9, a third of their rows repeated."""
+    for _ in range(count):
+        m = rng.randint(2, 9)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            if rows and rng.random() < 0.3:
+                row = list(rng.choice(rows))
+                rng.shuffle(row)
+            elif rng.random() < 0.5:
+                perm = rng.sample(range(m), m)  # an interval of a hidden axis
+                i = rng.randrange(m)
+                row = perm[i : rng.randint(i + 1, m)]
+            else:
+                row = rng.sample(range(m), rng.randint(0, m))
+            rows.append(row)
+        yield m, rows
+
+
+def test_keeps_says_unchanged_exactly_when_the_marking_body_changes_nothing():
+    for m, rows in _row_sequences(random.Random(4), 1500):
+        _assert_keeps_is_exact(m, rows)
+
+
+def test_hypothesis_keeps_is_exact():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def instances(draw):
+        m = draw(st.integers(2, 9))
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(0, m - 1), unique=True, max_size=m), max_size=8
+            )
+        )
+        repeats = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+        return m, draw(st.permutations(rows + repeats))
+
+    @given(instances())
+    @settings(max_examples=400, deadline=None)
+    def run(case):
+        _assert_keeps_is_exact(*case)
+
+    run()
+
+
+def _assert_tree_invariants(tree):
+    """Masks, parent links and cached Q-node prefixes agree with the children.
+    Returns the number of cached prefix lists checked."""
+    assert tree.root.parent is None
+    assert sorted(tree.frontier()) == list(range(tree.m))
+    cached = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.kind == "L":
+            assert node.mask == 1 << node.col and not node.children
+            continue
+        masks = [ch.mask for ch in node.children]
+        assert node.mask == functools.reduce(operator.or_, masks)
+        assert all(ch.parent is node for ch in node.children)
+        if node.prefix is not None:
+            assert node.kind == "Q"
+            assert node.prefix == list(itertools.accumulate(masks, operator.or_))
+            cached += 1
+        stack.extend(node.children)
+    return cached
+
+
+def _reduce_checking_invariants(rows, m):
+    tree = PQTree(m)
+    cached = 0
+    for row in sorted(rows, key=len):
+        if not tree.reduce(row):
+            break
+        cached += _assert_tree_invariants(tree)
+    return cached
+
+
+def test_tree_invariants_hold_after_every_reduction(monkeypatch):
+    cached = 0
+    for m, rows in _row_sequences(random.Random(5), 1000):
+        cached += _reduce_checking_invariants(rows, m)
+    # the cut rows c1p hands the tree on tie-dense weak profiles
+    calls = []
+    monkeypatch.setattr(
+        c1p, "solve_c1p_sets", lambda rows, m: calls.append((list(rows), m))
+    )
+    for s in range(4):
+        c1p.recognize(random_sp_profile(60, 30, "psp", 0.9, s))
+    assert len(calls) == 4
+    for rows, m in calls:
+        cached += _reduce_checking_invariants(rows, m)
+    assert cached  # some Q-node prefixes were cached and checked

@@ -18,7 +18,13 @@ from peakcheck import preflib
 from peakcheck.cli import main
 from peakcheck.errors import ParseError
 from peakcheck.gadgets import random_sp_profile
-from peakcheck.preflib import parse_any, parse_preflib_full, write_preflib
+from peakcheck.model import Profile
+from peakcheck.preflib import (
+    parse_any,
+    parse_preflib,
+    parse_preflib_full,
+    write_preflib,
+)
 
 
 def _outcome(parse, text):
@@ -208,3 +214,38 @@ def test_parser_hands_over_its_rank_matrix():
     assert ranks.dtype == np.int32 and not ranks.flags.writeable
     assert ranks.tolist() == [list(v.ranks) for v in parsed.votes]
     assert parsed == profile
+
+
+@st.composite
+def _preflib_texts(draw):
+    """A well-formed file of one PrefLib kind: strict or tied buckets, each
+    ballot listing every candidate or only its first ones."""
+    kind = draw(st.sampled_from(["soc", "soi", "toc", "toi"]))
+    m = draw(st.integers(1, 9))
+    lines = [f"# DATA TYPE: {kind}", f"# NUMBER ALTERNATIVES: {m}"]
+    for _ in range(draw(st.integers(1, 5))):
+        order = draw(st.permutations(range(1, m + 1)))
+        listed = draw(st.integers(1, m)) if kind.endswith("i") else m
+        cuts = [0, listed]
+        if kind.startswith("t"):
+            cuts += draw(st.lists(st.integers(1, listed), max_size=listed))
+        cuts = sorted(set(cuts))
+        buckets = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        tokens = [
+            str(b[0]) if len(b) == 1 else "{" + ",".join(map(str, b)) + "}"
+            for b in buckets
+        ]
+        lines.append(f"{draw(st.integers(1, 3))}: {','.join(tokens)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(_preflib_texts())
+@settings(max_examples=300, deadline=None)
+def test_parsed_profile_equals_its_renumbered_rank_matrix(text):
+    parsed = parse_preflib(text)
+    rebuilt = Profile.from_rank_matrix(parsed.rank_matrix(), parsed.multiplicities)
+    assert parsed.votes == rebuilt.votes
+    assert parsed.rank_matrix().dtype == rebuilt.rank_matrix().dtype == np.int32
+    assert np.array_equal(parsed.rank_matrix(), rebuilt.rank_matrix())
+    assert parsed._vote_classes().tolist() == rebuilt._vote_classes().tolist()
+    assert parsed.order_class() == rebuilt.order_class()
