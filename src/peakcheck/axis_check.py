@@ -41,6 +41,7 @@ from .model import (
     ValleyWitness,
     Verdict,
     WitnessKind,
+    iter_bits,
 )
 
 # Rank cells read at once from a profile's rank matrix.  Read whole, the
@@ -90,27 +91,27 @@ def _rank_row(vote, order):
     return np.asarray(vote.ranks, np.int32)[None, order]
 
 
-def _upper_positions(vote, pos):
-    """Per candidate: (min, max) axis position of its strict dominators, from
-    one pass over the vote's pairs."""
-    m = vote.m
-    lo = [m] * m
-    hi = [-1] * m
-    for a, b in vote.pairs():
-        pa = pos[a]
-        if pa < lo[b]:
-            lo[b] = pa
-        if pa > hi[b]:
-            hi[b] = pa
+def _upper_positions(vote, order):
+    """Per candidate: (min, max) axis position of its strict dominators, the
+    first row holding it in a walk along the axis from either end."""
+    m, rows = vote.m, vote.rows()
+    lo, hi = [m] * m, [-1] * m
+    for bound, walk in ((lo, range(m)), (hi, range(m - 1, -1, -1))):
+        seen = 0
+        for p in walk:
+            row = rows[order[p]]
+            for b in iter_bits(row & ~seen):
+                bound[b] = p
+            seen |= row
     return lo, hi
 
 
-def _pair_valley(vote, pos):
+def _pair_valley(vote, axis):
     """Whether the vote has a u- or v-valley: candidates b and c (b == c for
     a v-valley) with a dominator of b left of both and one of c right of
     both."""
-    lo, hi = map(np.array, _upper_positions(vote, pos))
-    pos = np.array(pos)
+    lo, hi = map(np.array, _upper_positions(vote, axis.order))
+    pos = np.array(axis.positions())
     b = np.flatnonzero(lo < pos)
     c = np.flatnonzero(hi > pos)
     return bool(np.any((lo[b, None] < pos[c]) & (hi[c] > pos[b, None])))
@@ -129,12 +130,11 @@ def _first_flagged(profile, axis, rule):
             if len(hit):
                 return start + int(hit[0])
         return None
-    pos = axis.positions()
     for idx, vote in enumerate(profile.votes):
         if vote.has_ranks():
             flagged = rule(_rank_row(vote, order))[0]
         else:
-            flagged = _pair_valley(vote, pos)
+            flagged = _pair_valley(vote, axis)
         if flagged:
             return idx
     return None
@@ -204,7 +204,7 @@ def has_u_valley(vote, axis, vote_index=0):
     comes with a v-valley on the same axis, so recognition only needs this
     test for genuinely partial votes.
     """
-    if not _pair_valley(vote, axis.positions()):
+    if not _pair_valley(vote, axis):
         return None
     return _lex_u_valley(vote, axis, vote_index)
 

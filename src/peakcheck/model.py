@@ -4,8 +4,9 @@ Candidates are dense integer ids ``0 .. m-1``; display names are resolved at
 the I/O boundary only.  A preference order is a strict partial order stored
 transitively closed.  Orders whose incomparability relation is transitive
 (total, top and weak orders) are stored as rank buckets, which gives O(1)
-pairwise comparisons and O(1) extremum queries; genuinely partial orders are
-stored as a closed set of pairs.
+pairwise comparisons and O(1) extremum queries.  Every other order is
+stored as bitset rows: one Python int per candidate, holding the candidates
+it is strictly preferred to, so a comparison is one bit test.
 """
 
 from __future__ import annotations
@@ -78,27 +79,101 @@ class Refusal:
 Certificate = ValleyWitness | Refusal
 
 
+def iter_bits(x):
+    """Indices of the set bits of the non-negative int ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _closed_rows(pairs, m):
+    """Closed rows of the strict comparisons ``a > b``: row ``a`` is the
+    bitset of candidates ``a`` is preferred to.  A depth-first search closes
+    each row in reverse topological order as the OR of its successors'
+    closed rows (Purdom 1970), skipping successors already inside it; a
+    candidate met again while still on the search path closes a cycle."""
+    below = [0] * m
+    for a, b in pairs:
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"candidate out of range: ({a}, {b})")
+        if a == b:
+            raise CycleError(f"reflexive comparison {a} > {a}")
+        below[a] |= 1 << b
+    state = bytearray(m)  # 0 unseen, 1 on the search path, 2 closed
+    for root in (c for c in range(m) if below[c] and not state[c]):
+        state[root] = 1
+        path = [[root, below[root]]]  # each candidate and its successors still to visit
+        while path:
+            a, rest = path[-1]
+            if not rest:
+                state[path.pop()[0]] = 2
+                continue
+            low = rest & -rest
+            b = low.bit_length() - 1
+            row = below[b]
+            if state[b] == 2 or not row:
+                below[a] |= row
+                path[-1][1] = rest & ~(row | low)
+            elif state[b] == 1:
+                raise CycleError(f"candidate {b} is preferred to itself after closure")
+            else:
+                state[b] = 1
+                path.append([b, row])
+    return below
+
+
+def _weak_ranks(below, cands):
+    """Dense ranks of ``cands`` if their rows form a weak order over them,
+    else None.  There a candidate is preferred to exactly the candidates
+    with smaller rows: taken by row size, the first of each level has as
+    many candidates before it as its row holds, and every row holds them."""
+    size = [row.bit_count() for row in below]
+    order = sorted(cands, key=size.__getitem__)
+    smaller = done = 0
+    for i, c in enumerate(order):
+        if size[c] != done:
+            if size[c] != i:
+                return None
+            smaller |= sum(1 << x for x in order[done:i])
+            done = i
+        if below[c] != smaller:
+            return None
+    level = {s: r for r, s in enumerate(sorted({size[c] for c in cands}, reverse=True))}
+    return [level[size[c]] for c in cands]
+
+
 class PreferenceOrder:
     """One voter's (possibly incomplete) strict order over ``m`` candidates.
 
     Instances are immutable.  ``a`` is preferred to ``b`` iff ``prefers(a, b)``;
     incomparability and indifference are not distinguished.
 
+    Every constructor stores a weak-or-tighter order as rank buckets and any
+    other as bitset rows (:meth:`rows`), so equal votes store equal fields.
     Rank buckets are dense: every constructor, and every caller that passes
     ``ranks`` to ``__init__``, stores ranks that use each level from 0 to
     ``max(ranks)`` at least once.  Classification relies on it.
     """
 
-    __slots__ = ("m", "_ranks", "_pairs", "_class", "_hash")
+    __slots__ = ("m", "_ranks", "_below", "_class", "_hash")
 
     def __init__(self, m, ranks=None, pairs=None):
-        self.m = m
-        self._ranks = tuple(ranks) if ranks is not None else None
-        self._pairs = frozenset(pairs) if pairs is not None else None
-        if (self._ranks is None) == (self._pairs is None):
+        if (ranks is None) == (pairs is None):
             raise ValueError("exactly one of ranks/pairs must be given")
-        self._class = None
-        self._hash = None
+        if pairs is not None:
+            self._store(_closed_rows(pairs, m))
+        else:
+            self.m, self._ranks, self._below = m, tuple(ranks), None
+            self._class = self._hash = None
+
+    def _store(self, below):
+        """Keep closed rows, as rank buckets if they form a weak order."""
+        self.m, self._class, self._hash = len(below), None, None
+        ranks = _weak_ranks(below, range(self.m))
+        self._ranks = None if ranks is None else tuple(ranks)
+        self._below = tuple(below) if ranks is None else None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -107,35 +182,9 @@ class PreferenceOrder:
         """Build the transitive closure of strict comparisons ``a > b``.
 
         Raises :class:`CycleError` if the closure violates asymmetry.  Orders
-        whose incomparability is transitive are normalised to rank buckets.
+        whose incomparability is transitive are stored as rank buckets.
         """
-        succ = [set() for _ in range(m)]
-        for a, b in pairs:
-            if not (0 <= a < m and 0 <= b < m):
-                raise ValueError(f"candidate out of range: ({a}, {b})")
-            if a == b:
-                raise CycleError(f"reflexive comparison {a} > {a}")
-            succ[a].add(b)
-        # transitive closure by repeated BFS (desk-scale inputs)
-        closed = []
-        for a in range(m):
-            seen = set()
-            stack = list(succ[a])
-            while stack:
-                b = stack.pop()
-                if b in seen:
-                    continue
-                seen.add(b)
-                stack.extend(succ[b])
-            if a in seen:
-                raise CycleError(f"candidate {a} is preferred to itself after closure")
-            closed.append(seen)
-        pairset = frozenset((a, b) for a in range(m) for b in closed[a])
-        order = cls(m, pairs=pairset)
-        ranks = order._try_bucketise()
-        if ranks is not None:
-            return cls(m, ranks=ranks)
-        return order
+        return cls(m, pairs=pairs)
 
     @classmethod
     def from_ranks(cls, ranks):
@@ -180,19 +229,24 @@ class PreferenceOrder:
     def has_ranks(self):
         return self._ranks is not None
 
+    def rows(self):
+        """Per candidate, the bitset of the candidates it is strictly
+        preferred to: bit ``b`` of ``rows()[a]`` is set iff ``prefers(a, b)``."""
+        if self._below is not None:
+            return self._below
+        r = self._ranks
+        return tuple(sum(1 << b for b, rb in enumerate(r) if rb > ra) for ra in r)
+
     def prefers(self, a, b):
         """True iff this vote strictly prefers ``a`` to ``b``."""
         if self._ranks is not None:
             return self._ranks[a] < self._ranks[b]
-        return (a, b) in self._pairs
+        return bool(self._below[a] >> b & 1)
 
     def pairs(self):
         """The strict relation as a frozenset of (preferred, dominated) pairs."""
-        if self._pairs is not None:
-            return self._pairs
-        r = self._ranks
         return frozenset(
-            (a, b) for a in range(self.m) for b in range(self.m) if r[a] < r[b]
+            (a, b) for a, row in enumerate(self.rows()) for b in iter_bits(row)
         )
 
     def upper_set(self, c):
@@ -200,14 +254,14 @@ class PreferenceOrder:
         if self._ranks is not None:
             rc = self._ranks[c]
             return frozenset(a for a in range(self.m) if self._ranks[a] < rc)
-        return frozenset(a for a in range(self.m) if (a, c) in self._pairs)
+        return frozenset(a for a, row in enumerate(self._below) if row >> c & 1)
 
     def lower_set(self, c):
         """Candidates ``c`` is strictly preferred to."""
         if self._ranks is not None:
             rc = self._ranks[c]
             return frozenset(a for a in range(self.m) if self._ranks[a] > rc)
-        return frozenset(b for b in range(self.m) if (c, b) in self._pairs)
+        return frozenset(iter_bits(self._below[c]))
 
     def minimal_elements(self):
         """Candidates that are not preferred to any candidate (bottom)."""
@@ -248,36 +302,6 @@ class PreferenceOrder:
 
     # -- classification -----------------------------------------------------
 
-    def _try_bucketise(self):
-        """Ranks array if the incomparability relation is transitive, else None.
-
-        Candidates of a weak order sort by the size of their lower set, so
-        the levels are the distinct sizes, largest first.  The pairs form
-        that weak order iff each goes from a better level to a worse one and
-        they number as many as the level sizes allow.  O(m + |pairs|).
-        """
-        m, pairs = self.m, self._pairs
-        lower = [0] * m
-        for a, _ in pairs:
-            lower[a] += 1
-        level_of = [None] * m
-        for size in lower:
-            level_of[size] = 0
-        levels = 0
-        for size in range(m - 1, -1, -1):
-            if level_of[size] is not None:
-                level_of[size] = levels
-                levels += 1
-        ranks = [level_of[size] for size in lower]
-        if any(ranks[a] >= ranks[b] for a, b in pairs):
-            return None
-        counts = [0] * levels
-        for r in ranks:
-            counts[r] += 1
-        if 2 * len(pairs) != m * m - sum(k * k for k in counts):
-            return None
-        return ranks
-
     def order_class(self):
         """Tightest applicable class tag."""
         if self._class is None:
@@ -295,33 +319,27 @@ class PreferenceOrder:
             if self._ranks.count(top) == m - top:
                 return OrderClass.TOP
             return OrderClass.WEAK
-        # pairs representation: weak-or-tighter was ruled out on construction
-        isolated = {
-            c for c in range(m) if not self.upper_set(c) and not self.lower_set(c)
-        }
-        rest = sorted(set(range(m)) - isolated)
-        if rest:
-            sub, _ = self.restrict_with_map(rest)
-            if sub._ranks is not None:
-                return OrderClass.LOCAL_WEAK
+        # rows: weak-or-tighter was ruled out on construction.  The rows of
+        # the candidates outside every comparison are empty and in no row.
+        dominated = 0
+        for row in self._below:
+            dominated |= row
+        rest = [c for c, row in enumerate(self._below) if row or dominated >> c & 1]
+        if _weak_ranks(self._below, rest) is not None:
+            return OrderClass.LOCAL_WEAK
         return OrderClass.PARTIAL
 
     # -- transformations -----------------------------------------------------
 
-    def restrict_with_map(self, subset):
-        """Induced order on ``subset`` plus the old-id -> new-id mapping."""
-        subset = sorted(subset)
-        remap = {c: i for i, c in enumerate(subset)}
-        if self._ranks is not None:
-            return PreferenceOrder.from_ranks([self._ranks[c] for c in subset]), remap
-        pairs = [
-            (remap[a], remap[b]) for (a, b) in self._pairs if a in remap and b in remap
-        ]
-        return PreferenceOrder.from_pairs(pairs, len(subset)), remap
-
     def restrict(self, subset):
         """Induced order on ``subset``, candidates reindexed in sorted order."""
-        return self.restrict_with_map(subset)[0]
+        subset = sorted(subset)
+        if self._ranks is not None:
+            return PreferenceOrder.from_ranks([self._ranks[c] for c in subset])
+        # the restriction of a closed relation is closed: gather its bits
+        rows = [self._below[c] for c in subset]
+        rows = [sum(1 << i for i, b in enumerate(subset) if row >> b & 1) for row in rows]
+        return PreferenceOrder.__new__(PreferenceOrder)._store(rows)
 
     def extensions(self):
         """All total-order extensions, streamed best-to-worst.
@@ -329,47 +347,28 @@ class PreferenceOrder:
         Yields candidate sequences (best first).  Standard topological
         enumeration: repeatedly pick any currently-maximal candidate.
         """
-        m = self.m
-        indeg = [len(self.upper_set(c)) for c in range(m)]
-        succs = [sorted(self.lower_set(c)) for c in range(m)]
-        chosen = []
-        taken = set()
+        above = [sum(1 << a for a in self.upper_set(c)) for c in range(self.m)]
 
-        def rec():
-            if len(chosen) == m:
-                yield tuple(chosen)
-                return
-            for c in range(m):
-                if indeg[c] == 0 and c not in taken:
-                    taken.add(c)
-                    chosen.append(c)
-                    for d in succs[c]:
-                        indeg[d] -= 1
-                    yield from rec()
-                    for d in succs[c]:
-                        indeg[d] += 1
-                    chosen.pop()
-                    taken.remove(c)
+        def rec(left, chosen):
+            if not left:
+                yield chosen
+            for c in iter_bits(left):
+                if not above[c] & left:
+                    yield from rec(left & ~(1 << c), chosen + (c,))
 
-        yield from rec()
+        yield from rec((1 << self.m) - 1, ())
 
     # -- dunder ---------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, PreferenceOrder):
             return NotImplemented
-        if self.m != other.m:
-            return False
-        if self._ranks is not None and other._ranks is not None:
-            return self._ranks == other._ranks
-        return self.pairs() == other.pairs()
+        return (self.m, self._ranks, self._below) == (other.m, other._ranks, other._below)
 
     def __hash__(self):
         if self._hash is None:
-            if self._ranks is not None:
-                self._hash = hash((self.m, self._ranks))
-            else:
-                self._hash = hash((self.m, self._pairs))
+            stored = self._below if self._ranks is None else self._ranks
+            self._hash = hash((self.m, stored))
         return self._hash
 
     def __repr__(self):
@@ -378,7 +377,7 @@ class PreferenceOrder:
             for bucket in self.buckets():
                 parts.append("~".join(str(c) for c in bucket))
             return f"PreferenceOrder<{' > '.join(parts)}>"
-        return f"PreferenceOrder<pairs={sorted(self._pairs)}, m={self.m}>"
+        return f"PreferenceOrder<pairs={sorted(self.pairs())}, m={self.m}>"
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import functools
 import numpy as np
 
 from .errors import ClassError, SizeError
-from .model import Axis, Notion, OrderClass, Refusal, Verdict
+from .model import Axis, Notion, OrderClass, Refusal, Verdict, iter_bits
 
 DEFAULT_BOUND = 8
 # 9!/2 = 181,440 axes; 10 would enumerate 1.8 M and 15 would never finish
@@ -74,12 +74,11 @@ def _psp_bad_axes(vote, axes, pos):
         rose = np.maximum.accumulate(d > 0, axis=0)
         return np.any(rose[:-1] & (d[1:] < 0), axis=0)
     ups = [[] for _ in range(vote.m)]
-    for a, c in vote.pairs():
-        ups[c].append(a)
+    for a, row in enumerate(vote.rows()):
+        for c in iter_bits(row):
+            ups[c].append(a)
     dominated = [c for c, up in enumerate(ups) if up]
     bad = np.zeros(pos.shape[1], dtype=bool)
-    if not dominated:
-        return bad
     # u-valley: a dominator of c left of both c and d and a dominator of d
     # right of both; with c == d it is a v-valley, c between two dominators
     p = pos[dominated]

@@ -30,7 +30,6 @@ from .model import (
     Profile,
     Refusal,
     ValleyWitness,
-    Verdict,
 )
 
 _NAME_LINE = re.compile(r"#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.*)\s*$", re.I)
@@ -363,6 +362,8 @@ def parse_profile_json(text):
             votes.append(PreferenceOrder.from_pairs(pairs, m))
         except CycleError as exc:
             raise ParseError(f"vote {k}: {exc}") from None
+        except MemoryError:
+            raise ParseError(f"m={m} candidates: vote {k} does not fit in memory") from None
         mults.append(mult)
     names = payload.get("names") or [str(i) for i in range(1, m + 1)]
     if not isinstance(names, list) or len(names) != m or not all(

@@ -50,9 +50,9 @@ def encode(profile):
         for a in range(m)
         for b in range(a + 1, m)
     ]
-    for vote in profile.votes:
+    for rows in (vote.rows() for vote in profile.votes):
         for b in range(m):
-            dominators = sorted(vote.upper_set(b))
+            dominators = [a for a, row in enumerate(rows) if row >> b & 1]
             clauses.extend(
                 (pair_var(a, b, m), pair_var(c, b, m), False)
                 for a, c in zip(dominators, dominators[1:])

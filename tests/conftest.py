@@ -1,6 +1,7 @@
 """Shared test helpers: small generators and slow references for guided,
-the PrefLib parser, weak-order detection, the oracle's per-axis tests, the
-2-SAT engine, the axis verifiers and unguided's subproblems."""
+the PrefLib parser, weak-order detection, pair-set closure, restriction and
+classification, the oracle's per-axis tests, the 2-SAT engine, the axis
+verifiers and unguided's subproblems."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from peakcheck import axis_check
 from peakcheck.errors import (
     AxisError,
     ClassError,
+    CycleError,
     InternalError,
     ParseError,
     PinError,
@@ -286,6 +288,62 @@ def reference_bucketise(m, pairs):
             if a != b and ((a, b) in pairs) != (ranks[a] < ranks[b]):
                 return None
     return ranks
+
+
+def reference_close(pairs, m):
+    """The transitive closure of strict comparisons ``a > b`` as a frozenset
+    of pairs, by one breadth-first search per candidate.
+
+    The pair-set closure that bitset rows replaced in ``from_pairs``; it
+    raises ``ValueError`` and ``CycleError`` on the same inputs.
+    """
+    succ = [set() for _ in range(m)]
+    for a, b in pairs:
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"candidate out of range: ({a}, {b})")
+        if a == b:
+            raise CycleError(f"reflexive comparison {a} > {a}")
+        succ[a].add(b)
+    closed = []
+    for a in range(m):
+        seen = set()
+        stack = list(succ[a])
+        while stack:
+            b = stack.pop()
+            if b in seen:
+                continue
+            seen.add(b)
+            stack.extend(succ[b])
+        if a in seen:
+            raise CycleError(f"candidate {a} is preferred to itself after closure")
+        closed.append(seen)
+    return frozenset((a, b) for a in range(m) for b in closed[a])
+
+
+def reference_restrict(closed, subset):
+    """The closed pairs among ``subset``, renumbered in sorted order and
+    closed again, as the pair-set ``restrict_with_map`` did."""
+    remap = {c: i for i, c in enumerate(sorted(subset))}
+    pairs = [(remap[a], remap[b]) for a, b in closed if a in remap and b in remap]
+    return reference_close(pairs, len(remap))
+
+
+def reference_class(m, closed):
+    """Class of the closed relation ``closed``: the dense-rank rule when it
+    is a weak order, else local weak when the candidates outside every pair
+    leave a weak order, rebuilt by ``reference_restrict``."""
+    ranks = reference_bucketise(m, closed)
+    if ranks is not None:
+        top = max(ranks, default=0)
+        if top == m - 1:
+            return OrderClass.TOTAL
+        if ranks.count(top) == m - top:
+            return OrderClass.TOP
+        return OrderClass.WEAK
+    rest = sorted({c for pair in closed for c in pair})
+    if reference_bucketise(len(rest), reference_restrict(closed, rest)) is not None:
+        return OrderClass.LOCAL_WEAK
+    return OrderClass.PARTIAL
 
 
 def reference_parse_preflib(text):

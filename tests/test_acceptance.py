@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see per-criterion lines.
 """
 
+import functools
 import itertools
+import math
 import os
 import random
 import time
@@ -134,15 +136,24 @@ def test_criterion_2_oracle_equivalence():
     )
 
 
+@functools.cache
+def _between_mask(m, triple):
+    """Bitmask over the permutations of range(m), each read as the position
+    array of one order (so every order occurs once), of the orders that put
+    the triple's middle element between its ends."""
+    a, b, c = triple
+    return sum(
+        1 << i
+        for i, pos in enumerate(itertools.permutations(range(m)))
+        if pos[a] < pos[b] < pos[c] or pos[c] < pos[b] < pos[a]
+    )
+
+
 def _betweenness_brute(m, triples):
-    for perm in itertools.permutations(range(m)):
-        pos = {c: i for i, c in enumerate(perm)}
-        if all(
-            pos[a] < pos[b] < pos[c] or pos[c] < pos[b] < pos[a]
-            for a, b, c in triples
-        ):
-            return True
-    return False
+    orders = (1 << math.factorial(m)) - 1
+    for triple in triples:
+        orders &= _between_mask(m, triple)
+    return orders != 0
 
 
 def _set_splitting_brute(m, subsets):

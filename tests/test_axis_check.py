@@ -453,7 +453,7 @@ def test_verifier_reads_rows_in_blocks_like_one_pass(monkeypatch):
 
 
 def test_dominator_positions_match_lower_set_scan():
-    # the one pass over the pairs gives the bounds a per-candidate scan of
+    # the two walks over the rows give the bounds a per-candidate scan of
     # lower sets gives, for pair-based and rank-based votes
     rng = random.Random(41)
     for _ in range(300):
@@ -466,4 +466,4 @@ def test_dominator_positions_match_lower_set_scan():
         for a in range(m):
             for b in vote.lower_set(a):
                 lo[b], hi[b] = min(lo[b], pos[a]), max(hi[b], pos[a])
-        assert _upper_positions(vote, pos) == (lo, hi)
+        assert _upper_positions(vote, order) == (lo, hi)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,19 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_bucketise
+from conftest import (
+    reference_bucketise,
+    reference_class,
+    reference_close,
+    reference_restrict,
+)
 from peakcheck.errors import ClassError, CycleError
 from peakcheck.model import (
     Axis,
     OrderClass,
     PreferenceOrder,
     Profile,
+    _weak_ranks,
     build_order,
     classify,
     maximal_elements,
     minimal_elements,
     restrict,
 )
+from peakcheck import dispatch
 from peakcheck.preflib import parse_any
 
 
@@ -236,9 +244,127 @@ def _strict_relations(draw):
 @settings(max_examples=400, deadline=None)
 def test_bucketise_matches_reference(relation):
     m, pairs = relation
-    assert PreferenceOrder(m, pairs=pairs)._try_bucketise() == reference_bucketise(
-        m, pairs
-    )
+    rows = [0] * m
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    assert _weak_ranks(rows, range(m)) == reference_bucketise(m, pairs)
+
+
+@st.composite
+def _pair_lists(draw):
+    """Pair lists over m <= 12, repeats allowed: arbitrary (often cyclic),
+    partial orders closed or not, local weak orders and weak orders."""
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["any", "partial", "local_weak", "weak"]))
+    cand = st.integers(0, m - 1)
+    if kind in ("any", "partial"):
+        pairs = draw(st.lists(st.tuples(cand, cand)))
+    if kind == "any":
+        return m, [(a, b) for a, b in pairs if a != b]
+    if kind == "partial":
+        # comparisons that agree with one total order, closed or not
+        order = draw(st.permutations(range(m)))
+        pairs = [(order[a], order[b]) for a, b in pairs if a < b]
+        if draw(st.booleans()):
+            pairs = sorted(reference_close(pairs, m))
+        return m, pairs + pairs[: draw(st.integers(0, len(pairs)))]
+    members = draw(st.lists(cand, unique=True, min_size=0 if kind == "local_weak" else m))
+    level = {c: draw(st.integers(0, 3)) for c in members}
+    pairs = [(a, b) for a in members for b in members if level[a] < level[b]]
+    return m, draw(st.permutations(pairs))
+
+
+def _subsets(m, rng):
+    """Every subset of range(m) for m <= 7, else 40 sampled ones."""
+    if m <= 7:
+        for k in range(m + 1):
+            yield from itertools.combinations(range(m), k)
+    else:
+        for _ in range(40):
+            yield tuple(c for c in range(m) if rng.random() < 0.5)
+
+
+@given(_pair_lists(), _pair_lists(), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_rows_match_the_pair_set_reference(first, second, seed):
+    rng = random.Random(seed)
+    votes, closures = [], []
+    for m, pairs in (first, second):
+        try:
+            closed = reference_close(pairs, m)
+        except CycleError:
+            with pytest.raises(CycleError):
+                PreferenceOrder.from_pairs(pairs, m)
+            continue
+        vote = PreferenceOrder.from_pairs(pairs, m)
+        assert vote.pairs() == closed
+        assert {(a, b) for a in range(m) for b in range(m) if vote.prefers(a, b)} == closed
+        ranks = reference_bucketise(m, closed)
+        assert vote.has_ranks() == (ranks is not None)
+        if ranks is not None:
+            assert vote.ranks == tuple(ranks)
+            assert vote == PreferenceOrder.from_ranks(ranks)
+            assert hash(vote) == hash(PreferenceOrder.from_ranks(ranks))
+        assert vote.order_class() == reference_class(m, closed)
+        rebuilt = PreferenceOrder(m, pairs=sorted(closed, reverse=True))
+        assert rebuilt == vote and hash(rebuilt) == hash(vote)
+        for subset in _subsets(m, rng):
+            sub = vote.restrict(subset)
+            sub_closed = reference_restrict(closed, subset)
+            assert sub.pairs() == sub_closed
+            assert sub.has_ranks() == (reference_bucketise(len(subset), sub_closed) is not None)
+            if subset:
+                assert sub.order_class() == reference_class(len(subset), sub_closed)
+        votes.append(vote)
+        closures.append((m, closed))
+    if len(votes) == 2:
+        assert (votes[0] == votes[1]) == (closures[0] == closures[1])
+        if votes[0] == votes[1]:
+            assert hash(votes[0]) == hash(votes[1])
+
+
+def test_closure_matches_the_bfs_reference_on_random_relations():
+    # sparse random relations over m <= 9, about half of them cyclic: a
+    # closure that drops a successor's row shows on a few in a thousand
+    rng = random.Random(7)
+    for _ in range(6000):
+        m = rng.randint(2, 9)
+        pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(1, 2 * m))]
+        pairs = [(a, b) for a, b in pairs if a != b]
+        try:
+            closed = reference_close(pairs, m)
+        except CycleError:
+            with pytest.raises(CycleError):
+                PreferenceOrder.from_pairs(pairs, m)
+            continue
+        vote = PreferenceOrder.from_pairs(pairs, m)
+        assert vote.pairs() == closed
+        assert vote.order_class() == reference_class(m, closed)
+
+
+def test_total_order_from_pairs_constructor_has_ranks():
+    # built directly from pairs, a total order used to keep its pairs:
+    # classed local weak, equal to but hashed apart from the ranked vote,
+    # and refused by dispatch
+    m = 12
+    vote = PreferenceOrder(m, pairs={(a, b) for a in range(m) for b in range(a + 1, m)})
+    total = PreferenceOrder.from_total(range(m))
+    assert vote.has_ranks() and vote.order_class() == OrderClass.TOTAL
+    assert vote == total and hash(vote) == hash(total) and len({vote, total}) == 1
+    direct = dispatch(Profile(m, (vote,)))
+    assert direct.consistent
+    assert direct == dispatch(Profile(m, (PreferenceOrder.from_pairs(vote.pairs(), m),)))
+    # axis_check._first_flagged reads the rank matrix exactly when every vote
+    # has rank buckets, which holds exactly for weak-or-tighter profiles
+    rng = random.Random(13)
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        pairs = [(a, b) for a in range(k) for b in range(k) if a != b and rng.random() < 0.3]
+        try:
+            v = PreferenceOrder(k, pairs=pairs)
+        except CycleError:
+            continue
+        assert v.has_ranks() == (v.order_class() <= OrderClass.WEAK)
 
 
 def test_empty_vote_over_many_candidates_parses_as_one_tie():

@@ -106,6 +106,17 @@ def test_huge_candidate_id_is_a_parse_error(tmp_path, capsys):
     assert "m=1000000000000" in err
 
 
+def test_huge_candidate_count_in_json_is_a_parse_error(tmp_path, capsys):
+    # a JSON vote's rows need one int per candidate; 10**12 of them cannot
+    # be held, and the allocation fails at once
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": 1000000000000, "votes": [{"pairs": []}]}')
+    assert main(["recognize", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "m=1000000000000" in err
+
+
 @pytest.mark.parametrize(
     "text",
     [
