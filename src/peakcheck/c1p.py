@@ -17,14 +17,18 @@ solves an equivalent, smaller one: candidates tied in a vote get identical
 rows, so a vote's block has one distinct row per upper set (the candidates
 of its first ``r`` buckets), and the full set never constrains.  It builds
 one row per vote per upper set short of the full one, plus the gadget rows.
-``solve_c1p`` then cuts the distinct rows into a circular-ones instance
-around the column that sheds the most cells, and the PQ-tree solves that.
+
+Both read the profile's rank matrix.  Its bucket sizes per vote give the
+refusals and the indifferent pairs (``_levels``); each vote's rows are then
+one numpy comparison of its rank row against the rows' bucket thresholds,
+packed to bits (``_packed_rows``).  ``recognize`` deduplicates the packed
+rows, cuts the distinct ones into a circular-ones instance around the
+column that sheds the most cells, and hands them to the PQ-tree as
+``pqtree.Bitset`` rows, which the tree tests as masks without unpacking.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +36,7 @@ import numpy as np
 from . import axis_check
 from .errors import ClassError, InternalError
 from .model import Axis, Notion, OrderClass, Refusal, Verdict
-from .pqtree import backtracking_c1p, solve_c1p_sets
+from .pqtree import Bitset, backtracking_c1p, solve_c1p_sets
 
 
 @dataclass
@@ -44,10 +48,6 @@ class C1Matrix:
     provenance: list[tuple] = field(default_factory=list)
     short_circuit: bool = False
     short_circuit_reason: tuple | None = None
-
-    def append(self, mask, tag):
-        self.rows.append(mask)
-        self.provenance.append(tag)
 
     def row_bits(self, i):
         mask = self.rows[i]
@@ -71,33 +71,6 @@ def _require_weak(profile, what):
         raise ClassError(f"{what} requires a profile of weak orders")
 
 
-def _vote_chain(vote, gadgets, single_top):
-    """The rows one vote contributes, or the reason it forces rejection.
-
-    Returns ``(cum, pairs, reason)``.  ``cum[r]`` is the column bitmask of the
-    candidates in buckets ``0..r``, the vote's upper sets best first; the last
-    one holds every candidate.  With ``gadgets``, ``pairs`` lists each non-top
-    indifferent pair as ``(r, (a, b))`` with ``a < b`` in bucket ``r``.  A
-    non-top indifference class of three or more (``gadgets``) or a top
-    plateau (``single_top``) sets ``reason`` instead.
-    """
-    levels = [0] * (max(vote.ranks) + 1)
-    for c, r in enumerate(vote.ranks):
-        levels[r] |= 1 << c
-    if single_top and levels[0].bit_count() >= 2:
-        return None, None, "more than one most-preferred candidate"
-    pairs = []
-    if gadgets:
-        for r in range(1, len(levels)):
-            size = levels[r].bit_count()
-            if size >= 3:
-                return None, None, "three-way non-top indifference"
-            if size == 2:
-                a = (levels[r] & -levels[r]).bit_length() - 1
-                pairs.append((r, (a, levels[r].bit_length() - 1)))
-    return list(itertools.accumulate(levels, operator.or_)), pairs, None
-
-
 # notion -> (name of its reduction, gadget rows, reject a top plateau)
 _REDUCTIONS = {
     Notion.PSP: ("the consecutive-ones reduction", False, False),
@@ -107,101 +80,160 @@ _REDUCTIONS = {
 }
 
 
-def _build(profile, notion, chain=False):
-    """Per vote its base rows and, for the plateau notions, the three gadget
-    rows of each non-top indifferent pair.  The base rows are the paper's
-    block, one row per candidate in candidate order, or with ``chain`` one
-    row per upper set short of the full one.  Stops at the first vote that
-    forces rejection (see ``_vote_chain``), without that vote's rows."""
+def _levels(profile, notion):
+    """The level arrays of ``notion``'s reduction, read off the rank matrix.
+
+    Returns ``(ranks, pairs, stop)``.  ``stop`` is ``(k, reason)`` for the
+    first vote ``k`` that forces rejection, or None: a top plateau when the
+    notion rejects one, or (with gadget rows) a non-top indifference class of
+    three or more.  ``ranks`` holds the rank-matrix rows of the votes before
+    it.  With gadget rows, ``pairs`` holds one row ``(k, r, a, b)`` per
+    non-top indifferent pair ``a < b`` in bucket ``r`` of vote ``k``, in vote
+    and bucket order; without, it has no rows.
+    """
     what, gadgets, single_top = _REDUCTIONS[notion]
     _require_weak(profile, what)
-    mat = C1Matrix(profile.m)
-    for k, vote in enumerate(profile.votes):
-        cum, pairs, reason = _vote_chain(vote, gadgets, single_top)
-        if reason is not None:
-            mat.short_circuit = True
-            mat.short_circuit_reason = (k, reason)
-            return mat
-        if chain:
-            for r in range(len(cum) - 1):
-                mat.append(cum[r], (k, "upper", r))
+    ranks = profile.rank_matrix()
+    n, m = ranks.shape
+    # sizes[k, r]: the number of candidates in bucket r of vote k
+    cells = ranks + np.arange(0, n * m, m)[:, None]
+    sizes = np.bincount(cells.ravel(), minlength=n * m).reshape(n, m)
+    plateau = sizes[:, 0] >= 2 if single_top else np.zeros(n, bool)
+    triple = (sizes[:, 1:] >= 3).any(axis=1) if gadgets else np.zeros(n, bool)
+    stop = None
+    bad = np.flatnonzero(plateau | triple)
+    if len(bad):
+        k = int(bad[0])
+        stop = (k, "more than one most-preferred candidate" if plateau[k]
+                else "three-way non-top indifference")
+        ranks, sizes = ranks[:k], sizes[:k]
+    pairs = np.empty((0, 4), np.int64)
+    if gadgets:
+        k, r = np.nonzero(sizes[:, 1:] == 2)
+        r += 1
+        voters, row = np.unique(k, return_inverse=True)
+        # each such vote's candidates by bucket, each bucket in candidate
+        # order; bucket r starts after the candidates of buckets 0..r-1
+        order = np.argsort(ranks[voters], axis=1, kind="stable")
+        at = np.cumsum(sizes, axis=1)[k, r - 1]
+        pairs = np.column_stack((k, r, order[row, at], order[row, at + 1]))
+    return ranks, pairs, stop
+
+
+def _packed_rows(ranks, pairs, chain):
+    """The reduction's rows as a ``rows x ceil(m / 8)`` array of packed bits
+    (column ``c`` is bit ``c % 8`` of byte ``c // 8``).
+
+    Per vote, its base rows come first: with ``chain`` one per upper set short
+    of the full one, best first, else the paper's block, one row per candidate
+    in candidate order.  The upper set of bucket ``r`` is the candidates of
+    buckets ``0..r``.  Then the three gadget rows of each of its pairs
+    ``(r, a, b)``: the upper set of bucket ``r - 1`` plus ``b``, the upper
+    set of bucket ``r``, and the upper set of bucket ``r - 1`` plus ``a``.
+    """
+    n, m = ranks.shape
+    levels = np.arange(m)
+    tops = ranks.max(axis=1).tolist()
+    gadget_levels = (pairs[:, 1:2] + [-1, 0, -1]).reshape(-1)
+    bounds = np.searchsorted(pairs[:, 0], np.arange(n + 1)).tolist()
+    blocks = [np.empty((0, (m + 7) // 8), np.uint8)]
+    for k, row in enumerate(ranks):
+        # each row is the upper set of its bucket: the candidates ranked at
+        # or above it
+        level = levels[: tops[k]] if chain else row
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo == hi:
+            block = row <= level[:, None]
         else:
-            for a, r in enumerate(vote.ranks):
-                mat.append(cum[r], (k, "base", a))
-        for r, (a, b) in pairs:
-            preferred = cum[r - 1]
-            mat.append(preferred | (1 << b), (k, "plateau-gadget-1", (a, b)))
-            mat.append(cum[r], (k, "plateau-gadget-2", (a, b)))
-            mat.append(preferred | (1 << a), (k, "plateau-gadget-3", (a, b)))
+            base = len(level)
+            level = np.concatenate((level, gadget_levels[3 * lo : 3 * hi]))
+            block = row <= level[:, None]
+            first = np.arange(base, len(level), 3)
+            block[first, pairs[lo:hi, 3]] = True
+            block[first + 2, pairs[lo:hi, 2]] = True
+        blocks.append(np.packbits(block, axis=1, bitorder="little"))
+    return np.concatenate(blocks)
+
+
+def _paper_matrix(profile, notion):
+    """The paper's matrix of ``notion``, up to the first vote that forces
+    rejection (see ``_levels``), without that vote's rows."""
+    ranks, pairs, stop = _levels(profile, notion)
+    mat = C1Matrix(profile.m, short_circuit=stop is not None, short_circuit_reason=stop)
+    mat.rows = [int.from_bytes(row, "little") for row in _packed_rows(ranks, pairs, False)]
+    by_vote = {}
+    for k, _, a, b in pairs.tolist():
+        by_vote.setdefault(k, []).append((a, b))
+    for k in range(len(ranks)):
+        mat.provenance.extend((k, "base", a) for a in range(profile.m))
+        for pair in by_vote.get(k, ()):
+            mat.provenance.extend((k, f"plateau-gadget-{j}", pair) for j in (1, 2, 3))
     return mat
 
 
 def build_psp_matrix(profile):
     """Base reduction: one ``m x m`` block per vote, rows in candidate order."""
-    return _build(profile, Notion.PSP)
+    return _paper_matrix(profile, Notion.PSP)
 
 
 def build_plateaued_matrix(profile):
     """Base blocks plus per-pair plateau gadgets (single-plateaued variant)."""
-    return _build(profile, Notion.PLATEAUED)
+    return _paper_matrix(profile, Notion.PLATEAUED)
 
 
 def build_black_matrix(profile):
     """Single-plateaued reduction plus rejection of any top plateau."""
-    return _build(profile, Notion.BLACK)
+    return _paper_matrix(profile, Notion.BLACK)
 
 
 def solve_c1p(matrix, use_backtracking=False):
-    """Witnessing column permutation, or None.
-
-    Duplicate and unconstraining rows are dropped first.  The rows are then
-    cut into a circular-ones instance around one column ``c`` (see
-    ``_cut_column``): with an all-zero column ``z = m`` added, the matrix has
-    consecutive ones iff it has circular ones (Tucker 1971), and on a circle
-    a row may be replaced by its complement.  Complementing every row that
-    holds ``c`` leaves ``c`` in no row, so cutting the circle at ``c`` gives
-    a consecutive-ones instance on ``m + 1`` columns (Hsu and McConnell 2003,
-    *TCS* 296).  Its frontier, rotated so that ``z`` comes last and with ``z``
-    dropped, makes every original row consecutive.  Without a column whose
-    cut saves cells the rows are solved as they are.
+    """Witnessing column permutation of a ``C1Matrix``, or None.
 
     ``use_backtracking`` solves the uncut rows with the independent
-    small-scale oracle for the PQ-tree solver.
+    small-scale oracle for the PQ-tree solver (see ``_solve``).
     """
     if matrix.short_circuit:
         return None
-    m = matrix.m
-    full = (1 << m) - 1
+    width = (matrix.m + 7) // 8
+    packed = b"".join(mask.to_bytes(width, "little") for mask in matrix.rows)
+    rows = np.frombuffer(packed, np.uint8).reshape(-1, width)
+    return _solve(rows, matrix.m, use_backtracking)
+
+
+def _solve(packed, m, use_backtracking=False):
+    """Witnessing column permutation of the packed rows (see
+    ``_packed_rows``), or None.
+
+    Duplicate and unconstraining rows are dropped first; the distinct rows
+    keep the order of their first occurrence.  The rows are then cut into a
+    circular-ones instance around one column ``c`` (see ``_cut_column``):
+    with an all-zero column ``z = m`` added, the matrix has consecutive ones
+    iff it has circular ones (Tucker 1971), and on a circle a row may be
+    replaced by its complement.  Complementing every row that holds ``c``
+    leaves ``c`` in no row, so cutting the circle at ``c`` gives a
+    consecutive-ones instance on ``m + 1`` columns (Hsu and McConnell 2003,
+    *TCS* 296).  Its frontier, rotated so that ``z`` comes last and with
+    ``z`` dropped, makes every original row consecutive.  Without a column
+    whose cut saves cells the rows are solved as they are.
+    """
+    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
+    bits = np.unpackbits(packed[np.sort(first)], axis=1, count=m, bitorder="little")
     # empty, complete or singleton rows never constrain
-    masks = [
-        mask for mask in dict.fromkeys(matrix.rows) if mask & (mask - 1) and mask != full
-    ]
-    bits = _bit_rows(masks, m)
+    size = bits.sum(axis=1)
+    bits = bits[(size > 1) & (size < m)]
     if use_backtracking:
-        return backtracking_c1p(_column_lists(bits), m)
+        return backtracking_c1p(_bitsets(bits), m)
     c = _cut_column(bits, m)
     if c is None:
-        return _checked(solve_c1p_sets(_column_lists(bits), m), m)
+        return _checked(solve_c1p_sets(_bitsets(bits), m), m)
     holds_c = bits[:, c] == 1
     bits[holds_c] ^= 1
-    rows = _column_lists(np.column_stack((bits, holds_c)))
+    rows = _bitsets(np.column_stack((bits, holds_c)))
     perm = _checked(solve_c1p_sets(rows, m + 1), m + 1)
     if perm is None:
         return None
     z = perm.index(m)
     return perm[z + 1 :] + perm[:z]
-
-
-def _bit_rows(masks, m):
-    """The bitmasks as a ``len(masks) x m`` 0/1 ``uint8`` matrix."""
-    width = (m + 7) // 8
-    packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    return np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width),
-        axis=1,
-        count=m,
-        bitorder="little",
-    )
 
 
 def _cut_column(bits, m):
@@ -219,11 +251,13 @@ def _cut_column(bits, m):
     return c if gain[c] > 0 else None
 
 
-def _column_lists(bits):
-    """Per row of the 0/1 matrix, the ascending list of its set columns."""
-    # one shared Python int per column, so no row allocates its own
-    columns = np.array(range(bits.shape[1]), dtype=object)
-    return [columns[row].tolist() for row in bits.view(bool)]
+def _bitsets(bits):
+    """Each row of the 0/1 matrix as the ``Bitset`` of its set columns."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    from_bytes = Bitset.from_bytes
+    return [from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 def _checked(perm, width):
@@ -234,13 +268,6 @@ def _checked(perm, width):
             f" the {width} columns"
         )
     return perm
-
-
-def _refusal(matrix, reason):
-    if matrix.short_circuit:
-        k, why = matrix.short_circuit_reason
-        return Refusal(why, vote_index=k)
-    return Refusal(reason)
 
 
 def recognize(profile, notion=Notion.PSP):
@@ -257,11 +284,14 @@ def recognize(profile, notion=Notion.PSP):
         refusal = axis_check.top_class_refusal(profile)
         if refusal is not None:
             return Verdict.no(refusal, notion=notion, algorithm="c1p")
-    matrix = _build(profile, notion, chain=True)
-    perm = solve_c1p(matrix)
+    ranks, pairs, stop = _levels(profile, notion)
+    if stop is not None:
+        k, why = stop
+        return Verdict.no(Refusal(why, vote_index=k), notion=notion, algorithm="c1p")
+    perm = _solve(_packed_rows(ranks, pairs, chain=True), profile.m)
     if perm is None:
         return Verdict.no(
-            _refusal(matrix, "no column permutation yields consecutive ones"),
+            Refusal("no column permutation yields consecutive ones"),
             notion=notion,
             algorithm="c1p",
         )

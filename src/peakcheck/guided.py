@@ -204,9 +204,10 @@ def find_implicit_guiding_vote(profile):
     the profile is possibly single-peaked.
 
     Every (vote, bucket) cell keeps the number of live candidates in it and
-    the sum of their ids, so a cell holding one candidate names it.  A
+    the sum of their ids, packed into one integer: the count above ``shift``
+    bits and the id sum below, so a cell holding one candidate names it.  A
     removal updates the candidate's cell in every vote with one indexed
-    decrement; each vote's bottom pointer moves up only when that vote is
+    subtraction; each vote's bottom pointer moves up only when that vote is
     looked at.
     """
     if profile.order_class() > OrderClass.WEAK:
@@ -216,28 +217,31 @@ def find_implicit_guiding_vote(profile):
     size = ranks.max(axis=1) + 1  # buckets per vote
     first = np.cumsum(size) - size  # flat index of each vote's top bucket
     cell = (ranks + first[:, None]).ravel()  # flat (vote, bucket) per candidate
-    count = np.bincount(cell)
+    # an id sum is at most m(m-1)/2 and a count at most m; int64 holds both
+    # up to about two million candidates, Python ints beyond
+    shift = (m * (m - 1) // 2).bit_length()
+    one, two = 1 << shift, 2 << shift  # a cell holding only c reads one + c
+    dtype = np.int64 if m.bit_length() + shift < 63 else object
     # float weights are exact here: an id sum stays far below 2**53
     id_sum = np.bincount(cell, weights=np.tile(np.arange(m), len(ranks)))
-    id_sum = id_sum.astype(np.int64)
+    id_sum = id_sum.astype(np.int64).astype(dtype)
+    cells = np.bincount(cell).astype(dtype) * one + id_sum
     cell_of = np.ascontiguousarray(cell.reshape(ranks.shape).T)  # [c]: c's cell per vote
     bottom = (first + size - 1).tolist()
     removed = []
     for _ in range(m):
         # a live candidate remains, so every vote has a non-empty bucket
         for k, b in enumerate(bottom):
-            while count[b] == 0:
+            while not cells[b]:
                 b -= 1
             bottom[k] = b
-            if count[b] == 1:
-                candidate = int(id_sum[b])
+            if cells[b] < two:
+                candidate = int(cells[b]) - one
                 break
         else:
             return None
         removed.append(candidate)
-        at = cell_of[candidate]
-        count[at] -= 1
-        id_sum[at] -= candidate
+        cells[cell_of[candidate]] -= one + candidate
     return PreferenceOrder.from_total(removed[::-1])
 
 

@@ -32,6 +32,13 @@ reduces the rows in ascending size order, which on tie-dense weak profiles
 is 15-25 % faster than reducing them in vote order; in that order about 80 %
 of the distinct rows ``c1p.recognize`` passes leave the tree unchanged.
 
+A row is a ``Bitset``: an ``int`` whose bit ``c`` is column ``c``, whose
+``len`` is its number of columns and which iterates over its columns in
+ascending order.  The tree tests it as its own mask, and only a row that
+reaches the marking body is unpacked into columns, with numpy.  Rows given
+as other collections of columns are converted to a ``Bitset`` once, when
+they enter the tree.
+
 ``solve_c1p_sets`` is the production solver; ``backtracking_c1p`` is an
 independent small-scale oracle used to cross-check it.
 """
@@ -42,7 +49,34 @@ import itertools
 import operator
 from bisect import bisect_left
 
+import numpy as np
+
 FULL, PARTIAL = 1, 2
+
+
+class Bitset(int):
+    """A set of column indices held as a bitmask: bit ``c`` is column ``c``.
+
+    A sized collection of distinct columns: ``len`` is the popcount and
+    iteration yields the columns in ascending order.
+    """
+
+    __slots__ = ()
+
+    __len__ = int.bit_count
+
+    def __iter__(self):
+        data = self.to_bytes((self.bit_length() + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+        return iter(bits.nonzero()[0].tolist())
+
+    @classmethod
+    def of(cls, cols):
+        """The bitset of the distinct column indices ``cols``."""
+        mask = 0
+        for c in cols:
+            mask |= 1 << c
+        return cls(mask)
 
 
 class _Node:
@@ -80,7 +114,6 @@ class PQTree:
     def __init__(self, m):
         self.m = m
         self.leaves = [_Node("L", col=c) for c in range(m)]
-        self._bits = [leaf.mask for leaf in self.leaves]
         if m == 1:
             self.root = self.leaves[0]
         else:
@@ -101,15 +134,18 @@ class PQTree:
     def reduce(self, cols):
         """Restrict to permutations where ``cols`` is consecutive.
 
-        ``cols`` is a sized collection of distinct column indices.  Returns
-        False if that is impossible; the tree is then left in an unspecified
-        state and must not be reduced further.
+        ``cols`` is a sized collection of distinct column indices; a
+        ``Bitset`` is used as it is, any other collection is converted to
+        one.  Returns False if that is impossible; the tree is then left in
+        an unspecified state and must not be reduced further.
         """
-        if len(cols) <= 1 or len(cols) >= self.m:
+        row = cols if isinstance(cols, Bitset) else Bitset.of(cols)
+        size = row.bit_count()
+        if size <= 1 or size >= self.m:
             return True
-        if self._keeps(sum(map(self._bits.__getitem__, cols))):
+        if self._keeps(row):
             return True
-        return self._reduce_marked(cols)
+        return self._reduce_marked(row)
 
     def _keeps(self, row):
         """Whether every represented permutation already keeps the columns
@@ -316,18 +352,19 @@ class PQTree:
 def solve_c1p_sets(rows, m):
     """Column permutation making every row's columns consecutive, or None.
 
-    ``rows`` is an iterable of sized collections of distinct column indices.
-    Rows of size <= 1 or covering all columns are unconstraining and skipped.
-    The rows are reduced smallest first; rows of equal size keep their input
-    order.  A repeated row, in any column order, leaves the tree unchanged.
+    ``rows`` is an iterable of sized collections of distinct column indices,
+    such as ``Bitset`` rows.  Rows of size <= 1 or covering all columns are
+    unconstraining and skipped.  The rows are reduced smallest first; rows of
+    equal size keep their input order.  A repeated row, in any column order,
+    leaves the tree unchanged.
 
-    Each row costs one pass over its cells to build its bitmask; only a row
-    the tree does not already keep consecutive then costs about one mark
-    per cell.  So callers pass few cells: ``c1p.recognize`` passes one row
-    per distinct upper set of a vote, not one per candidate, and
-    ``c1p.solve_c1p`` passes the distinct rows cut into a circular-ones
-    instance on ``m + 1`` columns, in which every row holding the cut column
-    is replaced by its complement.
+    A ``Bitset`` row is tested as it is, with no pass over its cells; a row
+    of another type is first converted to one.  Only a row the tree does not
+    already keep consecutive then costs about one mark per cell.  So callers
+    pass few cells: ``c1p.recognize`` passes one row per distinct upper set
+    of a vote, not one per candidate, and ``c1p`` passes the distinct rows
+    cut into a circular-ones instance on ``m + 1`` columns, in which every
+    row holding the cut column is replaced by its complement.
     """
     if m == 0:
         return []

@@ -1,16 +1,18 @@
 """Shared test helpers: small generators and slow references for guided,
 the PrefLib parser, weak-order detection, pair-set closure, restriction and
 classification, the oracle's per-axis tests, the 2-SAT engine, the axis
-verifiers and unguided's subproblems."""
+verifiers, unguided's subproblems and the c1p reduction's rows."""
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from peakcheck import axis_check
+from peakcheck.c1p import C1Matrix
 from peakcheck.errors import (
     AxisError,
     ClassError,
@@ -265,6 +267,110 @@ def reference_subproblem(profile, keep, outside):
     columns = sorted(keep) + [profile.m]
     votes = tuple(rep_top(v, outside).restrict(columns) for v in profile.votes)
     return Profile(len(columns), votes)
+
+
+def _reference_vote_chain(vote, gadgets, single_top):
+    """The rows one vote contributes, or the reason it forces rejection.
+
+    Returns ``(cum, pairs, reason)``.  ``cum[r]`` is the column bitmask of the
+    candidates in buckets ``0..r``, the vote's upper sets best first; the last
+    one holds every candidate.  With ``gadgets``, ``pairs`` lists each non-top
+    indifferent pair as ``(r, (a, b))`` with ``a < b`` in bucket ``r``.  A
+    non-top indifference class of three or more (``gadgets``) or a top
+    plateau (``single_top``) sets ``reason`` instead.
+    """
+    levels = [0] * (max(vote.ranks) + 1)
+    for c, r in enumerate(vote.ranks):
+        levels[r] |= 1 << c
+    if single_top and levels[0].bit_count() >= 2:
+        return None, None, "more than one most-preferred candidate"
+    pairs = []
+    if gadgets:
+        for r in range(1, len(levels)):
+            size = levels[r].bit_count()
+            if size >= 3:
+                return None, None, "three-way non-top indifference"
+            if size == 2:
+                a = (levels[r] & -levels[r]).bit_length() - 1
+                pairs.append((r, (a, levels[r].bit_length() - 1)))
+    return list(itertools.accumulate(levels, operator.or_)), pairs, None
+
+
+# notion -> (gadget rows, reject a top plateau)
+_REFERENCE_REDUCTIONS = {
+    Notion.PSP: (False, False),
+    Notion.PLATEAUED: (True, False),
+    Notion.BLACK: (True, True),
+    Notion.NECESSARY: (True, False),
+}
+
+
+def reference_c1p_matrix(profile, notion, chain=False):
+    """The c1p reduction built vote by vote from rank tuples.
+
+    Per vote its base rows and, for the plateau notions, the three gadget
+    rows of each non-top indifferent pair.  The base rows are the paper's
+    block, one row per candidate in candidate order, or with ``chain`` one
+    row per upper set short of the full one.  Stops at the first vote that
+    forces rejection, without that vote's rows."""
+    gadgets, single_top = _REFERENCE_REDUCTIONS[Notion(notion)]
+    mat = C1Matrix(profile.m)
+
+    def append(mask, tag):
+        mat.rows.append(mask)
+        mat.provenance.append(tag)
+
+    for k, vote in enumerate(profile.votes):
+        cum, pairs, reason = _reference_vote_chain(vote, gadgets, single_top)
+        if reason is not None:
+            mat.short_circuit = True
+            mat.short_circuit_reason = (k, reason)
+            return mat
+        if chain:
+            for r in range(len(cum) - 1):
+                append(cum[r], (k, "upper", r))
+        else:
+            for a, r in enumerate(vote.ranks):
+                append(cum[r], (k, "base", a))
+        for r, (a, b) in pairs:
+            preferred = cum[r - 1]
+            append(preferred | (1 << b), (k, "plateau-gadget-1", (a, b)))
+            append(cum[r], (k, "plateau-gadget-2", (a, b)))
+            append(preferred | (1 << a), (k, "plateau-gadget-3", (a, b)))
+    return mat
+
+
+def _reference_columns(mask):
+    cols = []
+    while mask:
+        low = mask & -mask
+        cols.append(low.bit_length() - 1)
+        mask ^= low
+    return cols
+
+
+def reference_cut_rows(masks, m):
+    """The rows and width c1p hands ``solve_c1p_sets`` for the matrix rows
+    ``masks``, as ascending column lists, computed on Python ints.
+
+    The distinct rows with two to m - 1 columns, in order of first
+    occurrence.  If some column c has a positive gain, the sum of
+    ``2|S| - m - 1`` over the rows S holding it, the first column of largest
+    gain is cut: a column m is added, and every row holding c is replaced by
+    its complement in m + 1 columns.
+    """
+    full = (1 << m) - 1
+    rows = [mask for mask in dict.fromkeys(masks) if mask & (mask - 1) and mask != full]
+    gain = [0] * m
+    for mask in rows:
+        saved = 2 * mask.bit_count() - m - 1
+        for c in _reference_columns(mask):
+            gain[c] += saved
+    if not rows or max(gain) <= 0:
+        return [_reference_columns(mask) for mask in rows], m
+    c = gain.index(max(gain))
+    cut = [(mask ^ full) | (1 << m) if mask >> c & 1 else mask for mask in rows]
+    return [_reference_columns(mask) for mask in cut], m + 1
 
 
 def reference_bucketise(m, pairs):

@@ -1,9 +1,16 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import random_weak, random_weak_profile
-from peakcheck import axis_check, oracle
+from conftest import (
+    random_weak,
+    random_weak_profile,
+    reference_c1p_matrix,
+    reference_cut_rows,
+)
+from peakcheck import axis_check, c1p, oracle
 from peakcheck.c1p import (
     C1Matrix,
     build_black_matrix,
@@ -16,8 +23,8 @@ from peakcheck.c1p import (
     solve_c1p,
 )
 from peakcheck.errors import ClassError
-from peakcheck.model import PreferenceOrder, Profile, all_axes, build_order
-from peakcheck.pqtree import rows_consecutive_under
+from peakcheck.model import Notion, PreferenceOrder, Profile, all_axes, build_order
+from peakcheck.pqtree import Bitset, rows_consecutive_under
 
 EX1_V1 = PreferenceOrder.from_ranks([0, 1, 0, 2, 2, 3])  # <a~c > b > e~d > f>
 EX1_V2 = PreferenceOrder.from_ranks([0, 1, 2, 3, 3, 4])  # <a > b > c > e~d > f>
@@ -369,3 +376,125 @@ def test_recognize_passes_distinct_cut_rows(monkeypatch):
         if mask & (mask - 1) and mask != full
     }
     assert sum(map(len, rows)) <= 0.75 * sum(mask.bit_count() for mask in uncut)
+
+
+NOTIONS = (Notion.PSP, Notion.PLATEAUED, Notion.BLACK, Notion.NECESSARY)
+
+
+def _seam_calls(monkeypatch):
+    """The (rows, width) of every ``solve_c1p_sets`` call c1p makes."""
+    calls = []
+    solver = c1p.solve_c1p_sets
+
+    def recording(rows, m):
+        calls.append((rows, m))
+        return solver(rows, m)
+
+    monkeypatch.setattr(c1p, "solve_c1p_sets", recording)
+    return calls
+
+
+def _assert_matches_reference_builder(profile, calls):
+    """The rank-matrix builder against the vote-by-vote reference, for every
+    notion: the paper's rows, provenance and short circuit, the upper-set
+    rows, the refusal, and the rows handed to the PQ-tree."""
+    for notion in NOTIONS:
+        paper = c1p._paper_matrix(profile, notion)
+        ref = reference_c1p_matrix(profile, notion)
+        assert paper.rows == ref.rows
+        assert paper.provenance == ref.provenance
+        assert paper.short_circuit == ref.short_circuit
+        assert paper.short_circuit_reason == ref.short_circuit_reason
+
+        chain = reference_c1p_matrix(profile, notion, chain=True)
+        ranks, pairs, stop = c1p._levels(profile, notion)
+        rows = c1p._packed_rows(ranks, pairs, chain=True)
+        assert [int.from_bytes(row, "little") for row in rows] == chain.rows
+        assert stop == chain.short_circuit_reason
+
+        calls.clear()
+        verdict = c1p.recognize(profile, notion)
+        if notion == Notion.NECESSARY and axis_check.top_class_refusal(profile):
+            assert not calls
+            continue
+        if stop is not None:
+            assert not calls
+            k, why = stop
+            assert verdict.certificate.vote_index == k
+            assert verdict.certificate.reason == why
+            continue
+        ((got, width),) = calls
+        want, want_width = reference_cut_rows(chain.rows, profile.m)
+        assert width == want_width
+        assert [list(row) for row in got] == want
+
+
+def test_rank_matrix_builder_matches_reference(monkeypatch):
+    calls = _seam_calls(monkeypatch)
+    rng = random.Random(14)
+    for _ in range(300):
+        profile = random_weak_profile(rng.randint(1, 8), rng.randint(1, 5), rng)
+        _assert_matches_reference_builder(profile, calls)
+
+
+@pytest.mark.parametrize(
+    "ranks, stops",
+    [
+        pytest.param([[0]], {}, id="m=1"),
+        pytest.param(
+            [[0, 0, 0, 0]],
+            {Notion.BLACK: (0, "more than one most-preferred candidate")},
+            id="all-tied",
+        ),
+        pytest.param(
+            [[0, 0, 1, 2]],
+            {Notion.BLACK: (0, "more than one most-preferred candidate")},
+            id="two-tie-at-top",
+        ),
+        pytest.param(
+            [[0, 1, 2, 3, 4], [0, 1, 1, 1, 2]],
+            {
+                notion: (1, "three-way non-top indifference")
+                for notion in (Notion.PLATEAUED, Notion.BLACK, Notion.NECESSARY)
+            },
+            id="three-tie-below-top",
+        ),
+        pytest.param(
+            [[2, 0, 1], [0, 0, 1]],
+            {Notion.BLACK: (1, "more than one most-preferred candidate")},
+            id="black-top-plateau",
+        ),
+    ],
+)
+def test_rank_matrix_builder_edge_cases(monkeypatch, ranks, stops):
+    profile = Profile(len(ranks[0]), tuple(map(PreferenceOrder.from_ranks, ranks)))
+    for notion in NOTIONS:
+        assert c1p._levels(profile, notion)[2] == stops.get(notion)
+    _assert_matches_reference_builder(profile, _seam_calls(monkeypatch))
+
+
+def _bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_recognize_hands_the_tree_the_reference_rows(monkeypatch):
+    # the benchmark's c1p profiles reach the PQ-tree as the reference path's
+    # rows, in its order, as bitsets, so the tree reduces the same rows in
+    # the same order and a row's len counts its cells
+    gen = _bench_gen()
+    calls = _seam_calls(monkeypatch)
+    for seed in range(3):
+        profile = gen.weak_c1p_profile(350, 100, 0.9, seed)
+        calls.clear()
+        assert recognize_psp_c1p(profile).consistent
+        ((rows, width),) = calls
+        chain = reference_c1p_matrix(profile, Notion.PSP, chain=True)
+        want, want_width = reference_cut_rows(chain.rows, profile.m)
+        assert width == want_width
+        assert all(isinstance(row, Bitset) for row in rows)
+        assert [list(row) for row in rows] == want
+        assert list(map(len, rows)) == list(map(len, want))

@@ -7,6 +7,7 @@ import random
 from peakcheck import c1p
 from peakcheck.gadgets import random_sp_profile
 from peakcheck.pqtree import (
+    Bitset,
     PQTree,
     backtracking_c1p,
     rows_consecutive_under,
@@ -117,6 +118,36 @@ def test_nested_prefix_chains():
         for triple_row in ({a, b}, {b, c}, {a, c}):
             planted.insert(rng.randint(0, len(planted)), triple_row)
         assert solve_c1p_sets(planted, m) is None
+
+
+def test_bitset_is_a_sized_collection_of_ascending_columns():
+    rng = random.Random(6)
+    for _ in range(300):
+        cols = rng.sample(range(300), rng.randint(0, 60))
+        row = Bitset.of(cols)
+        assert isinstance(row, int) and row == sum(1 << c for c in cols)
+        assert len(row) == row.bit_count() == len(cols)
+        assert list(row) == sorted(cols)
+        assert Bitset(int(row)) == row and list(Bitset(int(row))) == sorted(cols)
+    assert len(Bitset(0)) == 0 and list(Bitset(0)) == []
+
+
+def test_bitset_rows_agree_with_column_lists():
+    # the oracle, the consecutiveness check and the solver take bitset rows
+    # as they take lists of columns
+    rng = random.Random(7)
+    for _ in range(400):
+        m = rng.randint(1, 8)
+        rows = [
+            rng.sample(range(m), rng.randint(0, m)) for _ in range(rng.randint(0, 6))
+        ]
+        bitsets = [Bitset.of(row) for row in rows]
+        assert backtracking_c1p(bitsets, m) == backtracking_c1p(rows, m)
+        assert solve_c1p_sets(bitsets, m) == solve_c1p_sets(rows, m)
+        perm = rng.sample(range(m), m)
+        assert rows_consecutive_under(bitsets, perm) == rows_consecutive_under(
+            rows, perm
+        )
 
 
 def test_reduce_incremental():
