@@ -36,7 +36,7 @@ import numpy as np
 from . import axis_check
 from .errors import ClassError, InternalError
 from .model import Axis, Notion, OrderClass, Refusal, Verdict
-from .pqtree import Bitset, backtracking_c1p, solve_c1p_sets
+from .pqtree import Bitset, solve_c1p_sets
 
 
 @dataclass
@@ -186,21 +186,17 @@ def build_black_matrix(profile):
     return _paper_matrix(profile, Notion.BLACK)
 
 
-def solve_c1p(matrix, use_backtracking=False):
-    """Witnessing column permutation of a ``C1Matrix``, or None.
-
-    ``use_backtracking`` solves the uncut rows with the independent
-    small-scale oracle for the PQ-tree solver (see ``_solve``).
-    """
+def solve_c1p(matrix):
+    """Witnessing column permutation of a ``C1Matrix``, or None."""
     if matrix.short_circuit:
         return None
     width = (matrix.m + 7) // 8
     packed = b"".join(mask.to_bytes(width, "little") for mask in matrix.rows)
     rows = np.frombuffer(packed, np.uint8).reshape(-1, width)
-    return _solve(rows, matrix.m, use_backtracking)
+    return _solve(rows, matrix.m)
 
 
-def _solve(packed, m, use_backtracking=False):
+def _solve(packed, m):
     """Witnessing column permutation of the packed rows (see
     ``_packed_rows``), or None.
 
@@ -221,8 +217,6 @@ def _solve(packed, m, use_backtracking=False):
     # empty, complete or singleton rows never constrain
     size = bits.sum(axis=1)
     bits = bits[(size > 1) & (size < m)]
-    if use_backtracking:
-        return backtracking_c1p(_bitsets(bits), m)
     c = _cut_column(bits, m)
     if c is None:
         return _checked(solve_c1p_sets(_bitsets(bits), m), m)

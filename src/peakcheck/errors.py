@@ -14,7 +14,7 @@ class ClassError(PeakcheckError):
 
 
 class PinError(PeakcheckError):
-    """The guided algorithm could not respect a requested endpoint pin."""
+    """A guided endpoint pin is not among the guiding vote's last two candidates."""
 
 
 class NoTotalOrderError(PeakcheckError):

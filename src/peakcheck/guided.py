@@ -31,8 +31,9 @@ The final axis goes through the axis verifier
 
 Endpoint pins (used by the unguided algorithm's subproblems) require the
 pinned-right candidate to be ranked last in the guiding vote and the
-pinned-left candidate second-to-last; the left pin forces the first placement
-to the left-hand side.
+pinned-left candidate second-to-last; other pins raise ``PinError``.  The
+left pin forces the first placement to the left-hand side, and when that side
+is blocked the answer is "no", as for any other blocked placement.
 
 When no vote is total, an implicit guiding vote is searched for by removing
 uniquely-last candidates one at a time.  Each removal updates all votes with
@@ -142,7 +143,8 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
     The guiding vote is treated as part of the constraint set.  When it is
     not a vote of the profile it never blocks a placement (each ``c_i`` is
     its worst remaining candidate), so only the final check reads it.
-    Raises :class:`PinError` when an endpoint pin cannot be respected.
+    A blocked pinned-left candidate gives a "no"; :class:`PinError` means a
+    pin is not among the guiding vote's last two candidates.
     """
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("the guided algorithm requires weak-or-tighter votes")
@@ -168,7 +170,12 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
     rg = profile.rank_matrix().T[seq]
     steps, blocked = _place(rg, pinned_left=pin_left is not None)
     if blocked == 1 and pin_left is not None:
-        raise PinError(f"candidate {pin_left} cannot be placed at the left end")
+        # the detail ends in a word: it names no placed candidate
+        refusal = Refusal(
+            "pinned-left candidate blocked at the left end",
+            detail=f"candidate {pin_left} pinned left",
+        )
+        return Verdict.no(refusal, algorithm="guided")
     if blocked is not None:
         return Verdict.no(
             Refusal(
@@ -178,10 +185,10 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
             algorithm="guided",
         )
     axis = Axis(tuple(order[i] for i in steps))
-    if pin_left is not None and axis[0] != pin_left:
-        raise PinError(f"candidate {pin_left} did not end up leftmost")
-    if pin_right is not None and axis[-1] != pin_right:
-        raise PinError(f"candidate {pin_right} did not end up rightmost")
+    if (pin_left is not None and axis[0] != pin_left) or (
+        pin_right is not None and axis[-1] != pin_right
+    ):
+        raise InternalError("guided placement moved a pinned endpoint")
     if not axis_check.is_possibly_sp_on_axis(profile, axis) or (
         guiding not in profile.votes
         and axis_check.has_v_valley(guiding, axis) is not None

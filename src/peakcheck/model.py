@@ -287,10 +287,10 @@ class PreferenceOrder:
         """
         if self.order_class() > OrderClass.TOP:
             raise ClassError("ranked_candidates requires a top order")
-        bs = self.buckets()
-        if len(bs[-1]) > 1:
-            bs = bs[:-1]
-        return [b[0] for b in bs]
+        # levels above the bottom hold one candidate each; a lone bottom one is ranked
+        ranks = self.ranks
+        top = max(ranks, default=0)
+        return sorted(range(self.m), key=ranks.__getitem__)[: top + (self.m - top == 1)]
 
     def peak(self):
         """Unique top-ranked candidate of a nonempty top order, else None."""
@@ -395,6 +395,8 @@ class Profile:
     multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("a profile needs at least one candidate")
         if not self.votes:
             raise ValueError("a profile needs at least one vote")
         if not self.multiplicities:

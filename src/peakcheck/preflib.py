@@ -347,20 +347,20 @@ def parse_profile_json(text):
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("pairs"), list):
             raise ParseError(f'vote {k} must be an object with a "pairs" list')
-        pairs = []
-        for pair in entry["pairs"]:
-            if not isinstance(pair, list) or len(pair) != 2:
+        pairs = entry["pairs"]
+        # one pass; type() is int refuses booleans, and from_pairs the rest
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
                 raise ParseError(f"vote {k}: a pair must list two candidates, not {pair!r}")
-            a, b = (_json_int(c, f"vote {k}: a candidate") for c in pair)
-            if not (0 <= a < m and 0 <= b < m):
-                raise ParseError(f"vote {k}: pair {pair} names a candidate outside 0..{m - 1}")
-            pairs.append((a, b))
+            if type(pair[0]) is not int or type(pair[1]) is not int:
+                for c in pair:
+                    _json_int(c, f"vote {k}: a candidate")
         mult = _json_int(entry.get("multiplicity", 1), f"vote {k}: the multiplicity")
         if mult < 1:
             raise ParseError(f"vote {k}: the multiplicity must be positive, not {mult}")
-        try:
+        try:  # from_pairs refuses candidates out of range and a > a
             votes.append(PreferenceOrder.from_pairs(pairs, m))
-        except CycleError as exc:
+        except (ValueError, CycleError) as exc:
             raise ParseError(f"vote {k}: {exc}") from None
         except MemoryError:
             raise ParseError(f"m={m} candidates: vote {k} does not fit in memory") from None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import axis_check
-from .errors import ClassError, InternalError, NoIntersectionError, PinError
+from .errors import ClassError, InternalError, NoIntersectionError
 from .guided import guided_recognize
 from .model import (
     Axis,
@@ -27,6 +27,7 @@ from .model import (
     Profile,
     Refusal,
     Verdict,
+    iter_bits,
 )
 
 
@@ -53,31 +54,20 @@ def connected_components(profile):
     assigned to no part.
     """
     _require_top(profile)
-    parent = list(range(profile.m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chains = _chains(profile.rank_matrix())
-    for chain in chains:
-        for a, b in zip(chain, chain[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-    groups = {}
-    for c in range(profile.m):
-        groups.setdefault(find(c), []).append(c)
-    parts = sorted(groups.values(), key=lambda g: g[0])
-    out = []
-    for part in parts:
-        root = find(part[0])
-        vote_idx = [k for k, chain in enumerate(chains) if chain and find(chain[0]) == root]
-        out.append((part, vote_idx))
-    return out
+    parts = {}  # disjoint candidate masks -> vote indices; a chain absorbs those it meets
+    for k, chain in enumerate(_chains(profile.rank_matrix())):
+        if not chain:
+            continue
+        mask, votes = sum(1 << c for c in chain), [k]
+        for part in [p for p in parts if p & mask]:
+            mask |= part
+            votes += parts.pop(part)
+        parts[mask] = votes
+    covered = sum(parts)  # the union of disjoint masks
+    parts.update((1 << c, []) for c in range(profile.m) if not covered >> c & 1)
+    return [
+        (list(iter_bits(p)), sorted(parts[p])) for p in sorted(parts, key=lambda p: p & -p)
+    ]
 
 
 def oplus(axis_candidates, vote):
@@ -156,10 +146,12 @@ class IntersectionIndex:
                 mask |= 1 << c
             self.ranked_masks.append(mask)
         for c, sets in enumerate(above):
-            keys = [s for s in sets if s]
-            maximal = [
-                s for s in keys if not any(s != t and s & t == s for t in keys)
-            ]
+            # largest first: a strict superset is kept before its subsets
+            maximal = []
+            for s in sorted(sets, key=int.bit_count, reverse=True):
+                if s and not any(s & t == s for t in maximal):
+                    maximal.append(s)
+            maximal.sort(key=sets.__getitem__)  # by first vote
             if len(maximal) > 2:
                 self.refusal = Refusal(
                     "three set-maximal above-sets for one candidate",
@@ -236,20 +228,18 @@ def _solve_component(profile, starts=None):
 
 
 def _grow_axis(profile, index, peak_votes, c_start):
-    """The component axis grown rightwards from ``c_start``, or None."""
+    """The component axis grown rightwards from ``c_start``, or None.  Axis
+    candidates are distinct, so each vote is absorbed once, at its peak."""
     m = profile.m
     ranks = profile.rank_matrix()
     axis = [c_start]
-    consumed = [False] * profile.n
     i = 0
     while i < len(axis):
         a_i = axis[i]
         for k in peak_votes.get(a_i, ()):
-            if not consumed[k]:
-                axis = oplus(axis, profile.votes[k])
-                if axis is None:
-                    return None
-                consumed[k] = True
+            axis = oplus(axis, profile.votes[k])
+            if axis is None:
+                return None
         if len(axis) == i + 1 and len(axis) < m:
             k = intersecting_vote(index, axis)
             upper = index.chains[k][: ranks[k, a_i]]
@@ -258,18 +248,12 @@ def _grow_axis(profile, index, peak_votes, c_start):
                 return None
             keep = sorted(upper + [a_i])
             sub = _subproblem(ranks, keep, sorted(set(range(m)) - placed - set(keep)))
-            try:
-                result = guided_recognize(
-                    sub, sub.votes[k], pin_left=keep.index(a_i), pin_right=len(keep)
-                )
-            except PinError:
-                return None
+            result = guided_recognize(
+                sub, sub.votes[k], pin_left=keep.index(a_i), pin_right=len(keep)
+            )
             if not result:
                 return None
-            order = result.axis.order
-            if keep[order[0]] != a_i or order[-1] != len(keep):
-                raise InternalError("pinned guided subproblem moved an endpoint")
-            axis.extend(keep[j] for j in order[1:-1])
+            axis.extend(keep[j] for j in result.axis.order[1:-1])
         i += 1
     return axis if len(axis) == m else None
 

@@ -156,7 +156,7 @@ class ReferenceGuided:
 def reference_guided_recognize(profile, guiding, pin_left=None, pin_right=None):
     """The guided placement as it was before the profile's rank matrix: the
     ranks converted per call, both sides tested at every step with the four
-    rule masks, and the same verdicts, refusal texts and ``PinError``s."""
+    rule masks, and the same verdicts, refusal texts and errors."""
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("the guided algorithm requires weak-or-tighter votes")
     if guiding.m != profile.m:
@@ -206,8 +206,12 @@ def reference_guided_recognize(profile, guiding, pin_left=None, pin_right=None):
         )
         if pin_left is not None and seq[i] == pin_left:
             if left_blocked:
-                raise PinError(
-                    f"candidate {pin_left} cannot be placed at the left end"
+                return Verdict.no(
+                    Refusal(
+                        "pinned-left candidate blocked at the left end",
+                        detail=f"candidate {pin_left} pinned left",
+                    ),
+                    algorithm="guided",
                 )
             go_right = False
         elif not right_blocked:
@@ -230,10 +234,10 @@ def reference_guided_recognize(profile, guiding, pin_left=None, pin_right=None):
             np.minimum(max_left, rci, out=max_left)
 
     axis = Axis(tuple(left_part + right_part[::-1]))
-    if pin_left is not None and axis[0] != pin_left:
-        raise PinError(f"candidate {pin_left} did not end up leftmost")
-    if pin_right is not None and axis[-1] != pin_right:
-        raise PinError(f"candidate {pin_right} did not end up rightmost")
+    if (pin_left is not None and axis[0] != pin_left) or (
+        pin_right is not None and axis[-1] != pin_right
+    ):
+        raise InternalError("guided placement moved a pinned endpoint")
     if axis_check.v_valley_rows(ranks[:, axis.order]).any():
         raise InternalError("guided algorithm produced an invalid axis")
     return Verdict.yes(axis, algorithm="guided")

@@ -24,7 +24,7 @@ from peakcheck.c1p import (
 )
 from peakcheck.errors import ClassError
 from peakcheck.model import Notion, PreferenceOrder, Profile, all_axes, build_order
-from peakcheck.pqtree import Bitset, rows_consecutive_under
+from peakcheck.pqtree import Bitset, backtracking_c1p, rows_consecutive_under
 
 EX1_V1 = PreferenceOrder.from_ranks([0, 1, 0, 2, 2, 3])  # <a~c > b > e~d > f>
 EX1_V2 = PreferenceOrder.from_ranks([0, 1, 2, 3, 3, 4])  # <a > b > c > e~d > f>
@@ -117,7 +117,7 @@ def test_solve_c1p_examples():
     assert solve_c1p(all_ones) == [0, 1, 2]
     neg = C1Matrix(3, [0b101, 0b110, 0b011], [(0, "base", 0)] * 3)
     assert solve_c1p(neg) is None
-    assert solve_c1p(neg, use_backtracking=True) is None
+    assert backtracking_c1p([Bitset(row) for row in neg.rows], 3) is None
 
 
 def test_recognize_worked_example():
@@ -334,7 +334,7 @@ def test_cut_agrees_with_backtracking(monkeypatch):
             mat = build(prof)
             widths.clear()
             got = solve_c1p(mat)
-            ref = solve_c1p(mat, use_backtracking=True)
+            ref = None if mat.short_circuit else backtracking_c1p(map(Bitset, mat.rows), m)
             assert (got is None) == (ref is None)
             if not mat.short_circuit:
                 branches.add((widths == [m + 1], got is not None))

@@ -21,7 +21,7 @@ from peakcheck.guided import (
     guided_recognize,
 )
 from peakcheck.gadgets import random_sp_profile
-from peakcheck.model import Axis, PreferenceOrder, Profile, build_order
+from peakcheck.model import Axis, PreferenceOrder, Profile, Refusal, build_order
 from peakcheck.preflib import write_preflib
 
 EX2_V1 = PreferenceOrder.from_ranks([0, 1, 2, 2, 3])  # <a > b > c~d > e>
@@ -130,11 +130,15 @@ def test_pin_violations_raise():
     with pytest.raises(PinError):
         guided_recognize(prof, guiding, pin_left=0)
     # infeasible left pin: a vote placing some unseated candidate strictly
-    # below both the pinned-left candidate and the pinned-right end
+    # below both the pinned-left candidate and the pinned-right end.  That is
+    # a "no", and its detail ends in a word, not a placed candidate.
     g = PreferenceOrder.from_total([3, 2, 0, 1])  # ranks: 0 second-to-last, 1 last
     blocker = PreferenceOrder.from_ranks([0, 0, 1, 2])  # 0 ~ 1 > 2 > 3
-    with pytest.raises(PinError):
-        guided_recognize(Profile(4, (g, blocker)), g, pin_left=0, pin_right=1)
+    res = guided_recognize(Profile(4, (g, blocker)), g, pin_left=0, pin_right=1)
+    assert not res.consistent
+    assert res.certificate == Refusal(
+        "pinned-left candidate blocked at the left end", detail="candidate 0 pinned left"
+    )
 
 
 def test_rejects_non_weak_profiles_and_non_total_guiding():
@@ -350,6 +354,10 @@ def test_matches_reference_guided_on_unguided_subproblems(monkeypatch):
     for prof, guiding, pins in calls:
         expected = _outcome(reference_guided_recognize, prof, guiding, **pins)
         assert _outcome(guided_recognize, prof, guiding, **pins) == expected
-        kinds.add(expected[0])
-    assert {True, False, "PinError"} <= kinds
+        kinds.add(expected[2].reason if expected[0] is False else expected[0])
+    assert kinds == {
+        True,
+        "both axis sides blocked",
+        "pinned-left candidate blocked at the left end",
+    }
 

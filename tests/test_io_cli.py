@@ -312,6 +312,10 @@ def test_cli_axis_file_must_order_every_candidate_once(tmp_path, capsys, axis_te
         {"m": 3, "votes": [{"pairs": [[0, 1.5]]}]},
         {"m": 3, "votes": [{"multiplicity": 1}]},
         {"m": 3, "votes": [{"pairs": [[0, 3]]}]},
+        {"m": 3, "votes": [{"pairs": [[-1, 0]]}]},
+        {"m": 3, "votes": [{"pairs": [[True, 1]]}]},
+        {"m": 3, "votes": [{"pairs": [[0, 1, 2]]}]},
+        {"m": 3, "votes": [{"pairs": [[1, 1]]}]},
         {"m": 3, "votes": [{"pairs": [[0, 1]], "multiplicity": 0}]},
         {"m": 2, "names": ["a"], "votes": [{"pairs": [[0, 1]]}]},
         {"m": "3", "votes": [{"pairs": []}]},

@@ -193,6 +193,12 @@ def test_profile_basics():
         Profile(3, (v,))
 
 
+def test_empty_candidate_set_is_refused():
+    # the construction check, not numpy's zero-size reduction in dispatch
+    with pytest.raises(ValueError, match="at least one candidate"):
+        Profile(0, (PreferenceOrder.from_ranks([]),))
+
+
 def test_axis_basics():
     axis = Axis((2, 0, 1))
     assert axis.positions() == [1, 2, 0]

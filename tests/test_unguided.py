@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import random_top_profile, reference_subproblem
-from peakcheck import oracle
+from peakcheck import guided, oracle
 from peakcheck.axis_check import is_possibly_sp_on_axis
-from peakcheck.errors import ClassError
+from peakcheck.errors import ClassError, InternalError
+from peakcheck.gadgets import random_sp_profile
 from peakcheck.model import PreferenceOrder, Profile
 from peakcheck.unguided import (
     _solve_component,
@@ -232,3 +233,25 @@ def test_refusal_detail_is_bounded():
     assert res.certificate.reason == "no start candidate completes a component axis"
     assert res.certificate.detail == "component of 300 candidates, smallest 1"
     assert len(res.certificate.detail) < 80
+
+
+def test_misplaced_pinned_endpoint_is_an_internal_error(monkeypatch):
+    # a pinned placement that moves an endpoint is a bug, not a rejected
+    # start: on single-peaked total orders cut to top orders it must surface
+    place = guided._place
+
+    def misplaced(rg, pinned_left):
+        steps, blocked = place(rg, pinned_left)
+        return (steps[::-1] if pinned_left and steps else steps), blocked
+
+    rng = random.Random(15)
+    profiles = []
+    for seed in range(10):
+        totals = random_sp_profile(30, 10, "psp", 0.0, seed=seed).votes
+        cut = [sorted(range(30), key=v.ranks.__getitem__)[: rng.randint(1, 28)] for v in totals]
+        profiles.append(Profile(30, tuple(PreferenceOrder.top_order(c, 30) for c in cut)))
+    assert all(unguided_recognize(p).consistent for p in profiles)
+    monkeypatch.setattr(guided, "_place", misplaced)
+    for p in profiles:
+        with pytest.raises(InternalError, match="pinned endpoint"):
+            unguided_recognize(p)
