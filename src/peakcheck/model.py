@@ -418,9 +418,11 @@ class Profile:
         matrix, so it is not built again from the votes.
         """
         ranks = np.asarray(ranks)
+        n, m = ranks.shape
+        if not (n and m):
+            return cls(m, ())  # refused with the constructor's own message
         if ranks.min() < 0:
             raise ValueError("bucket indices must be non-negative")
-        n, _ = ranks.shape
         rows = np.arange(n)[:, None]
         present = np.zeros((n, int(ranks.max()) + 1), bool)
         present[rows, ranks] = True

@@ -7,37 +7,32 @@ restricts the represented permutations to those where the set is consecutive;
 the tree's frontier after all reductions is a witnessing permutation.
 
 Every node keeps the bitmask of its leaf columns, and a Q-node caches the
-running OR of its children's masks until its child list changes.  Most rows
-of a tie-dense weak profile are already consecutive in every permutation the
-tree represents, so a reduction first climbs from the row's lowest leaf to
-the first node covering the row, the pertinent root, and stops there if the
-row is all of that node or a run of that Q-node's children (two binary
-searches over the cached prefixes).  Exactly these reductions leave the tree
-as it was.  Any other row is reduced after Booth and Lueker (1976, *JCSS*
-13), on the row's leaves and their ancestors only:
+running OR of its children's masks until its child list changes.  A
+reduction climbs from the row's lowest leaf to the first node covering the
+row, the pertinent root, and works top-down from there after Booth and
+Lueker (1976, *JCSS* 13).  Each child is empty, full or partial by one test
+of its mask against the row; a Q-node finds the run of children the row
+meets by two binary searches over its prefixes, and one more mask test
+tells whether the children inside the run are full.  So only partial
+children are descended into, and below the pertinent root each partial node
+may have one partial child.  That chain is reduced bottom-up by the P3, P5
+and Q2 templates, then the pertinent root by P2, P4, P6 or Q3.  A row that
+is all of the pertinent root, or a run of full children of a Q-node root,
+leaves the tree as it was.
 
-- each leaf of the row walks up only until it meets an ancestor already
-  marked by this row, and every marked node records its marked children;
-- the pertinent root, the deepest node above all of the row's leaves, is
-  found by descending from the root while a node has one marked child;
-- the marked nodes below it are labelled full or partial bottom-up by the
-  P2-P6 and Q2/Q3 templates.  A Q-node template looks at marked children
-  only: it finds the pertinent span from one marked child outwards and
-  splices a partial child in by slice assignment, so only the nodes that
-  move get a new parent.  A P-node template also scans the node's empty
-  children, which it regroups.
-
-The marks live in dictionaries local to one reduction.  ``solve_c1p_sets``
-reduces the rows in ascending size order, which on tie-dense weak profiles
-is 15-25 % faster than reducing them in vote order; in that order about 80 %
-of the distinct rows ``c1p.recognize`` passes leave the tree unchanged.
+The witness depends on two orders: a P-node template orders the full
+children it regroups by their lowest column, and at a P-node root with two
+partial children the one whose lowest column in the row is larger takes in
+the other.  ``solve_c1p_sets`` reduces the rows in ascending size order,
+which on tie-dense weak profiles is 15-25 % faster than reducing them in
+vote order; in that order about 80 % of the distinct rows ``c1p.recognize``
+passes leave the tree unchanged.
 
 A row is a ``Bitset``: an ``int`` whose bit ``c`` is column ``c``, whose
 ``len`` is its number of columns and which iterates over its columns in
-ascending order.  The tree tests it as its own mask, and only a row that
-reaches the marking body is unpacked into columns, with numpy.  Rows given
-as other collections of columns are converted to a ``Bitset`` once, when
-they enter the tree.
+ascending order.  The tree only ever tests it as a mask.  Rows given as other
+collections of columns are converted to a ``Bitset`` once, when they enter
+the tree.
 
 ``solve_c1p_sets`` is the production solver; ``backtracking_c1p`` is an
 independent small-scale oracle used to cross-check it.
@@ -50,8 +45,6 @@ import operator
 from bisect import bisect_left
 
 import numpy as np
-
-FULL, PARTIAL = 1, 2
 
 
 class Bitset(int):
@@ -108,6 +101,31 @@ def _adopt(node, children):
         ch.parent = node
 
 
+def _reduce_p(node, part, empties, fulls):
+    """P3 and P5: a partial P-node below the pertinent root becomes a Q-node
+    of its empty children, its partial child's children and its full ones."""
+    merged = [_group(empties, node)] if empties else []
+    if part is not None:
+        _adopt(node, part.children)
+        merged += part.children
+    if fulls:
+        merged.append(_group(fulls, node))
+    node.kind = "Q"
+    node.children = merged
+
+
+def _reduce_q(node, part, start, turn):
+    """Q2: a partial Q-node below the pertinent root, turned if ``turn``,
+    with its partial child's children spliced in where its run starts."""
+    children = node.children
+    if turn:
+        children.reverse()
+    if part is not None:
+        _adopt(node, part.children)
+        children[start : start + 1] = part.children
+    node.prefix = None
+
+
 class PQTree:
     """PQ-tree over ``m`` columns, reducible row by row."""
 
@@ -136,168 +154,146 @@ class PQTree:
 
         ``cols`` is a sized collection of distinct column indices; a
         ``Bitset`` is used as it is, any other collection is converted to
-        one.  Returns False if that is impossible; the tree is then left in
-        an unspecified state and must not be reduced further.
+        one.  Raises ValueError if a column is not below ``m``.  Returns
+        False if the restriction is impossible; the tree is then left in an
+        unspecified state and must not be reduced further.
         """
         row = cols if isinstance(cols, Bitset) else Bitset.of(cols)
+        if row >> self.m:
+            raise ValueError(
+                f"column {row.bit_length() - 1} is out of range for {self.m} columns"
+            )
         size = row.bit_count()
         if size <= 1 or size >= self.m:
             return True
-        if self._keeps(row):
+        node = self._pertinent_root(row)
+        if node.mask == row:
             return True
-        return self._reduce_marked(row)
+        if node.kind == "Q":
+            return self._reduce_q_root(node, row)
+        return self._reduce_p_root(node, row)
+
+    def _pertinent_root(self, row):
+        """The deepest node whose leaves cover the bitmask ``row``, found by
+        climbing from the leaf of the row's lowest column."""
+        node = self.leaves[(row & -row).bit_length() - 1]
+        while node.mask & row != row:
+            node = node.parent
+        return node
 
     def _keeps(self, row):
         """Whether every represented permutation already keeps the columns
         of the bitmask ``row`` consecutive, so reducing by it changes nothing.
 
-        Climbs from the leaf of the row's lowest column to the first node
-        whose leaves cover the row, the pertinent root.  The row is kept
-        exactly when it is all of that node's leaves, or when that node is a
-        Q-node and the row is the union of a run of its children: a Q3 root
-        with no partial child, or a full pertinent root.
+        Exactly when the row is all of the pertinent root's leaves, or when
+        the pertinent root is a Q-node and the row is the union of a run of
+        its children: the cases ``reduce`` returns from without a change.
         """
-        node = self.leaves[(row & -row).bit_length() - 1]
-        while node.mask & row != row:
-            node = node.parent
-        if node.mask == row:
-            return True
+        node = self._pertinent_root(row)
         if node.kind != "Q":
+            return node.mask == row
+        run = self._run(node, row)
+        if run is None:
             return False
+        ends = node.children[run[0]].mask | node.children[run[1]].mask
+        return ends & row == ends
+
+    @staticmethod
+    def _run(node, row):
+        """``(first, last)``, the indices of the first and the last child of
+        the Q-node ``node`` that meet ``row``, or None unless every child
+        between them lies inside the row."""
         prefix = node.prefix
         if prefix is None:
             masks = [ch.mask for ch in node.children]
             prefix = node.prefix = list(itertools.accumulate(masks, operator.or_))
-        # the children are disjoint, so ``p & row`` grows along the prefixes:
-        # the run starts at the first prefix meeting the row and ends at the
-        # first covering it
-        first = bisect_left(prefix, 1, key=row.__and__)
-        last = bisect_left(prefix, row, key=row.__and__)
-        before = prefix[first - 1] if first else 0
-        return prefix[last] ^ before == row
-
-    def _reduce_marked(self, cols):
-        """``reduce`` by marking every leaf of ``cols`` and its ancestors."""
-        # marked node -> its marked children (None for a leaf)
-        marked = {}
-        leaves = self.leaves
-        for c in cols:
-            child = leaves[c]
-            marked[child] = None
-            parent = child.parent
-            while parent is not None:
-                kids = marked.get(parent)
-                if kids is not None:
-                    kids.append(child)
-                    break
-                marked[parent] = [child]
-                child = parent
-                parent = child.parent
-        proot = self.root
-        kids = marked[proot]
-        while len(kids) == 1:
-            proot = kids[0]
-            kids = marked[proot]
-        # internal marked nodes, each after its parent; walked backwards
-        order = [proot]
-        for node in order:
-            order.extend(filter(marked.__getitem__, marked[node]))
-        # node -> its children labelled partial
-        partials = {}
-        for i in range(len(order) - 1, 0, -1):
-            node = order[i]
-            reduce_node = self._reduce_p if node.kind == "P" else self._reduce_q
-            label = reduce_node(node, marked[node], partials.get(node, ()), marked)
-            if label is None:
-                return False
-            if label == PARTIAL:
-                partials.setdefault(node.parent, []).append(node)
-        reduce_root = self._reduce_p_root if proot.kind == "P" else self._reduce_q_root
-        return reduce_root(proot, marked[proot], partials.get(proot, ()), marked)
+        part = row & node.mask
+        # the children are disjoint, so ``p & part`` grows along the
+        # prefixes: the run starts at the first prefix meeting the row and
+        # ends at the first covering the row's part in this node
+        first = bisect_left(prefix, 1, key=part.__and__)
+        last = bisect_left(prefix, part, key=part.__and__)
+        inner = prefix[last - 1] ^ prefix[first] if last > first else 0
+        return (first, last) if inner & row == inner else None
 
     @staticmethod
-    def _reduce_p(node, kids, parts, marked):
-        """P3 and P5: a P-node below the pertinent root."""
-        if not parts and len(kids) == len(node.children):
-            return FULL
-        if len(parts) > 1:
-            return None
-        empties = [ch for ch in node.children if ch not in marked]
-        node.kind = "Q"
-        if not parts:
-            # P3: a Q-node of the empty group then the full group
-            node.children = [_group(empties, node), _group(kids, node)]
-            return PARTIAL
-        # P5: the partial child's children, extended on both ends
-        q = parts[0]
-        merged = q.children
-        _adopt(node, merged)
-        if empties:
-            merged.insert(0, _group(empties, node))
-        if len(kids) > 1:
-            merged.append(_group([ch for ch in kids if ch is not q], node))
-        node.children = merged
-        return PARTIAL
+    def _split(node, row):
+        """The children of ``node`` outside ``row``, inside it and partly in
+        it, as three lists.  The ones inside are ordered by lowest column."""
+        empties, fulls, parts = [], [], []
+        for ch in node.children:
+            cut = ch.mask & row
+            if not cut:
+                empties.append(ch)
+            elif cut == ch.mask:
+                fulls.append(ch)
+            else:
+                parts.append(ch)
+        fulls.sort(key=lambda ch: ch.mask & -ch.mask)
+        return empties, fulls, parts
 
-    @staticmethod
-    def _span(node, kids, marked):
-        """Start of the run the marked ``kids`` form among ``node``'s
-        children, or None if they do not form one run."""
-        children = node.children
-        lo = children.index(kids[0])
-        hi = lo + 1
-        while lo > 0 and children[lo - 1] in marked:
-            lo -= 1
-        n = len(children)
-        while hi < n and children[hi] in marked:
-            hi += 1
-        return lo if hi - lo == len(kids) else None
+    def _reduce_partial(self, node, row):
+        """Make the partial ``node`` below the pertinent root a Q-node that
+        reads from its children outside ``row`` to those inside, or return
+        False.  Each partial node on the way down may have one partial
+        child; the chain is collected top-down and reduced bottom-up."""
+        chain = []
+        while node is not None:
+            if node.kind == "P":
+                empties, fulls, parts = self._split(node, row)
+                if len(parts) > 1:
+                    return False
+                part = parts[0] if parts else None
+                chain.append((_reduce_p, node, part, empties, fulls))
+            else:
+                run = self._run(node, row)
+                if run is None:
+                    return False
+                first, last = run
+                children = node.children
+                left, right = children[first], children[last]
+                part = left if left.mask & ~row else None
+                if right is not left and right.mask & ~row:
+                    if part is not None:
+                        return False
+                    part = right
+                # orient the node so that the run ends at its right end,
+                # with a partial child at the run's inner (left) end
+                if last == len(children) - 1 and (part is None or part is left):
+                    chain.append((_reduce_q, node, part, first, False))
+                elif first == 0 and (part is None or part is right):
+                    chain.append((_reduce_q, node, part, len(children) - 1 - last, True))
+                else:
+                    return False
+            node = part
+        for template, *args in reversed(chain):
+            template(*args)
+        return True
 
-    def _reduce_q(self, node, kids, parts, marked):
-        """Q2: a Q-node below the pertinent root must read empty* [partial] full*."""
-        children = node.children
-        n = len(children)
-        if not parts and len(kids) == n:
-            return FULL
-        if len(parts) > 1:
-            return None
-        lo = self._span(node, kids, marked)
-        if lo is None:
-            return None
-        hi = lo + len(kids)
-        # orient the node so that the run ends at its right end, with a
-        # partial child at the run's inner (left) end
-        if hi == n and (not parts or children[lo] is parts[0]):
-            pass
-        elif lo == 0 and (not parts or children[hi - 1] is parts[0]):
-            children.reverse()
-            lo = n - hi
-        else:
-            return None
-        if parts:
-            grand = parts[0].children  # empty side first, full side last
-            _adopt(node, grand)
-            children[lo : lo + 1] = grand
-        return PARTIAL
-
-    def _reduce_p_root(self, node, kids, parts, marked):
+    def _reduce_p_root(self, node, row):
         """P2, P4 and P6: the pertinent root is a P-node."""
-        if len(parts) > 2:
-            return False
-        if not parts and len(kids) == len(node.children):
-            return True
-        empties = [ch for ch in node.children if ch not in marked]
+        empties, fulls, parts = self._split(node, row)
         if not parts:
             # P2: the full children become one P-node
-            empties.append(_group(kids, node))
+            empties.append(_group(fulls, node))
             node.children = empties
             return True
-        # P4/P6: one Q-node holds the partial children and the full ones
+        if len(parts) > 2:
+            return False
+        if not all(self._reduce_partial(p, row) for p in parts):
+            return False
+        # P4/P6: one Q-node holds the partial children and the full ones; of
+        # two partial children, the one with the larger lowest row column
+        # takes in the other
+        if len(parts) == 2:
+            a, b = (p.mask & row for p in parts)
+            if a & -a < b & -b:
+                parts.reverse()
         q = parts[0]
-        if len(kids) > len(parts):
-            fulls = _group([ch for ch in kids if ch not in parts], q)
-            q.children.append(fulls)
-            q.mask |= fulls.mask
+        if fulls:
+            group = _group(fulls, q)
+            q.children.append(group)
+            q.mask |= group.mask
         if len(parts) == 2:
             moved = parts[1].children
             moved.reverse()
@@ -312,26 +308,24 @@ class PQTree:
             self._replace(node, q)
         return True
 
-    def _reduce_q_root(self, node, kids, parts, marked):
+    def _reduce_q_root(self, node, row):
         """Q3: the pertinent root is a Q-node, empty* [partial] full* [partial] empty*."""
-        lo = self._span(node, kids, marked)
-        if lo is None:
+        run = self._run(node, row)
+        if run is None:
             return False
-        hi = lo + len(kids)
+        first, last = run
         children = node.children
-        left, right = children[lo], children[hi - 1]
-        if any(p is not left and p is not right for p in parts):
-            return False
-        if right in parts:
-            grand = right.children
-            grand.reverse()  # full side faces left
-            _adopt(node, grand)
-            children[hi - 1 : hi] = grand
-        if left in parts:
-            grand = left.children  # full side faces right
-            _adopt(node, grand)
-            children[lo : lo + 1] = grand
-        node.prefix = None
+        left, right = children[first], children[last]
+        for i, end in ((last, right), (first, left)):
+            if end.mask & ~row:
+                if not self._reduce_partial(end, row):
+                    return False
+                grand = end.children  # full side last
+                if end is right:
+                    grand.reverse()
+                _adopt(node, grand)
+                children[i : i + 1] = grand
+                node.prefix = None
         return True
 
     # -- output ------------------------------------------------------------
@@ -359,15 +353,14 @@ def solve_c1p_sets(rows, m):
     leaves the tree unchanged.
 
     A ``Bitset`` row is tested as it is, with no pass over its cells; a row
-    of another type is first converted to one.  Only a row the tree does not
-    already keep consecutive then costs about one mark per cell.  So callers
-    pass few cells: ``c1p.recognize`` passes one row per distinct upper set
-    of a vote, not one per candidate, and ``c1p`` passes the distinct rows
-    cut into a circular-ones instance on ``m + 1`` columns, in which every
-    row holding the cut column is replaced by its complement.
+    of another type is first converted to one.  A row the tree does not
+    already keep consecutive costs a pass over the children of each node it
+    partly covers.  Callers pass few rows: ``c1p.recognize`` passes one row
+    per distinct upper set of a vote, not one per candidate, and ``c1p``
+    passes the distinct rows cut into a circular-ones instance on ``m + 1``
+    columns, in which every row holding the cut column is replaced by its
+    complement.  A row with a column not below ``m`` raises ValueError.
     """
-    if m == 0:
-        return []
     tree = PQTree(m)
     for row in sorted(rows, key=len):
         if not tree.reduce(row):

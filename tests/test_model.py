@@ -482,3 +482,13 @@ def test_from_rank_matrix_with_a_skipped_level_is_not_total():
     assert profile.first_total_order() is profile.votes[1]
     with pytest.raises(ValueError):
         Profile.from_rank_matrix([[0, -1]])
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [((1, 0), "at least one candidate"), ((0, 3), "at least one vote"),
+     ((0, 0), "at least one candidate")],
+)
+def test_from_rank_matrix_refuses_an_empty_matrix_by_name(shape, message):
+    with pytest.raises(ValueError, match=message):
+        Profile.from_rank_matrix(np.zeros(shape, np.int32))

@@ -1,8 +1,11 @@
 import copy
 import functools
+import hashlib
 import itertools
 import operator
 import random
+
+import pytest
 
 from peakcheck import c1p
 from peakcheck.gadgets import random_sp_profile
@@ -20,6 +23,13 @@ def test_trivial_cases():
     assert solve_c1p_sets([], 3) is not None
     assert solve_c1p_sets([{0}], 3) is not None
     assert solve_c1p_sets([{0, 1, 2}], 3) is not None
+
+
+@pytest.mark.parametrize("rows, m, col", [([{0, 1, 2, 7}], 4, 7), ([{0, 5}], 3, 5)])
+def test_out_of_range_column_is_refused(rows, m, col):
+    # {0, 1, 2, 7} has as many columns as m = 4 and must not pass as a full row
+    with pytest.raises(ValueError, match=f"column {col} is out of range"):
+        solve_c1p_sets(rows, m)
 
 
 def test_known_negative():
@@ -229,14 +239,14 @@ def _shape(node):
 
 def _assert_keeps_is_exact(m, rows):
     """Reduce ``rows`` in order; before each one, ``_keeps`` must say the row
-    changes nothing exactly when the marking body, run on a copy, leaves the
+    changes nothing exactly when ``reduce``, run on a copy, leaves the
     tree's shape as it was."""
     tree = PQTree(m)
     for row in rows:
         if 1 < len(row) < m:
             before = _shape(tree.root)
-            marked = copy.deepcopy(tree)
-            unchanged = marked._reduce_marked(row) and _shape(marked.root) == before
+            reduced = copy.deepcopy(tree)
+            unchanged = reduced.reduce(row) and _shape(reduced.root) == before
             assert tree._keeps(sum(1 << c for c in row)) == unchanged
         if not tree.reduce(row):
             return
@@ -337,3 +347,37 @@ def test_tree_invariants_hold_after_every_reduction(monkeypatch):
     for rows, m in calls:
         cached += _reduce_checking_invariants(rows, m)
     assert cached  # some Q-node prefixes were cached and checked
+
+
+def _pinned_row_sequences():
+    """Fixed seeded row sequences at m <= 40: interval rows of a hidden
+    axis, nested upper sets of weak votes on it, and now and then a random
+    row that may break consecutiveness."""
+    rng = random.Random(16)
+    for _ in range(400):
+        m = rng.randint(3, 40)
+        axis = rng.sample(range(m), m)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.5:
+                i = rng.randrange(m)
+                rows.append(axis[i : rng.randint(i + 1, m)])
+            else:
+                rows.extend(_prefix_chain(axis, rng))
+        if rng.random() < 0.2:
+            rows.insert(rng.randrange(len(rows)), rng.sample(range(m), rng.randint(2, m - 1)))
+        yield rows, m
+
+
+def test_frontiers_are_pinned():
+    # the witnesses themselves, not only their validity: any change to the
+    # order in which the reduction templates arrange children shows here
+    frontiers = [solve_c1p_sets(rows, m) for rows, m in _pinned_row_sequences()]
+    assert sum(f is None for f in frontiers) > 10
+    axes = []
+    for m in (40, 80, 160):
+        for s in range(5):
+            verdict = c1p.recognize(random_sp_profile(m, 30, "psp", 0.9, s))
+            axes.append(verdict.axis.order)
+    digest = hashlib.sha256(repr((frontiers, axes)).encode()).hexdigest()
+    assert digest == "a4a7c0292d9ab975f01518c0f409683c47621cacc281fd3a3fb524376394646f"
