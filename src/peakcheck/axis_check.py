@@ -24,11 +24,14 @@ steps between axis neighbours (a fall is a step to a better bucket):
 A weak-or-tighter profile is read from its rank matrix, a block of cells at
 a time; any other profile vote by vote, where a pair-based vote gets one
 u/v-valley test.  Then the first flagged vote alone is scanned for its
-witness over candidate triples/quadruples in lexicographic axis position, so
-certificates are deterministic.
+witness over candidate pairs, triples or quadruples in lexicographic axis
+position, so certificates are deterministic.  A ranked vote is scanned for a
+v-valley only when :func:`v_valley_rows` flags one.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, pairwise
 
 import numpy as np
 
@@ -156,42 +159,26 @@ def top_class_refusal(profile):
 
 def _lex_v_valley(vote, axis, vote_index):
     order = axis.order
-    m = len(order)
-    for i in range(m - 2):
-        ci = order[i]
-        for j in range(i + 1, m - 1):
-            cj = order[j]
-            if not vote.prefers(ci, cj):
-                continue
-            for k in range(j + 1, m):
-                if vote.prefers(order[k], cj):
-                    return ValleyWitness(
-                        WitnessKind.V_VALLEY, vote_index, (ci, cj, order[k])
-                    )
+    for i, j in combinations(range(len(order) - 1), 2):
+        a, b = order[i], order[j]
+        if vote.prefers(a, b):
+            for c in order[j + 1 :]:
+                if vote.prefers(c, b):
+                    return ValleyWitness(WitnessKind.V_VALLEY, vote_index, (a, b, c))
     return None
 
 
 def _lex_u_valley(vote, axis, vote_index):
-    order = axis.order
-    m = len(order)
-    for i in range(m - 3):
-        a = order[i]
-        for j in range(i + 1, m - 2):
-            for k in range(j + 1, m - 1):
-                for l in range(k + 1, m):
-                    d = order[l]
-                    b, c = order[j], order[k]
-                    if (vote.prefers(a, b) and vote.prefers(d, c)) or (
-                        vote.prefers(a, c) and vote.prefers(d, b)
-                    ):
-                        return ValleyWitness(
-                            WitnessKind.U_VALLEY, vote_index, (a, b, c, d)
-                        )
+    p = vote.prefers
+    for a, b, c, d in combinations(axis.order, 4):
+        if (p(a, b) and p(d, c)) or (p(a, c) and p(d, b)):
+            return ValleyWitness(WitnessKind.U_VALLEY, vote_index, (a, b, c, d))
     return None
 
 
 def has_v_valley(vote, axis, vote_index=0):
-    """First v-valley of ``vote`` on ``axis`` in lexicographic position order."""
+    """First v-valley of ``vote`` on ``axis`` in lexicographic position order;
+    a ranked vote is scanned only when its v-valley row rule flags one."""
     if vote.has_ranks() and not v_valley_rows(_rank_row(vote, list(axis.order)))[0]:
         return None
     return _lex_v_valley(vote, axis, vote_index)
@@ -211,38 +198,28 @@ def has_u_valley(vote, axis, vote_index=0):
 
 def has_nonpeak_plateau(vote, axis, vote_index=0):
     """First nonpeak plateau of ``vote`` on ``axis``."""
-    order = axis.order
-    m = len(order)
-    for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            for k in range(j + 1, m):
-                x, y, z = order[i], order[j], order[k]
-                if (
-                    vote.prefers(x, y) and not vote.prefers(y, z) and not vote.prefers(z, y)
-                ) or (
-                    vote.prefers(z, y) and not vote.prefers(y, x) and not vote.prefers(x, y)
-                ):
-                    return ValleyWitness(
-                        WitnessKind.NONPEAK_PLATEAU, vote_index, (x, y, z)
-                    )
+    p = vote.prefers
+    for x, y, z in combinations(axis.order, 3):
+        if (p(x, y) and not p(y, z) and not p(z, y)) or (
+            p(z, y) and not p(y, x) and not p(x, y)
+        ):
+            return ValleyWitness(WitnessKind.NONPEAK_PLATEAU, vote_index, (x, y, z))
     return None
 
 
 def has_plateau(vote, axis, vote_index=0):
     """First axis-adjacent indifferent pair."""
     r = vote.ranks
-    for i in range(len(axis) - 1):
-        if r[axis[i]] == r[axis[i + 1]]:
-            return ValleyWitness(
-                WitnessKind.PLATEAU, vote_index, (axis[i], axis[i + 1])
-            )
+    for a, b in pairwise(axis.order):
+        if r[a] == r[b]:
+            return ValleyWitness(WitnessKind.PLATEAU, vote_index, (a, b))
     return None
 
 
 def _witness(notion, vote, axis, vote_index):
     """The flagged vote's first v-valley, else its first substructure of the
     notion's own kind."""
-    witness = _lex_v_valley(vote, axis, vote_index)
+    witness = has_v_valley(vote, axis, vote_index)
     if witness is None:
         if notion == Notion.BLACK:
             witness = has_plateau(vote, axis, vote_index)

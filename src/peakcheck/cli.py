@@ -243,10 +243,16 @@ def _print_result(source, verdict, stats, names, as_json, out=None):
     status = "consistent" if verdict.consistent else "not consistent"
     out.write(f"{source}: {status} [{verdict.notion.value}/{verdict.algorithm}]")
     if verdict.axis is not None:
-        labels = [names[c] if c < len(names) else str(c + 1) for c in verdict.axis]
+        labels = [preflib.candidate_name(c, names) for c in verdict.axis]
         out.write("  axis: " + " > ".join(labels))
     elif verdict.certificate is not None:
-        out.write(f"  certificate: {verdict.certificate}")
+        cert = preflib.certificate_record(verdict.certificate, names)
+        where = "" if cert["vote"] is None else f" in vote {cert['vote']}"
+        if "candidates" in cert:
+            what = ", ".join(cert["candidates"])
+        else:
+            what = cert["reason"] + (f" ({cert['detail']})" if cert["detail"] else "")
+        out.write(f"  certificate: {cert['kind']}{where}: {what}")
     out.write(f"  ({stats['wall_time_ms']:.1f} ms)\n")
 
 

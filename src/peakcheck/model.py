@@ -418,6 +418,11 @@ class Profile:
         matrix, so it is not built again from the votes.
         """
         ranks = np.asarray(ranks)
+        if ranks.ndim != 2 or not np.issubdtype(ranks.dtype, np.integer):
+            raise ValueError(
+                "expected an n×m integer matrix of bucket indices, "
+                f"got a {ranks.ndim}-D array of {ranks.dtype}"
+            )
         n, m = ranks.shape
         if not (n and m):
             return cls(m, ())  # refused with the constructor's own message

@@ -65,9 +65,12 @@ class Bitset(int):
 
     @classmethod
     def of(cls, cols):
-        """The bitset of the distinct column indices ``cols``."""
+        """The bitset of the distinct column indices ``cols``.  Raises
+        ValueError on a negative column."""
         mask = 0
         for c in cols:
+            if c < 0:
+                raise ValueError(f"column {c} is out of range: columns are non-negative")
             mask |= 1 << c
         return cls(mask)
 
@@ -154,9 +157,9 @@ class PQTree:
 
         ``cols`` is a sized collection of distinct column indices; a
         ``Bitset`` is used as it is, any other collection is converted to
-        one.  Raises ValueError if a column is not below ``m``.  Returns
-        False if the restriction is impossible; the tree is then left in an
-        unspecified state and must not be reduced further.
+        one.  Raises ValueError if a column is negative or not below ``m``.
+        Returns False if the restriction is impossible; the tree is then left
+        in an unspecified state and must not be reduced further.
         """
         row = cols if isinstance(cols, Bitset) else Bitset.of(cols)
         if row >> self.m:
@@ -359,7 +362,8 @@ def solve_c1p_sets(rows, m):
     per distinct upper set of a vote, not one per candidate, and ``c1p``
     passes the distinct rows cut into a circular-ones instance on ``m + 1``
     columns, in which every row holding the cut column is replaced by its
-    complement.  A row with a column not below ``m`` raises ValueError.
+    complement.  A row with a negative column or one not below ``m``
+    raises ValueError.
     """
     tree = PQTree(m)
     for row in sorted(rows, key=len):

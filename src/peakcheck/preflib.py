@@ -381,37 +381,41 @@ def parse_any(text):
     return profile, names
 
 
+def candidate_name(c, names):
+    """The name of candidate ``c``, or its 1-based number if it has none."""
+    return names[c] if c < len(names) else str(c + 1)
+
+
+def certificate_record(certificate, names):
+    """A certificate as a plain record with candidate names: a witness's kind,
+    vote and candidates, or a refusal's reason, vote and detail."""
+    if isinstance(certificate, ValleyWitness):
+        return {
+            "kind": certificate.kind.value,
+            "vote": certificate.vote_index,
+            "candidates": [candidate_name(c, names) for c in certificate.candidates],
+        }
+    if isinstance(certificate, Refusal):
+        return {
+            "kind": "refusal",
+            "reason": certificate.reason,
+            "vote": certificate.vote_index,
+            "detail": certificate.detail,
+        }
+    return None
+
+
 def write_verdict_json(verdict, stats=None, names=None):
     """Versioned machine-readable verdict record."""
     stats = stats or {}
     names = names or []
-
-    def name_of(c):
-        return names[c] if c < len(names) else str(c + 1)
-
-    certificate = None
-    if verdict.certificate is not None:
-        cert = verdict.certificate
-        if isinstance(cert, ValleyWitness):
-            certificate = {
-                "kind": cert.kind.value,
-                "vote": cert.vote_index,
-                "candidates": [name_of(c) for c in cert.candidates],
-            }
-        elif isinstance(cert, Refusal):
-            certificate = {
-                "kind": "refusal",
-                "reason": cert.reason,
-                "vote": cert.vote_index,
-                "detail": cert.detail,
-            }
     payload = {
         "schema_version": 1,
         "notion": verdict.notion.value,
         "algorithm": verdict.algorithm,
         "verdict": "consistent" if verdict.consistent else "not_consistent",
-        "axis": [name_of(c) for c in verdict.axis] if verdict.axis else None,
-        "certificate": certificate,
+        "axis": [candidate_name(c, names) for c in verdict.axis] if verdict.axis else None,
+        "certificate": certificate_record(verdict.certificate, names),
     }
     payload.update(stats)
     return json.dumps(payload, indent=2) + "\n"

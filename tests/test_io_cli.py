@@ -304,6 +304,29 @@ def test_cli_axis_file_must_order_every_candidate_once(tmp_path, capsys, axis_te
 
 
 @pytest.mark.parametrize(
+    "ballot, notion, line",
+    [
+        ("1,2,3", "psp", "certificate: v_valley in vote 0: a, c, b  ("),
+        (
+            "{1,2,3}",
+            "necessary",
+            "certificate: refusal in vote 0: top indifference class larger than two  (",
+        ),
+    ],
+)
+def test_cli_text_certificate_names_its_candidates(tmp_path, capsys, ballot, notion, line):
+    # the text line reads the certificate record --json writes, with names
+    election = tmp_path / "named.toc"
+    names = "".join(f"# ALTERNATIVE NAME {i}: {c}\n" for i, c in enumerate("abc", 1))
+    election.write_text(f"# NUMBER ALTERNATIVES: 3\n{names}1: {ballot}\n")
+    axis_file = tmp_path / "axis.txt"
+    axis_file.write_text("a c b\n")
+    rc = main(["recognize", str(election), "--axis", str(axis_file), "--notion", notion])
+    assert rc == 1
+    assert line in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         {"m": 3, "votes": []},

@@ -492,3 +492,13 @@ def test_from_rank_matrix_with_a_skipped_level_is_not_total():
 def test_from_rank_matrix_refuses_an_empty_matrix_by_name(shape, message):
     with pytest.raises(ValueError, match=message):
         Profile.from_rank_matrix(np.zeros(shape, np.int32))
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [np.zeros(3, np.int32), np.zeros((2, 2, 2), np.int32), [[0, 1.5]]],
+    ids=["1-D", "3-D", "float"],
+)
+def test_from_rank_matrix_refuses_a_non_integer_or_non_matrix_input(ranks):
+    with pytest.raises(ValueError, match="expected an n×m integer matrix"):
+        Profile.from_rank_matrix(ranks)

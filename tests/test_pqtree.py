@@ -25,9 +25,12 @@ def test_trivial_cases():
     assert solve_c1p_sets([{0, 1, 2}], 3) is not None
 
 
-@pytest.mark.parametrize("rows, m, col", [([{0, 1, 2, 7}], 4, 7), ([{0, 5}], 3, 5)])
+@pytest.mark.parametrize(
+    "rows, m, col", [([{0, 1, 2, 7}], 4, 7), ([{0, 5}], 3, 5), ([{-1, 2}], 4, -1)]
+)
 def test_out_of_range_column_is_refused(rows, m, col):
-    # {0, 1, 2, 7} has as many columns as m = 4 and must not pass as a full row
+    # {0, 1, 2, 7} has as many columns as m = 4 and must not pass as a full
+    # row; a negative column is named too, not left to the bit shift
     with pytest.raises(ValueError, match=f"column {col} is out of range"):
         solve_c1p_sets(rows, m)
 
