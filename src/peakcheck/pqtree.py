@@ -6,19 +6,32 @@ only read forwards or backwards.  Reducing the tree by each row's column set
 restricts the represented permutations to those where the set is consecutive;
 the tree's frontier after all reductions is a witnessing permutation.
 
-Every node keeps the bitmask of its leaf columns, and a Q-node caches the
-running OR of its children's masks until its child list changes.  A
-reduction climbs from the row's lowest leaf to the first node covering the
-row, the pertinent root, and works top-down from there after Booth and
-Lueker (1976, *JCSS* 13).  Each child is empty, full or partial by one test
-of its mask against the row; a Q-node finds the run of children the row
-meets by two binary searches over its prefixes, and one more mask test
-tells whether the children inside the run are full.  So only partial
-children are descended into, and below the pertinent root each partial node
-may have one partial child.  That chain is reduced bottom-up by the P3, P5
-and Q2 templates, then the pertinent root by P2, P4, P6 or Q3.  A row that
-is all of the pertinent root, or a run of full children of a Q-node root,
-leaves the tree as it was.
+Every node keeps the bitmask of its leaf columns.  A Q-node lists its
+children in order and caches the running OR of their masks.  A P-node holds
+its leaf children as one bitmask of their columns and lists only its other
+children, so the leaves a row meets in it are one mask operation away and a
+leaf the row misses is never visited.  A reduction climbs from the row's
+lowest leaf to the first node covering the row, the pertinent root, and works
+top-down from there after Booth and Lueker (1976, *JCSS* 13).  Each listed
+child is empty, full or partial by one test of its mask against the row.  At
+a Q-node root the run of children the row meets comes from two binary
+searches over the prefixes, and one more mask test tells whether the
+children inside the run are full.  Below the pertinent root a partial Q-node
+must meet the row in a run at one of its ends, found by walking in from the
+other end.  So only partial children are descended into, and below the
+pertinent root each partial node may have one partial child.  That chain is
+reduced bottom-up by the P3, P5 and Q2 templates, then the pertinent root by
+P2, P4, P6 or Q3.  A P-node's full leaves are visited once, to move them into
+their new group.  A row that is all of the pertinent root, or a run of full
+children of a Q-node root, leaves the tree as it was.
+
+A P-node's listed children keep their place among its leaves as a sort key,
+and its leaves keep theirs as their columns, which stay ascending: a child
+regrouped as full is keyed by its lowest column, one hung at the right end by
+P2, P4 or P6 by a counter that starts at ``m``, and one put in another's place
+takes that one's key.  ``frontier`` merges the two sequences by key.  Q3
+splices the reduced children in where a partial child was; they cover what it
+covered, so it patches only their stretch of the cached prefixes.
 
 The witness depends on two orders: a P-node template orders the full
 children it regroups by their lowest column, and at a P-node root with two
@@ -76,45 +89,31 @@ class Bitset(int):
 
 
 class _Node:
-    __slots__ = ("kind", "children", "parent", "col", "mask", "prefix")
+    __slots__ = ("kind", "children", "leaves", "parent", "col", "key", "mask",
+                 "prefix")
 
-    def __init__(self, kind, children=None, col=None):
+    def __init__(self, kind, children=None, leaves=0, col=None):
         self.kind = kind  # 'P', 'Q' or 'L'
+        # a Q-node lists all its children in order; a P-node holds its leaf
+        # children as the bitmask ``leaves`` of their columns and lists only
+        # its other children, ascending by ``key`` (see ``PQTree._ordered``)
         self.children = children or []
+        self.leaves = leaves
         self.parent = None
         self.col = col
+        self.key = col
         # bitmask of the node's leaf columns; for a Q-node, ``prefix`` caches
         # the running OR of its children's masks and is None until needed
-        self.mask = 1 << col if kind == "L" else 0
+        self.mask = 1 << col if kind == "L" else leaves
         self.prefix = None
         for ch in self.children:
             ch.parent = self
             self.mask |= ch.mask
 
 
-def _group(nodes, parent):
-    """One child of ``parent`` standing for ``nodes``: itself or a P-node."""
-    node = nodes[0] if len(nodes) == 1 else _Node("P", children=nodes)
-    node.parent = parent
-    return node
-
-
 def _adopt(node, children):
     for ch in children:
         ch.parent = node
-
-
-def _reduce_p(node, part, empties, fulls):
-    """P3 and P5: a partial P-node below the pertinent root becomes a Q-node
-    of its empty children, its partial child's children and its full ones."""
-    merged = [_group(empties, node)] if empties else []
-    if part is not None:
-        _adopt(node, part.children)
-        merged += part.children
-    if fulls:
-        merged.append(_group(fulls, node))
-    node.kind = "Q"
-    node.children = merged
 
 
 def _reduce_q(node, part, start, turn):
@@ -127,6 +126,7 @@ def _reduce_q(node, part, start, turn):
         _adopt(node, part.children)
         children[start : start + 1] = part.children
     node.prefix = None
+    return node
 
 
 class PQTree:
@@ -135,15 +135,51 @@ class PQTree:
     def __init__(self, m):
         self.m = m
         self.leaves = [_Node("L", col=c) for c in range(m)]
-        if m == 1:
-            self.root = self.leaves[0]
+        # the next key of a child hung at the right end of a P-node, above
+        # every column and every key given before
+        self.next_key = m
+        self.root = self._group((1 << m) - 1, [], None) if m else _Node("P")
+
+    def _ordered(self, node):
+        """The children of ``node`` left to right.  A P-node's leaf children
+        take their columns as keys, so its two sequences merge by key."""
+        if node.kind == "Q":
+            return node.children
+        leaves = [self.leaves[c] for c in Bitset(node.leaves)]
+        return sorted(leaves + node.children, key=operator.attrgetter("key"))
+
+    def _group(self, leaves, nodes, parent):
+        """One child of ``parent`` standing for the leaves of the columns in
+        the bitmask ``leaves`` and the other children ``nodes``: the only one
+        of them, or a P-node of them all, each keyed by its lowest column."""
+        if not nodes and leaves & (leaves - 1) == 0:
+            node = self.leaves[leaves.bit_length() - 1]
+        elif not leaves and len(nodes) == 1:
+            node = nodes[0]
         else:
-            self.root = _Node("P", children=list(self.leaves))
+            for ch in nodes:
+                ch.key = (ch.mask & -ch.mask).bit_length() - 1
+            nodes.sort(key=operator.attrgetter("key"))
+            node = _Node("P", nodes, leaves)
+            while leaves:  # a few leaves: cheaper than unpacking the mask
+                low = leaves & -leaves
+                self.leaves[low.bit_length() - 1].parent = node
+                leaves ^= low
+        node.parent = parent
+        return node
+
+    def _hang(self, node, child):
+        """Put ``child`` at the right end of the P-node ``node``."""
+        child.parent = node
+        child.key = self.next_key
+        self.next_key += 1
+        node.children.append(child)
 
     def _replace(self, old, new):
-        """Put ``new`` where ``old`` hangs in the tree."""
+        """Put ``new`` where the inner node ``old`` hangs in the tree."""
         parent = old.parent
         new.parent = parent
+        new.key = old.key
         if parent is None:
             self.root = new
         else:
@@ -220,9 +256,36 @@ class PQTree:
         return (first, last) if inner & row == inner else None
 
     @staticmethod
+    def _end_run(node, row):
+        """``(part, start, turn)`` for the partial Q-node ``node`` below the
+        pertinent root, or None.  The children meeting ``row`` must be a run
+        at one end of the node, all inside the row but for one partial child
+        ``part`` at the run's inner end; the node is to be turned if the run
+        is at its left end, and ``start`` is the index of ``part`` once it is.
+
+        The children outside the run are walked in from the other end, and
+        one mask test tells whether all beyond the first child meeting the
+        row are inside it.  No prefix list is built."""
+        children = node.children
+        first = children[0].mask
+        # with both ends in the row, the partial one is the run's inner end
+        turn = not children[-1].mask & row or first & row == first
+        rest = node.mask
+        for start, ch in enumerate(reversed(children) if turn else children):
+            cut = ch.mask & row
+            if cut:
+                part = ch if cut != ch.mask else None
+                if part is not None:
+                    rest ^= ch.mask
+                return None if rest & ~row else (part, start, turn)
+            rest ^= ch.mask
+        return None
+
+    @staticmethod
     def _split(node, row):
-        """The children of ``node`` outside ``row``, inside it and partly in
-        it, as three lists.  The ones inside are ordered by lowest column."""
+        """The full leaf children of the P-node ``node`` as a bitmask, and
+        its other children outside ``row``, inside it and partly in it, as
+        three lists.  The empty leaves are never visited."""
         empties, fulls, parts = [], [], []
         for ch in node.children:
             cut = ch.mask & row
@@ -232,58 +295,65 @@ class PQTree:
                 fulls.append(ch)
             else:
                 parts.append(ch)
-        fulls.sort(key=lambda ch: ch.mask & -ch.mask)
-        return empties, fulls, parts
+        return node.leaves & row, empties, fulls, parts
+
+    def _reduce_p(self, node, part, cut, empties, fulls, row):
+        """P3 and P5: a partial P-node below the pertinent root becomes a
+        Q-node of its empty children, its partial child's children and its
+        full ones.  Two or more empty children stay in ``node``, so its empty
+        leaves keep their parent, and a new Q-node holds it."""
+        rest = node.leaves ^ cut
+        if rest.bit_count() + len(empties) > 1:
+            node.leaves, node.children = rest, empties
+            node.mask &= ~(row | part.mask) if part is not None else ~row
+            merged = [node]
+        else:
+            merged = [self.leaves[rest.bit_length() - 1]] if rest else empties
+        if part is not None:
+            merged += part.children
+        if cut or fulls:
+            merged.append(self._group(cut, fulls, None))
+        return _Node("Q", merged)
 
     def _reduce_partial(self, node, row):
-        """Make the partial ``node`` below the pertinent root a Q-node that
-        reads from its children outside ``row`` to those inside, or return
-        False.  Each partial node on the way down may have one partial
-        child; the chain is collected top-down and reduced bottom-up."""
+        """Reduce the partial ``node`` below the pertinent root to a Q-node
+        that reads from its children outside ``row`` to those inside, and
+        return that Q-node, or None.  Each partial node on the way down may
+        have one partial child; the chain is collected top-down and reduced
+        bottom-up, each template taking the Q-node the one below returned."""
         chain = []
         while node is not None:
             if node.kind == "P":
-                empties, fulls, parts = self._split(node, row)
+                cut, empties, fulls, parts = self._split(node, row)
                 if len(parts) > 1:
-                    return False
-                part = parts[0] if parts else None
-                chain.append((_reduce_p, node, part, empties, fulls))
+                    return None
+                chain.append((self._reduce_p, node, cut, empties, fulls, row))
+                node = parts[0] if parts else None
             else:
-                run = self._run(node, row)
+                run = self._end_run(node, row)
                 if run is None:
-                    return False
-                first, last = run
-                children = node.children
-                left, right = children[first], children[last]
-                part = left if left.mask & ~row else None
-                if right is not left and right.mask & ~row:
-                    if part is not None:
-                        return False
-                    part = right
-                # orient the node so that the run ends at its right end,
-                # with a partial child at the run's inner (left) end
-                if last == len(children) - 1 and (part is None or part is left):
-                    chain.append((_reduce_q, node, part, first, False))
-                elif first == 0 and (part is None or part is right):
-                    chain.append((_reduce_q, node, part, len(children) - 1 - last, True))
-                else:
-                    return False
-            node = part
-        for template, *args in reversed(chain):
-            template(*args)
-        return True
+                    return None
+                part, start, turn = run
+                chain.append((_reduce_q, node, start, turn))
+                node = part
+        below = None
+        for template, node, *args in reversed(chain):
+            below = template(node, below, *args)
+        return below
 
     def _reduce_p_root(self, node, row):
         """P2, P4 and P6: the pertinent root is a P-node."""
-        empties, fulls, parts = self._split(node, row)
+        cut, empties, fulls, parts = self._split(node, row)
+        node.leaves ^= cut
+        node.children = empties
         if not parts:
             # P2: the full children become one P-node
-            empties.append(_group(fulls, node))
-            node.children = empties
+            self._hang(node, self._group(cut, fulls, None))
             return True
         if len(parts) > 2:
             return False
-        if not all(self._reduce_partial(p, row) for p in parts):
+        parts = [self._reduce_partial(p, row) for p in parts]
+        if None in parts:
             return False
         # P4/P6: one Q-node holds the partial children and the full ones; of
         # two partial children, the one with the larger lowest row column
@@ -293,8 +363,8 @@ class PQTree:
             if a & -a < b & -b:
                 parts.reverse()
         q = parts[0]
-        if fulls:
-            group = _group(fulls, q)
+        if cut or fulls:
+            group = self._group(cut, fulls, q)
             q.children.append(group)
             q.mask |= group.mask
         if len(parts) == 2:
@@ -304,9 +374,8 @@ class PQTree:
             q.children.extend(moved)
             q.mask |= parts[1].mask
         q.prefix = None
-        if empties:
-            empties.append(q)
-            node.children = empties
+        if node.leaves or empties:
+            self._hang(node, q)
         else:
             self._replace(node, q)
         return True
@@ -318,17 +387,25 @@ class PQTree:
             return False
         first, last = run
         children = node.children
-        left, right = children[first], children[last]
-        for i, end in ((last, right), (first, left)):
+        for i in (last, first):
+            end = children[i]
             if end.mask & ~row:
-                if not self._reduce_partial(end, row):
+                end = self._reduce_partial(end, row)
+                if end is None:
                     return False
                 grand = end.children  # full side last
-                if end is right:
+                if i == last:
                     grand.reverse()
                 _adopt(node, grand)
                 children[i : i + 1] = grand
-                node.prefix = None
+                # ``grand`` covers what ``end`` covered, so only the prefixes
+                # of the spliced-in children are new
+                prefix = node.prefix
+                masks = (ch.mask for ch in grand)
+                prefix[i : i + 1] = itertools.accumulate(
+                    masks, operator.or_, initial=prefix[i - 1] if i else 0
+                )
+                del prefix[i]  # the initial value
         return True
 
     # -- output ------------------------------------------------------------
@@ -342,7 +419,7 @@ class PQTree:
             if node.kind == "L":
                 out.append(node.col)
             else:
-                stack.extend(reversed(node.children))
+                stack.extend(reversed(self._ordered(node)))
         return out
 
 
@@ -357,13 +434,16 @@ def solve_c1p_sets(rows, m):
 
     A ``Bitset`` row is tested as it is, with no pass over its cells; a row
     of another type is first converted to one.  A row the tree does not
-    already keep consecutive costs a pass over the children of each node it
-    partly covers.  Callers pass few rows: ``c1p.recognize`` passes one row
-    per distinct upper set of a vote, not one per candidate, and ``c1p``
-    passes the distinct rows cut into a circular-ones instance on ``m + 1``
-    columns, in which every row holding the cut column is replaced by its
-    complement.  A row with a negative column or one not below ``m``
-    raises ValueError.
+    already keep consecutive costs, in each node it partly covers, a pass
+    over the node's listed children if it is a P-node, whose leaf children
+    are one mask, and a walk over the children outside the row's run if it
+    is a Q-node below the pertinent root; the full leaves of a P-node are
+    visited once, to move them into their new group.  Callers pass few
+    rows: ``c1p.recognize`` passes one row per distinct upper set of a vote,
+    not one per candidate, and ``c1p`` passes the distinct rows cut into a
+    circular-ones instance on ``m + 1`` columns, in which every row holding
+    the cut column is replaced by its complement.  A row with a negative
+    column or one not below ``m`` raises ValueError.
     """
     tree = PQTree(m)
     for row in sorted(rows, key=len):

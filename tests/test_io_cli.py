@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_local_weak
+import peakcheck
 from peakcheck.cli import ALGORITHMS, applicable_engines, dispatch, main
 from peakcheck.errors import (
     ClassError,
@@ -211,6 +215,35 @@ def test_applicable_engines_agree():
         assert engines, "oracle always applies at this size"
         bits = {name: runner(prof).consistent for name, runner in engines}
         assert len(set(bits.values())) == 1, bits
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # a consistent weak-order profile
+        "# NUMBER ALTERNATIVES: 3\n1: 1,2,3\n1: 2,3,1\n1: 3,1,2\n",
+    ],
+)
+def test_python_m_peakcheck_matches_main(tmp_path, capsys, text):
+    # ``python -m peakcheck`` runs the package's __main__, with no warning
+    # about ``peakcheck.cli`` being imported twice, and answers as ``main``
+    path = tmp_path / "profile.toc"
+    path.write_text(text or write_preflib(random_sp_profile(8, 6, "psp", 0.5, seed=3)))
+    rc = main(["recognize", str(path), "--json"])
+    expected = json.loads(capsys.readouterr().out)
+    src = os.path.dirname(os.path.dirname(peakcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "peakcheck",
+         "recognize", str(path), "--json"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.stderr == ""
+    assert run.returncode == rc == (0 if text is None else 1)
+    got = json.loads(run.stdout)
+    for payload in (got, expected):
+        del payload["wall_time_ms"]
+    assert got == expected
 
 
 def test_cli_end_to_end(tmp_path, capsys):

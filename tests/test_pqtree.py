@@ -233,11 +233,12 @@ def test_repeated_rows_in_any_column_order_agree_with_backtracking():
     run()
 
 
-def _shape(node):
-    """The tree below ``node`` as nested kind and leaf tuples, in child order."""
+def _shape(tree, node):
+    """The tree below ``node`` as nested kind and leaf tuples, its children
+    in frontier order."""
     if node.kind == "L":
         return node.col
-    return node.kind, tuple(_shape(ch) for ch in node.children)
+    return node.kind, tuple(_shape(tree, ch) for ch in tree._ordered(node))
 
 
 def _assert_keeps_is_exact(m, rows):
@@ -247,9 +248,9 @@ def _assert_keeps_is_exact(m, rows):
     tree = PQTree(m)
     for row in rows:
         if 1 < len(row) < m:
-            before = _shape(tree.root)
+            before = _shape(tree, tree.root)
             reduced = copy.deepcopy(tree)
-            unchanged = reduced.reduce(row) and _shape(reduced.root) == before
+            unchanged = reduced.reduce(row) and _shape(reduced, reduced.root) == before
             assert tree._keeps(sum(1 << c for c in row)) == unchanged
         if not tree.reduce(row):
             return
@@ -303,8 +304,9 @@ def test_hypothesis_keeps_is_exact():
 
 
 def _assert_tree_invariants(tree):
-    """Masks, parent links and cached Q-node prefixes agree with the children.
-    Returns the number of cached prefix lists checked."""
+    """Masks, parent links, P-node leaf masks and keys, and cached Q-node
+    prefixes agree with the children.  Returns the number of cached prefix
+    lists checked."""
     assert tree.root.parent is None
     assert sorted(tree.frontier()) == list(range(tree.m))
     cached = 0
@@ -313,10 +315,23 @@ def _assert_tree_invariants(tree):
         node = stack.pop()
         if node.kind == "L":
             assert node.mask == 1 << node.col and not node.children
+            assert node.key == node.col
             continue
         masks = [ch.mask for ch in node.children]
-        assert node.mask == functools.reduce(operator.or_, masks)
+        assert node.mask == functools.reduce(operator.or_, masks, node.leaves)
         assert all(ch.parent is node for ch in node.children)
+        if node.kind == "P":
+            # the leaves are held in the mask alone, every one of them with
+            # this node as its parent, and the other children are listed
+            # ascending by key, apart from every leaf column
+            cols = [c for c in range(tree.m) if node.leaves >> c & 1]
+            assert all(tree.leaves[c].parent is node for c in cols)
+            assert all(ch.kind != "L" for ch in node.children)
+            keys = [ch.key for ch in node.children]
+            assert keys == sorted(set(keys)) and not set(keys) & set(cols)
+            assert len(cols) + len(keys) >= 2
+        else:
+            assert node.leaves == 0
         if node.prefix is not None:
             assert node.kind == "Q"
             assert node.prefix == list(itertools.accumulate(masks, operator.or_))
@@ -384,3 +399,18 @@ def test_frontiers_are_pinned():
             axes.append(verdict.axis.order)
     digest = hashlib.sha256(repr((frontiers, axes)).encode()).hexdigest()
     assert digest == "a4a7c0292d9ab975f01518c0f409683c47621cacc281fd3a3fb524376394646f"
+    # the same rows reduced in the order given, not smallest first: only then
+    # can a P-node root whose children all meet the row hang in a P-node
+    in_order = []
+    for rows, m in _pinned_row_sequences():
+        tree = PQTree(m)
+        in_order.append(tree.frontier() if all(map(tree.reduce, rows)) else None)
+    digest = hashlib.sha256(repr(in_order).encode()).hexdigest()
+    assert digest == "5a8110194b6743fdbc24625562e9927ce74eab0d1794386405a32cc2ba9bc326"
+    # wide P-node pertinent roots: hundreds of leaf children, few in the row
+    wide = [
+        c1p.recognize(random_sp_profile(500, 100, "psp", 0.9, s)).axis.order
+        for s in range(3)
+    ]
+    digest = hashlib.sha256(repr(wide).encode()).hexdigest()
+    assert digest == "965f6e5025de860629f45b4af91fd91a468949a1a23a49fc3061fd897e387f87"
