@@ -35,7 +35,6 @@ from .errors import (
     CycleError,
     HardnessError,
     InternalError,
-    NoIntersectionError,
     NoTotalOrderError,
     ParseError,
     PeakcheckError,

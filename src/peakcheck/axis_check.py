@@ -27,6 +27,9 @@ u/v-valley test.  Then the first flagged vote alone is scanned for its
 witness over candidate pairs, triples or quadruples in lexicographic axis
 position, so certificates are deterministic.  A ranked vote is scanned for a
 v-valley only when :func:`v_valley_rows` flags one.
+
+Every engine answers "yes" through :func:`verified`, which re-checks the
+engine's axis here and turns a bad one into an :class:`InternalError`.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 
 from .errors import AxisError, ClassError, InternalError, WitnessError
 from .model import (
+    Axis,
     Notion,
     OrderClass,
     PreferenceOrder,
@@ -296,6 +300,28 @@ def check_on_axis(profile, axis, notion=Notion.PSP):
     if notion == Notion.BLACK:
         return check_black_on_axis(profile, axis)
     return check_necessary_on_axis(profile, axis)
+
+
+def verified(profile, order, algorithm, notion=Notion.PSP):
+    """The "yes" of engine ``algorithm``: ``order`` as an axis that the
+    ``notion`` verifier accepts.  An order that is not a permutation of the
+    profile's candidates, or an axis the verifier rejects, is a fault of the
+    engine and raises :class:`InternalError`."""
+    notion = Notion(notion)
+    try:
+        axis = Axis(order)
+    except ValueError:
+        axis = None
+    if axis is None or axis.m != profile.m:
+        raise InternalError(
+            f"{algorithm} engine returned an order that is not a permutation"
+            f" of the profile's {profile.m} candidates"
+        )
+    if not check_on_axis(profile, axis, notion):
+        raise InternalError(
+            f"{algorithm} engine produced an axis that fails the {notion.value} check"
+        )
+    return Verdict.yes(axis, notion=notion, algorithm=algorithm)
 
 
 # ---------------------------------------------------------------------------

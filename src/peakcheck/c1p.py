@@ -35,7 +35,7 @@ import numpy as np
 
 from . import axis_check
 from .errors import ClassError, InternalError
-from .model import Axis, Notion, OrderClass, Refusal, Verdict
+from .model import Notion, OrderClass, Refusal, Verdict
 from .pqtree import Bitset, solve_c1p_sets
 
 
@@ -219,13 +219,19 @@ def _solve(packed, m):
     bits = bits[(size > 1) & (size < m)]
     c = _cut_column(bits, m)
     if c is None:
-        return _checked(solve_c1p_sets(_bitsets(bits), m), m)
+        return solve_c1p_sets(_bitsets(bits), m)
     holds_c = bits[:, c] == 1
     bits[holds_c] ^= 1
     rows = _bitsets(np.column_stack((bits, holds_c)))
-    perm = _checked(solve_c1p_sets(rows, m + 1), m + 1)
+    perm = solve_c1p_sets(rows, m + 1)
     if perm is None:
         return None
+    # z must be a column of the frontier before it is rotated there
+    if sorted(perm) != list(range(m + 1)):
+        raise InternalError(
+            f"consecutive-ones solver returned a frontier that does not order"
+            f" the {m + 1} columns"
+        )
     z = perm.index(m)
     return perm[z + 1 :] + perm[:z]
 
@@ -254,16 +260,6 @@ def _bitsets(bits):
     return [from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
-def _checked(perm, width):
-    """``perm`` if it is None or orders columns ``0..width-1``."""
-    if perm is not None and sorted(perm) != list(range(width)):
-        raise InternalError(
-            f"consecutive-ones solver returned a frontier that does not order"
-            f" the {width} columns"
-        )
-    return perm
-
-
 def recognize(profile, notion=Notion.PSP):
     """Consistency of a weak-order profile with ``notion``: build the notion's
     matrix, solve it, and verify the axis with the notion's axis check.
@@ -289,10 +285,7 @@ def recognize(profile, notion=Notion.PSP):
             notion=notion,
             algorithm="c1p",
         )
-    axis = Axis(tuple(perm))
-    if not axis_check.check_on_axis(profile, axis, notion):
-        raise InternalError("consecutive-ones solver produced an invalid axis")
-    return Verdict.yes(axis, notion=notion, algorithm="c1p")
+    return axis_check.verified(profile, perm, "c1p", notion)
 
 
 def recognize_psp_c1p(profile):

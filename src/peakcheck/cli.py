@@ -156,20 +156,11 @@ def _read_axis(path, names):
     return Axis(tuple(order))
 
 
-# order-class names of --seed-corpus and generate --class
-_ORDER_CLASSES = {
-    "total": OrderClass.TOTAL, "soc": OrderClass.TOTAL,
-    "top": OrderClass.TOP, "toi": OrderClass.TOP, "soi": OrderClass.TOP,
-    "weak": OrderClass.WEAK, "toc": OrderClass.WEAK,
-    "localweak": OrderClass.LOCAL_WEAK, "partial": OrderClass.PARTIAL,
-}
-
-
 def _order_class(name):
-    key = name.strip().lower()
-    if key not in _ORDER_CLASSES:
-        raise PeakcheckError(f"unknown class {key!r}")
-    return _ORDER_CLASSES[key]
+    try:
+        return OrderClass(name)
+    except ValueError:
+        raise PeakcheckError(f"unknown class {name.strip().lower()!r}") from None
 
 
 def _require_sizes(m, n):
@@ -306,11 +297,11 @@ def main(argv=None):
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_recognize(args)
-    except PeakcheckError as exc:
+    except (PeakcheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an engine bug, or a size that does not fit
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -37,10 +37,6 @@ class WitnessError(PeakcheckError):
         self.witness = witness
 
 
-class NoIntersectionError(PeakcheckError):
-    """No intersecting vote exists; indicates a disconnected component (internal bug)."""
-
-
 class AxisError(PeakcheckError):
     """An axis does not order exactly the candidates of the profile."""
 

@@ -25,8 +25,8 @@ buckets that can block.  A step is then one comparison of its row against
 the tops of both axis halves, and the left side is tested only when the
 right one is blocked or ``c_i`` is pinned left.
 
-The final axis goes through the axis verifier
-(``axis_check.is_possibly_sp_on_axis``), and an outside guiding vote through
+The final axis leaves through the engines' one exit,
+``axis_check.verified``, and an outside guiding vote is checked on it with
 ``axis_check.has_v_valley``; a valley there is an ``InternalError``.
 
 Endpoint pins (used by the unguided algorithm's subproblems) require the
@@ -47,13 +47,7 @@ import numpy as np
 
 from . import axis_check
 from .errors import ClassError, InternalError, PinError
-from .model import (
-    Axis,
-    OrderClass,
-    PreferenceOrder,
-    Refusal,
-    Verdict,
-)
+from .model import OrderClass, PreferenceOrder, Refusal, Verdict
 
 _BIG = np.iinfo(np.int32).max // 2
 # Rank cells handled at once: the placement builds the threshold rows for
@@ -163,8 +157,6 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
         raise PinError(
             "pinned-left candidate must be ranked second-to-last in the guiding vote"
         )
-    if m == 1:
-        return Verdict.yes(Axis((0,)), algorithm="guided")
 
     # rg[i, k] = bucket of candidate c_{i+1} in vote k of the profile
     rg = profile.rank_matrix().T[seq]
@@ -184,17 +176,15 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
             ),
             algorithm="guided",
         )
-    axis = Axis(tuple(order[i] for i in steps))
-    if (pin_left is not None and axis[0] != pin_left) or (
-        pin_right is not None and axis[-1] != pin_right
+    placed = [order[i] for i in steps]
+    if (pin_left is not None and placed[0] != pin_left) or (
+        pin_right is not None and placed[-1] != pin_right
     ):
         raise InternalError("guided placement moved a pinned endpoint")
-    if not axis_check.is_possibly_sp_on_axis(profile, axis) or (
-        guiding not in profile.votes
-        and axis_check.has_v_valley(guiding, axis) is not None
-    ):
-        raise InternalError("guided algorithm produced an invalid axis")
-    return Verdict.yes(axis, algorithm="guided")
+    verdict = axis_check.verified(profile, placed, "guided")
+    if guiding not in profile.votes and axis_check.has_v_valley(guiding, verdict.axis):
+        raise InternalError("guided engine's axis gives the guiding vote a valley")
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ class OrderClass(enum.IntEnum):
     """Order taxonomy, from most to least specific.
 
     ``TOTAL < TOP < WEAK < LOCAL_WEAK < PARTIAL``; every order of a class also
-    satisfies the predicates of all later (more general) classes.
+    satisfies the predicates of all later (more general) classes.  A class
+    is also built from its name in any case, with surrounding whitespace
+    ignored (``OrderClass(" LocalWeak")``), or from the PrefLib data type
+    that holds it (``soc``, ``soi``, ``toc``, ``toi``).
     """
 
     TOTAL = 0
@@ -33,6 +36,21 @@ class OrderClass(enum.IntEnum):
     WEAK = 2
     LOCAL_WEAK = 3
     PARTIAL = 4
+
+    @classmethod
+    def _missing_(cls, value):
+        if isinstance(value, str):
+            return _ORDER_CLASS_NAMES.get(value.strip().lower())
+        return None
+
+
+# order-class names, with the PrefLib data types that hold each class
+_ORDER_CLASS_NAMES = {
+    "total": OrderClass.TOTAL, "soc": OrderClass.TOTAL,
+    "top": OrderClass.TOP, "toi": OrderClass.TOP, "soi": OrderClass.TOP,
+    "weak": OrderClass.WEAK, "toc": OrderClass.WEAK,
+    "localweak": OrderClass.LOCAL_WEAK, "partial": OrderClass.PARTIAL,
+}
 
 
 class Notion(str, enum.Enum):
@@ -153,19 +171,15 @@ class PreferenceOrder:
     other as bitset rows (:meth:`rows`), so equal votes store equal fields.
     Rank buckets are dense: every constructor, and every caller that passes
     ``ranks`` to ``__init__``, stores ranks that use each level from 0 to
-    ``max(ranks)`` at least once.  Classification relies on it.
+    ``max(ranks)`` at least once.  Classification relies on it.  Strict
+    comparisons go through :meth:`from_pairs` only.
     """
 
     __slots__ = ("m", "_ranks", "_below", "_class", "_hash")
 
-    def __init__(self, m, ranks=None, pairs=None):
-        if (ranks is None) == (pairs is None):
-            raise ValueError("exactly one of ranks/pairs must be given")
-        if pairs is not None:
-            self._store(_closed_rows(pairs, m))
-        else:
-            self.m, self._ranks, self._below = m, tuple(ranks), None
-            self._class = self._hash = None
+    def __init__(self, m, ranks):
+        self.m, self._ranks, self._below = m, tuple(ranks), None
+        self._class = self._hash = None
 
     def _store(self, below):
         """Keep closed rows, as rank buckets if they form a weak order."""
@@ -184,7 +198,7 @@ class PreferenceOrder:
         Raises :class:`CycleError` if the closure violates asymmetry.  Orders
         whose incomparability is transitive are stored as rank buckets.
         """
-        return cls(m, pairs=pairs)
+        return cls.__new__(cls)._store(_closed_rows(pairs, m))
 
     @classmethod
     def from_ranks(cls, ranks):

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import axis_check
-from .errors import ClassError, InternalError, NoTotalOrderError
-from .model import Axis, OrderClass, Refusal, Verdict
+from .errors import ClassError, NoTotalOrderError
+from .model import OrderClass, Refusal, Verdict
 
 
 @dataclass
@@ -108,15 +108,12 @@ def recognize_lwo_with_total(profile):
             Refusal("pair-ordering constraints are unsatisfiable"),
             algorithm="twosat",
         )
-    # candidates sorted by how many others they are left of; the axis check
-    # below, not a transitivity scan, catches an assignment that is no order
+    # candidates sorted by how many others they are left of; the verified
+    # exit, not a transitivity scan, catches an assignment that is no order
     m = profile.m
     left_counts = [
         sum(assignment[c * m : (c + 1) * m]) - assignment[pair_var(c, c, m)]
         for c in range(m)
     ]
     order = sorted(range(m), key=lambda c: -left_counts[c])
-    axis = Axis(tuple(order))
-    if not axis_check.is_possibly_sp_on_axis(profile, axis):
-        raise InternalError("2-SAT assignment produced an invalid axis")
-    return Verdict.yes(axis, algorithm="twosat")
+    return axis_check.verified(profile, order, "twosat")

@@ -18,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import axis_check
-from .errors import ClassError, InternalError, NoIntersectionError
+from .errors import ClassError, InternalError
 from .guided import guided_recognize
 from .model import (
-    Axis,
     OrderClass,
     PreferenceOrder,
     Profile,
@@ -177,7 +176,7 @@ def intersecting_vote(index, axis_candidates):
     Prefers the set-maximal votes of the rightmost placed candidate, picking
     the one that does not rank the second-rightmost candidate above it; falls
     back to a profile-order scan.  Returns a vote index, or raises
-    :class:`NoIntersectionError` if none exists (impossible for a connected
+    :class:`InternalError` if none exists (impossible for a connected
     component).
     """
     ranks = index.profile.rank_matrix()
@@ -201,7 +200,9 @@ def intersecting_vote(index, axis_candidates):
     for k in range(index.profile.n):
         if qualifies(k):
             return k
-    raise NoIntersectionError("no intersecting vote; component is disconnected")
+    raise InternalError(
+        "unguided engine found no intersecting vote; component is disconnected"
+    )
 
 
 def _solve_component(profile, starts=None):
@@ -211,8 +212,6 @@ def _solve_component(profile, starts=None):
     candidates (used by tests replaying specific runs).
     """
     m = profile.m
-    if m == 1:
-        return [0]
     index = build_intersection_index(profile)
     if index.refusal is not None:
         return None
@@ -283,8 +282,4 @@ def unguided_recognize(profile):
                 algorithm="unguided",
             )
         order.extend(candidates[j] for j in part_axis)
-    axis = Axis(tuple(order))
-    verdict = axis_check.is_possibly_sp_on_axis(profile, axis)
-    if not verdict:
-        raise InternalError("unguided algorithm produced an invalid axis")
-    return Verdict.yes(axis, algorithm="unguided")
+    return axis_check.verified(profile, order, "unguided")

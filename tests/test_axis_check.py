@@ -35,8 +35,15 @@ from peakcheck.axis_check import (
     is_possibly_sp_on_axis,
     plateaued_rows,
     v_valley_rows,
+    verified,
 )
-from peakcheck.errors import AxisError, ClassError, PeakcheckError, WitnessError
+from peakcheck.errors import (
+    AxisError,
+    ClassError,
+    InternalError,
+    PeakcheckError,
+    WitnessError,
+)
 from peakcheck.gadgets import random_sp_profile
 from peakcheck.model import (
     Axis,
@@ -314,6 +321,23 @@ def test_check_on_axis_rejects_axis_of_other_size():
         for ax in (axis(0, 1), axis(0, 1, 2, 3)):
             with pytest.raises(AxisError):
                 verify(prof, ax)
+
+
+def test_verified_is_the_yes_of_an_engine():
+    # the one exit: a verified axis gives "yes" under the engine's name and
+    # notion; anything else is a fault of the engine that names it
+    prof = Profile(3, (PreferenceOrder.from_ranks([1, 0, 0]),))
+    verdict = verified(prof, [0, 1, 2], "c1p", Notion.PLATEAUED)
+    assert verdict.consistent and verdict.axis == axis(0, 1, 2)
+    assert (verdict.notion, verdict.algorithm) == (Notion.PLATEAUED, "c1p")
+    assert verified(prof, (2, 1, 0), "twosat").notion == Notion.PSP
+    for order in ([0, 1], [0, 1, 1], [0, 1, 3], [0, 1, 2, 3], []):
+        with pytest.raises(InternalError, match="^guided engine .* not a permutation"):
+            verified(prof, order, "guided")
+    # the top plateau 1 ~ 2 is single-plateaued, never Black
+    assert not check_black_on_axis(prof, axis(0, 1, 2))
+    with pytest.raises(InternalError, match="^unguided engine .* fails the black check"):
+        verified(prof, [0, 1, 2], "unguided", "black")
 
 
 def _outcome(check, profile, ax, notion):

@@ -312,6 +312,36 @@ def test_cut_frontier_without_z_raises_internal_error(monkeypatch, tmp_path, cap
     assert err.startswith("error:")
 
 
+def test_uncut_frontier_that_is_no_permutation_is_an_internal_error(
+    monkeypatch, tmp_path, capsys
+):
+    from peakcheck import cli
+    from peakcheck.errors import InternalError
+    from peakcheck.preflib import write_preflib
+
+    # the one row {0, 1} over three columns: no cut saves a cell, so the
+    # solver's frontier goes to the exit as it is, for every notion
+    profile = Profile(3, (PreferenceOrder.from_ranks([0, 1, 2]),))
+    widths = []
+
+    def solver(rows, m):
+        widths.append(m)
+        return [0, 1, 1]
+
+    monkeypatch.setattr(c1p, "solve_c1p_sets", solver)
+    for notion in Notion:
+        with pytest.raises(InternalError, match="^c1p engine .* not a permutation"):
+            c1p.recognize(profile, notion)
+    assert widths == [profile.m] * len(Notion)
+
+    path = tmp_path / "one.soc"
+    path.write_text(write_preflib(profile))
+    rc = cli.main(["recognize", str(path), "--algorithm", "c1p"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: c1p engine returned an order")
+
+
 def test_cut_agrees_with_backtracking(monkeypatch):
     # the circular-ones cut against the uncut backtracking oracle, on the
     # paper's matrices of all three constructions

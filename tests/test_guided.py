@@ -83,6 +83,17 @@ def test_implicit_search_matches_reference_at_scale():
     assert outcomes == {False, True}
 
 
+def test_guided_placement_that_is_no_permutation_is_an_internal_error(monkeypatch):
+    # a placement that puts one step twice reaches the exit, which names guided
+    guiding = PreferenceOrder.from_total([0, 1, 2])
+    prof = Profile(3, (guiding, PreferenceOrder.from_ranks([1, 0, 0])))
+    monkeypatch.setattr(guided, "_place", lambda rg, pinned_left: ([0, 0, 1], None))
+    for outside in (False, True):
+        votes = prof.votes[1:] if outside else prof.votes
+        with pytest.raises(InternalError, match="^guided engine .* not a permutation"):
+            guided_recognize(Profile(3, votes), guiding)
+
+
 def test_guided_final_check_failure_is_an_internal_error(monkeypatch, tmp_path, capsys):
     guiding = PreferenceOrder.from_total([0, 1, 2])
     prof = Profile(3, (guiding,))

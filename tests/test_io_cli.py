@@ -527,3 +527,93 @@ def test_cli_oracle_bound_above_the_maximum_is_an_error(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "--oracle-bound" in err
+
+
+def test_cli_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # an exception outside PeakcheckError and OSError, such as a generated
+    # size that does not fit in memory, exits 2 and never 1 ("not consistent")
+    from peakcheck import gadgets
+
+    def out_of_memory(*args):
+        raise MemoryError("cannot allocate the profile")
+
+    monkeypatch.setattr(gadgets, "random_profile", out_of_memory)
+    rc = main(["recognize", "--seed-corpus", "4,3,weak,5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: internal error: MemoryError: cannot allocate the profile\n"
+    assert captured.out == ""
+
+
+def test_applicable_engines_for_plateau_notions():
+    weak = Profile(
+        4, (PreferenceOrder.from_ranks([0, 1, 1, 2]), PreferenceOrder.from_ranks([1, 0, 2, 2]))
+    )
+    for notion in ("plateaued", "black", "necessary"):
+        assert [name for name, _ in applicable_engines(weak, notion)] == ["c1p", "oracle"]
+    # the necessary notion's oracle stops at m=6; the others keep it
+    wide = Profile(7, (PreferenceOrder.from_ranks([0, 1, 1, 2, 3, 4, 5]),))
+    assert [name for name, _ in applicable_engines(wide, "necessary")] == ["c1p"]
+    assert [name for name, _ in applicable_engines(wide, "plateaued")] == ["c1p", "oracle"]
+    # a local weak order is outside both c1p and the plateau oracle
+    local = Profile(4, (build_order([(0, 2), (1, 2)], 4),))
+    assert local.order_class() == OrderClass.LOCAL_WEAK
+    assert applicable_engines(local, "plateaued") == []
+    assert [name for name, _ in applicable_engines(local)] == ["oracle"]
+
+
+def test_cli_cross_validate_reports_disagreement_and_no_engine(tmp_path, capsys, monkeypatch):
+    from peakcheck import oracle
+    from peakcheck.model import Refusal
+
+    election = tmp_path / "total.soc"
+    election.write_text("# NUMBER ALTERNATIVES: 3\n1: 1,2,3\n1: 2,1,3\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            oracle,
+            "oracle_recognize",
+            lambda *args: Verdict.no(Refusal("planted"), algorithm="oracle"),
+        )
+        rc = main(["recognize", str(election), "--cross-validate"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: engines disagree: c1p=True, ") and "oracle=False" in err
+
+    local = tmp_path / "local.json"
+    local.write_text(write_profile_json(Profile(4, (build_order([(0, 2), (1, 2)], 4),))))
+    rc = main(["recognize", str(local), "--cross-validate", "--notion", "plateaued"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: no engine applies to this profile\n"
+
+
+def test_cli_axis_file_names_candidates_by_number(tmp_path, capsys):
+    # with candidate names in the header, a number is the candidate's place
+    election = tmp_path / "named.toc"
+    election.write_text(TOC_SAMPLE)
+    outputs = []
+    for axis_text in ("1 2 3 4\n", "Alpha, 2, Gamma, 4\n", "Alpha Beta Gamma Delta\n"):
+        axis_file = tmp_path / "axis.txt"
+        axis_file.write_text(axis_text)
+        rc = main(["recognize", str(election), "--axis", str(axis_file), "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["wall_time_ms"]
+        outputs.append(payload)
+    assert outputs[0]["axis"] == ["Alpha", "Beta", "Gamma", "Delta"]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cli_generate_partial_writes_json_that_recognize_reads(tmp_path, capsys):
+    out = tmp_path / "partial.json"
+    argv = ["generate", str(out), "--m", "6", "--n", "4", "--kind", "random",
+            "--class", "partial", "--seed", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    generated = random_profile(6, 4, OrderClass.PARTIAL, 2)
+    assert generated.order_class() > OrderClass.WEAK  # so no PrefLib file can hold it
+    text = out.read_text()
+    json.loads(text)
+    assert parse_any(text)[0] == generated
+    rc = main(["recognize", str(out)])
+    assert rc == (0 if dispatch(generated).consistent else 1)
+    assert capsys.readouterr().out.startswith(f"{out}: ")

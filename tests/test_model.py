@@ -312,7 +312,7 @@ def test_rows_match_the_pair_set_reference(first, second, seed):
             assert vote == PreferenceOrder.from_ranks(ranks)
             assert hash(vote) == hash(PreferenceOrder.from_ranks(ranks))
         assert vote.order_class() == reference_class(m, closed)
-        rebuilt = PreferenceOrder(m, pairs=sorted(closed, reverse=True))
+        rebuilt = PreferenceOrder.from_pairs(sorted(closed, reverse=True), m)
         assert rebuilt == vote and hash(rebuilt) == hash(vote)
         for subset in _subsets(m, rng):
             sub = vote.restrict(subset)
@@ -353,7 +353,7 @@ def test_total_order_from_pairs_constructor_has_ranks():
     # classed local weak, equal to but hashed apart from the ranked vote,
     # and refused by dispatch
     m = 12
-    vote = PreferenceOrder(m, pairs={(a, b) for a in range(m) for b in range(a + 1, m)})
+    vote = PreferenceOrder.from_pairs({(a, b) for a in range(m) for b in range(a + 1, m)}, m)
     total = PreferenceOrder.from_total(range(m))
     assert vote.has_ranks() and vote.order_class() == OrderClass.TOTAL
     assert vote == total and hash(vote) == hash(total) and len({vote, total}) == 1
@@ -367,7 +367,7 @@ def test_total_order_from_pairs_constructor_has_ranks():
         k = rng.randint(1, 8)
         pairs = [(a, b) for a in range(k) for b in range(k) if a != b and rng.random() < 0.3]
         try:
-            v = PreferenceOrder(k, pairs=pairs)
+            v = PreferenceOrder.from_pairs(pairs, k)
         except CycleError:
             continue
         assert v.has_ranks() == (v.order_class() <= OrderClass.WEAK)
@@ -502,3 +502,33 @@ def test_from_rank_matrix_refuses_an_empty_matrix_by_name(shape, message):
 def test_from_rank_matrix_refuses_a_non_integer_or_non_matrix_input(ranks):
     with pytest.raises(ValueError, match="expected an n×m integer matrix"):
         Profile.from_rank_matrix(ranks)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("total", OrderClass.TOTAL),
+        ("SOC", OrderClass.TOTAL),
+        ("top", OrderClass.TOP),
+        ("toi", OrderClass.TOP),
+        (" soi ", OrderClass.TOP),
+        ("weak", OrderClass.WEAK),
+        ("Toc", OrderClass.WEAK),
+        ("LocalWeak", OrderClass.LOCAL_WEAK),
+        ("partial\n", OrderClass.PARTIAL),
+    ],
+)
+def test_order_class_from_name(name, expected):
+    # the names generate --class and --seed-corpus take, in any case and
+    # with surrounding whitespace; a value still gives its class
+    assert OrderClass(name) is expected
+    assert OrderClass(int(expected)) is expected
+
+
+def test_order_class_refuses_unknown_names():
+    from peakcheck.gadgets import random_profile
+
+    for bad in ("bogus", "", "local weak", "2", 5):
+        with pytest.raises(ValueError, match="is not a valid OrderClass"):
+            OrderClass(bad)
+    assert random_profile(4, 2, "weak", 3) == random_profile(4, 2, OrderClass.WEAK, 3)

@@ -247,7 +247,7 @@ def test_assignment_with_a_valley_is_an_internal_error(monkeypatch, tmp_path, ca
     left = {(0, 1), (0, 2), (2, 1)}
     assignment = [(a, b) in left for a in range(m) for b in range(m)]
     monkeypatch.setattr(twosat, "solve_2sat", lambda instance: list(assignment))
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match="^twosat engine .* fails the psp check"):
         recognize_lwo_with_total(Profile(m, (PreferenceOrder.from_total([0, 1, 2]),)))
 
     election = tmp_path / "total.soc"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_top_profile, reference_subproblem
-from peakcheck import guided, oracle
+from peakcheck import guided, oracle, unguided
 from peakcheck.axis_check import is_possibly_sp_on_axis
 from peakcheck.errors import ClassError, InternalError
 from peakcheck.gadgets import random_sp_profile
@@ -233,6 +233,24 @@ def test_refusal_detail_is_bounded():
     assert res.certificate.reason == "no start candidate completes a component axis"
     assert res.certificate.detail == "component of 300 candidates, smallest 1"
     assert len(res.certificate.detail) < 80
+
+
+def test_component_axis_that_is_no_permutation_is_an_internal_error(monkeypatch):
+    # a component solver that repeats a candidate reaches the exit, which
+    # names unguided
+    assert unguided_recognize(EX4).consistent
+    monkeypatch.setattr(unguided, "_solve_component", lambda profile: [0] * profile.m)
+    with pytest.raises(InternalError, match="^unguided engine .* not a permutation"):
+        unguided_recognize(EX4)
+
+
+def test_disconnected_component_is_an_internal_error():
+    # once {0, 1} is placed, no vote ranks a placed and an unplaced candidate
+    prof = Profile(
+        4, (PreferenceOrder.top_order([0, 1], 4), PreferenceOrder.top_order([2, 3], 4))
+    )
+    with pytest.raises(InternalError, match="^unguided engine found no intersecting vote"):
+        intersecting_vote(build_intersection_index(prof), [0, 1])
 
 
 def test_misplaced_pinned_endpoint_is_an_internal_error(monkeypatch):
