@@ -70,7 +70,7 @@ def dispatch(profile, notion=Notion.PSP, algorithm="auto", given_axis=None,
     if given_axis is not None:
         return axis_check.check_on_axis(profile, given_axis, notion)
     if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        raise PeakcheckError(f"unknown algorithm {algorithm!r}")
     if algorithm == "auto" and notion == Notion.PSP:
         engines = dict(applicable_engines(profile, notion, oracle_bound))
         for name in AUTO_PRIORITY:
@@ -226,8 +226,8 @@ def _run_one(profile, names, args):
     return verdict, stats
 
 
-def _print_result(source, verdict, stats, names, as_json, out=None):
-    out = out if out is not None else sys.stdout
+def _print_result(source, verdict, stats, names, as_json):
+    out = sys.stdout
     if as_json:
         out.write(preflib.write_verdict_json(verdict, stats, names))
         return

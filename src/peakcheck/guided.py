@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import axis_check
-from .errors import ClassError, InternalError, PinError
+from .errors import ClassError, InternalError, PeakcheckError, PinError
 from .model import OrderClass, PreferenceOrder, Refusal, Verdict
 
 _BIG = np.iinfo(np.int32).max // 2
@@ -143,7 +143,7 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("the guided algorithm requires weak-or-tighter votes")
     if guiding.m != profile.m:
-        raise ValueError("guiding vote ranges over a different candidate set")
+        raise PeakcheckError("guiding vote ranges over a different candidate set")
     if guiding.order_class() != OrderClass.TOTAL:
         raise ClassError("the guiding vote must be a total order")
 

@@ -43,9 +43,9 @@ passes leave the tree unchanged.
 
 A row is a ``Bitset``: an ``int`` whose bit ``c`` is column ``c``, whose
 ``len`` is its number of columns and which iterates over its columns in
-ascending order.  The tree only ever tests it as a mask.  Rows given as other
-collections of columns are converted to a ``Bitset`` once, when they enter
-the tree.
+ascending order through ``model.iter_bits``.  The tree only ever tests it
+as a mask.  Rows given as other collections of columns are converted to a
+``Bitset`` once, when they enter the tree.
 
 ``solve_c1p_sets`` is the production solver; ``backtracking_c1p`` is an
 independent small-scale oracle used to cross-check it.
@@ -57,7 +57,7 @@ import itertools
 import operator
 from bisect import bisect_left
 
-import numpy as np
+from .model import iter_bits
 
 
 class Bitset(int):
@@ -71,10 +71,7 @@ class Bitset(int):
 
     __len__ = int.bit_count
 
-    def __iter__(self):
-        data = self.to_bytes((self.bit_length() + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
-        return iter(bits.nonzero()[0].tolist())
+    __iter__ = iter_bits
 
     @classmethod
     def of(cls, cols):
@@ -219,23 +216,6 @@ class PQTree:
         while node.mask & row != row:
             node = node.parent
         return node
-
-    def _keeps(self, row):
-        """Whether every represented permutation already keeps the columns
-        of the bitmask ``row`` consecutive, so reducing by it changes nothing.
-
-        Exactly when the row is all of the pertinent root's leaves, or when
-        the pertinent root is a Q-node and the row is the union of a run of
-        its children: the cases ``reduce`` returns from without a change.
-        """
-        node = self._pertinent_root(row)
-        if node.kind != "Q":
-            return node.mask == row
-        run = self._run(node, row)
-        if run is None:
-            return False
-        ends = node.children[run[0]].mask | node.children[run[1]].mask
-        return ends & row == ends
 
     @staticmethod
     def _run(node, row):

@@ -1,13 +1,12 @@
 """2-SAT based recognition for local weak orders containing a total order.
 
-One Boolean variable per ordered candidate pair, indexed ``a*m + b``: ``ab``
-true means ``a`` is left of ``b`` on the axis.  Every clause of the paper's
-encoding pairs with another into an equivalence.  The exclusive-or clauses
-make ``ba == not ab``; the valley clauses ``(ba or cb)`` and ``(ab or bc)``
-of a vote preferring ``a`` and ``c`` to ``b`` then say ``ab == cb``, so a
-chain over the sorted dominators of ``b`` states them all.  A union-find
-with a parity bit decides such a system.  With a total order in the
-profile, any solution is transitive and therefore an axis.
+One Boolean variable per candidate pair ``a < b``, indexed
+``b*(b-1)//2 + a`` and true when ``b`` is left of ``a`` on the axis, so
+"``a`` left of ``b``" is its negation.  The valley clauses ``(ba or cb)``
+and ``(ab or bc)`` of a vote preferring ``a`` and ``c`` to ``b`` say
+``ab == cb``, so a chain over the sorted dominators of ``b`` states them
+all.  A union-find with a parity bit decides such a system.  With a total
+order in the profile, any solution is transitive and therefore an axis.
 """
 
 from __future__ import annotations
@@ -27,16 +26,18 @@ class TwoSatInstance:
     clauses: list[tuple[int, int, bool]] = field(default_factory=list)
 
 
-def pair_var(a, b, m):
-    return a * m + b
+def pair_var(a, b):
+    """The variable of the pair {a, b} and whether "a left of b" negates it."""
+    if a < b:
+        return b * (b - 1) // 2 + a, True
+    return a * (a - 1) // 2 + b, False
 
 
 def encode(profile):
     """Equivalence system for a local-weak-order profile containing a total order.
 
-    One ``flip`` equivalence ``ab == not ba`` per unordered pair, and per
-    vote and candidate ``b`` the equalities ``ab == cb`` between consecutive
-    sorted dominators ``a, c`` of ``b``.
+    Per vote and candidate ``b``, the equalities ``ab == cb`` between
+    consecutive sorted dominators ``a, c`` of ``b``.
     """
     if profile.order_class() > OrderClass.LOCAL_WEAK:
         raise ClassError("the 2-SAT encoding requires local weak orders")
@@ -45,19 +46,14 @@ def encode(profile):
             "the 2-SAT recognizer requires a profile containing a total order"
         )
     m = profile.m
-    clauses = [
-        (pair_var(a, b, m), pair_var(b, a, m), True)
-        for a in range(m)
-        for b in range(a + 1, m)
-    ]
+    clauses = []
     for rows in (vote.rows() for vote in profile.votes):
         for b in range(m):
-            dominators = [a for a, row in enumerate(rows) if row >> b & 1]
+            dominators = [pair_var(a, b) for a, row in enumerate(rows) if row >> b & 1]
             clauses.extend(
-                (pair_var(a, b, m), pair_var(c, b, m), False)
-                for a, c in zip(dominators, dominators[1:])
+                (u, v, nu ^ nv) for (u, nu), (v, nv) in zip(dominators, dominators[1:])
             )
-    return TwoSatInstance(m * m, clauses)
+    return TwoSatInstance(m * (m - 1) // 2, clauses)
 
 
 def solve_2sat(instance):
@@ -111,9 +107,9 @@ def recognize_lwo_with_total(profile):
     # candidates sorted by how many others they are left of; the verified
     # exit, not a transitivity scan, catches an assignment that is no order
     m = profile.m
-    left_counts = [
-        sum(assignment[c * m : (c + 1) * m]) - assignment[pair_var(c, c, m)]
-        for c in range(m)
-    ]
+    left_counts = [0] * m
+    pairs = ((a, b) for b in range(m) for a in range(b))
+    for (a, b), b_left in zip(pairs, assignment):
+        left_counts[b if b_left else a] += 1
     order = sorted(range(m), key=lambda c: -left_counts[c])
     return axis_check.verified(profile, order, "twosat")

@@ -121,7 +121,8 @@ def _subproblem(ranks, keep, outside):
 
 
 class IntersectionIndex:
-    """Per candidate, the votes whose strictly-above sets are set-maximal.
+    """Per candidate, the votes whose strictly-above sets are set-maximal,
+    and the votes peaking at it (``peak_votes``, in profile order).
 
     On a single-peaked axis the candidates strictly above ``c`` in a vote form
     a contiguous stretch directly left or right of ``c``, so at most two
@@ -137,6 +138,7 @@ class IntersectionIndex:
         self.maximal = []
         self.chains = _chains(profile.rank_matrix())
         self.ranked_masks = []
+        self.peak_votes = {}
         above = [{} for _ in range(profile.m)]  # above-set mask -> first vote
         for k, chain in enumerate(self.chains):
             mask = 0
@@ -144,6 +146,8 @@ class IntersectionIndex:
                 above[c].setdefault(mask, k)
                 mask |= 1 << c
             self.ranked_masks.append(mask)
+            if chain:
+                self.peak_votes.setdefault(chain[0], []).append(k)
         for c, sets in enumerate(above):
             # largest first: a strict superset is kept before its subsets
             maximal = []
@@ -205,28 +209,20 @@ def intersecting_vote(index, axis_candidates):
     )
 
 
-def _solve_component(profile, starts=None):
-    """Axis for one connected component, or None.
-
-    ``starts`` overrides the default ascending-id iteration over leftmost
-    candidates (used by tests replaying specific runs).
-    """
-    m = profile.m
+def _solve_component(profile):
+    """Axis for one connected component, or None: the first one grown from
+    a leftmost candidate, tried in ascending order."""
     index = build_intersection_index(profile)
     if index.refusal is not None:
         return None
-    peak_votes = {}
-    for k, chain in enumerate(index.chains):
-        if chain:
-            peak_votes.setdefault(chain[0], []).append(k)
-    for c_start in (range(m) if starts is None else starts):
-        axis = _grow_axis(profile, index, peak_votes, c_start)
+    for c_start in range(profile.m):
+        axis = _grow_axis(profile, index, c_start)
         if axis is not None:
             return axis
     return None
 
 
-def _grow_axis(profile, index, peak_votes, c_start):
+def _grow_axis(profile, index, c_start):
     """The component axis grown rightwards from ``c_start``, or None.  Axis
     candidates are distinct, so each vote is absorbed once, at its peak."""
     m = profile.m
@@ -235,7 +231,7 @@ def _grow_axis(profile, index, peak_votes, c_start):
     i = 0
     while i < len(axis):
         a_i = axis[i]
-        for k in peak_votes.get(a_i, ()):
+        for k in index.peak_votes.get(a_i, ()):
             axis = oplus(axis, profile.votes[k])
             if axis is None:
                 return None

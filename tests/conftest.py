@@ -19,6 +19,7 @@ from peakcheck.errors import (
     CycleError,
     InternalError,
     ParseError,
+    PeakcheckError,
     PinError,
     UnknownCandidateError,
 )
@@ -160,7 +161,7 @@ def reference_guided_recognize(profile, guiding, pin_left=None, pin_right=None):
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("the guided algorithm requires weak-or-tighter votes")
     if guiding.m != profile.m:
-        raise ValueError("guiding vote ranges over a different candidate set")
+        raise PeakcheckError("guiding vote ranges over a different candidate set")
     votes = list(profile.votes)
     if guiding not in votes:
         votes.append(guiding)

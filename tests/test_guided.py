@@ -133,6 +133,16 @@ def test_pinned_subproblem_from_unguided_example():
     assert res.axis.order == (0, 1, 2, 3)
 
 
+def test_guiding_vote_over_other_candidates_is_a_peakcheck_error():
+    guiding = PreferenceOrder.from_total([0, 1, 2, 3])
+    prof = Profile(3, (PreferenceOrder.from_total([0, 1, 2]),))
+    text = "^guiding vote ranges over a different candidate set$"
+    for recognize in (guided_recognize, reference_guided_recognize):
+        with pytest.raises(PeakcheckError, match=text) as info:
+            recognize(prof, guiding)
+        assert type(info.value) is PeakcheckError
+
+
 def test_pin_violations_raise():
     guiding = PreferenceOrder.from_total([0, 1, 2])
     prof = Profile(3, (guiding,))

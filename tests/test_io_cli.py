@@ -195,6 +195,13 @@ def test_dispatch_given_axis():
     assert res.consistent and res.algorithm == "axis-check"
 
 
+def test_dispatch_unknown_algorithm_is_a_peakcheck_error():
+    prof = Profile(3, (PreferenceOrder.from_total([0, 1, 2]),))
+    with pytest.raises(PeakcheckError, match="^unknown algorithm 'bogus'$") as info:
+        dispatch(prof, algorithm="bogus")
+    assert type(info.value) is PeakcheckError
+
+
 def test_dispatch_plateau_notions():
     prof = Profile(3, (PreferenceOrder.from_ranks([0, 0, 1]),))
     assert dispatch(prof, notion="plateaued").consistent

@@ -29,13 +29,13 @@ def test_encode_valley_clauses():
     vote = build_order([(0, 1), (2, 1)], 3)
     total = PreferenceOrder.from_total([0, 2, 1])
     inst = encode(Profile(3, (vote, total)))
-    m = 3
-    # the valley triple (0, 1, 2): 0 and 2 lie on one side of 1
-    assert (pair_var(0, 1, m), pair_var(2, 1, m), False) in inst.clauses
-    # exclusive-or equivalences for every unordered pair
-    for a in range(m):
-        for b in range(a + 1, m):
-            assert (pair_var(a, b, m), pair_var(b, a, m), True) in inst.clauses
+    # "0 left of 1" negates the variable of {0, 1}; "2 left of 1" is {1, 2}'s
+    assert pair_var(0, 1) == (0, True)
+    assert pair_var(2, 1) == (2, False)
+    # one variable per pair, and one clause per vote: the valley triple
+    # (0, 1, 2), where 0 and 2 lie on one side of 1
+    assert inst.num_vars == 3
+    assert inst.clauses == [(0, 2, True), (0, 2, True)]
 
 
 def test_encode_requires_total_vote():
@@ -222,7 +222,7 @@ def test_agreement_with_clause_encoding_beyond_the_oracle():
 
 
 def test_encode_size_is_quadratic_per_vote():
-    # one xor per unordered pair, then |U|-1 chained equalities per (vote, b)
+    # one variable per unordered pair, |U|-1 chained equalities per (vote, b)
     rng = random.Random(5)
     for _ in range(50):
         m = rng.randint(1, 12)
@@ -233,8 +233,14 @@ def test_encode_size_is_quadratic_per_vote():
             max(len(vote.upper_set(b)) - 1, 0) for vote in votes for b in range(m)
         )
         inst = encode(prof)
-        assert inst.num_vars == m * m
-        assert len(inst.clauses) == m * (m - 1) // 2 + chained
+        assert inst.num_vars == m * (m - 1) // 2
+        assert len(inst.clauses) == chained
+        # each variable is one pair's: "a left of b" and "b left of a"
+        pairs = {pair_var(a, b) for a in range(m) for b in range(m) if a != b}
+        assert pairs == {(v, n) for v in range(inst.num_vars) for n in (False, True)}
+        for a in range(m):
+            for b in range(a + 1, m):
+                assert pair_var(b, a) == (pair_var(a, b)[0], False)
 
 
 def test_assignment_with_a_valley_is_an_internal_error(monkeypatch, tmp_path, capsys):
@@ -245,7 +251,7 @@ def test_assignment_with_a_valley_is_an_internal_error(monkeypatch, tmp_path, ca
 
     m = 3
     left = {(0, 1), (0, 2), (2, 1)}
-    assignment = [(a, b) in left for a in range(m) for b in range(m)]
+    assignment = [(b, a) in left for b in range(m) for a in range(b)]
     monkeypatch.setattr(twosat, "solve_2sat", lambda instance: list(assignment))
     with pytest.raises(InternalError, match="^twosat engine .* fails the psp check"):
         recognize_lwo_with_total(Profile(m, (PreferenceOrder.from_total([0, 1, 2]),)))

@@ -9,7 +9,7 @@ from peakcheck.errors import ClassError, InternalError
 from peakcheck.gadgets import random_sp_profile
 from peakcheck.model import PreferenceOrder, Profile
 from peakcheck.unguided import (
-    _solve_component,
+    _grow_axis,
     _subproblem,
     build_intersection_index,
     connected_components,
@@ -101,7 +101,7 @@ def test_unguided_worked_example():
     assert res.consistent
     assert is_possibly_sp_on_axis(EX4, res.axis).consistent
     # the documented successful run starts at h
-    axis = _solve_component(EX4, starts=[H])
+    axis = _grow_axis(EX4, build_intersection_index(EX4), H)
     assert axis[:7] == [H, G, F, E, A, B, C]
 
 
