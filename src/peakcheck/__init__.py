@@ -90,11 +90,9 @@ from .preflib import (
 from .twosat import TwoSatInstance, encode, recognize_lwo_with_total, solve_2sat
 from .unguided import (
     IntersectionIndex,
-    build_intersection_index,
     connected_components,
     intersecting_vote,
     oplus,
-    rep_top,
     unguided_recognize,
 )
 

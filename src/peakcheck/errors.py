@@ -14,7 +14,7 @@ class ClassError(PeakcheckError):
 
 
 class PinError(PeakcheckError):
-    """A guided endpoint pin is not among the guiding vote's last two candidates."""
+    """A pinned guided run was asked for on fewer than two candidates."""
 
 
 class NoTotalOrderError(PeakcheckError):

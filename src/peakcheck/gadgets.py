@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .model import OrderClass, PreferenceOrder, Profile
+from .model import Notion, OrderClass, PreferenceOrder, Profile
 
 RNG_ID = "python-random-mt19937"
 
@@ -123,6 +123,7 @@ def random_sp_profile(m, n, notion="psp", incompleteness=0.0, seed=0):
     deletes information (ties, and for the psp notion also truncation to a
     top order) without breaking the requested notion.
     """
+    notion = Notion(notion)
     if not (0.0 <= incompleteness <= 1.0):
         raise ValueError("incompleteness must be a probability")
     rng = random.Random(seed)

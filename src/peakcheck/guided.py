@@ -29,11 +29,11 @@ The final axis leaves through the engines' one exit,
 ``axis_check.verified``, and an outside guiding vote is checked on it with
 ``axis_check.has_v_valley``; a valley there is an ``InternalError``.
 
-Endpoint pins (used by the unguided algorithm's subproblems) require the
-pinned-right candidate to be ranked last in the guiding vote and the
-pinned-left candidate second-to-last; other pins raise ``PinError``.  The
-left pin forces the first placement to the left-hand side, and when that side
-is blocked the answer is "no", as for any other blocked placement.
+A pinned run (the unguided algorithm's subproblems) fixes both ends of the
+axis: the guiding vote's last candidate, placed first, always ends at the
+right end, and its second-to-last candidate must take the left end.  When the
+left end is blocked for it the answer is "no", as for any other blocked
+placement.
 
 When no vote is total, an implicit guiding vote is searched for by removing
 uniquely-last candidates one at a time.  Each removal updates all votes with
@@ -131,14 +131,15 @@ def _place(rg, pinned_left):
     return left_part + right_part[::-1], None
 
 
-def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
+def guided_recognize(profile, guiding, pinned=False):
     """Recognise a weak-order profile guided by a total order.
 
     The guiding vote is treated as part of the constraint set.  When it is
     not a vote of the profile it never blocks a placement (each ``c_i`` is
     its worst remaining candidate), so only the final check reads it.
-    A blocked pinned-left candidate gives a "no"; :class:`PinError` means a
-    pin is not among the guiding vote's last two candidates.
+    With ``pinned`` the axis must run from the guiding vote's second-to-last
+    candidate to its last; a profile on which it cannot is a "no", and one
+    of fewer than two candidates raises :class:`PinError`.
     """
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("the guided algorithm requires weak-or-tighter votes")
@@ -146,26 +147,20 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
         raise PeakcheckError("guiding vote ranges over a different candidate set")
     if guiding.order_class() != OrderClass.TOTAL:
         raise ClassError("the guiding vote must be a total order")
+    if pinned and profile.m < 2:
+        raise PinError("a pinned run needs two candidates")
 
-    m = profile.m
     # c_1, ..., c_m: the guiding vote's candidates, worst first
     seq = np.argsort(guiding.ranks)[::-1]
     order = seq.tolist()
-    if pin_right is not None and order[0] != pin_right:
-        raise PinError("pinned-right candidate must be ranked last in the guiding vote")
-    if pin_left is not None and (m < 2 or order[1] != pin_left):
-        raise PinError(
-            "pinned-left candidate must be ranked second-to-last in the guiding vote"
-        )
-
     # rg[i, k] = bucket of candidate c_{i+1} in vote k of the profile
     rg = profile.rank_matrix().T[seq]
-    steps, blocked = _place(rg, pinned_left=pin_left is not None)
-    if blocked == 1 and pin_left is not None:
+    steps, blocked = _place(rg, pinned_left=pinned)
+    if blocked == 1 and pinned:
         # the detail ends in a word: it names no placed candidate
         refusal = Refusal(
             "pinned-left candidate blocked at the left end",
-            detail=f"candidate {pin_left} pinned left",
+            detail=f"candidate {order[1]} pinned left",
         )
         return Verdict.no(refusal, algorithm="guided")
     if blocked is not None:
@@ -177,9 +172,7 @@ def guided_recognize(profile, guiding, pin_left=None, pin_right=None):
             algorithm="guided",
         )
     placed = [order[i] for i in steps]
-    if (pin_left is not None and placed[0] != pin_left) or (
-        pin_right is not None and placed[-1] != pin_right
-    ):
+    if pinned and (placed[0] != order[1] or placed[-1] != order[0]):
         raise InternalError("guided placement moved a pinned endpoint")
     verdict = axis_check.verified(profile, placed, "guided")
     if guiding not in profile.votes and axis_check.has_v_valley(guiding, verdict.axis):

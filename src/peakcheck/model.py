@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassError, CycleError
+from .errors import ClassError, CycleError, PeakcheckError
 
 
 class OrderClass(enum.IntEnum):
@@ -54,12 +54,17 @@ _ORDER_CLASS_NAMES = {
 
 
 class Notion(str, enum.Enum):
-    """Single-peakedness notions a profile can be checked for."""
+    """Single-peakedness notions a profile can be checked for.  Looking up
+    an unknown name raises :class:`PeakcheckError`."""
 
     PSP = "psp"
     PLATEAUED = "plateaued"
     BLACK = "black"
     NECESSARY = "necessary"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise PeakcheckError(f"unknown notion {value!r}")
 
 
 class WitnessKind(str, enum.Enum):

@@ -47,8 +47,7 @@ ascending order through ``model.iter_bits``.  The tree only ever tests it
 as a mask.  Rows given as other collections of columns are converted to a
 ``Bitset`` once, when they enter the tree.
 
-``solve_c1p_sets`` is the production solver; ``backtracking_c1p`` is an
-independent small-scale oracle used to cross-check it.
+``solve_c1p_sets`` is the production solver.
 """
 
 from __future__ import annotations
@@ -431,61 +430,3 @@ def solve_c1p_sets(rows, m):
             return None
     return tree.frontier()
 
-
-def backtracking_c1p(rows, m):
-    """Small-scale independent C1P solver by left-to-right column placement.
-
-    Prunes a branch as soon as a row that has started but not finished skips a
-    position.  Intended as the test oracle for :func:`solve_c1p_sets`.
-    """
-    rows = [frozenset(r) for r in rows if 0 < len(r) < m]
-    rows = list(dict.fromkeys(rows))
-    sizes = [len(r) for r in rows]
-    in_row = [[] for _ in range(m)]
-    for ri, r in enumerate(rows):
-        for c in r:
-            in_row[c].append(ri)
-    placed = [0] * len(rows)
-    perm = []
-    used = [False] * m
-
-    def open_rows_ok(c):
-        for ri, r in enumerate(rows):
-            if 0 < placed[ri] < sizes[ri] and c not in r:
-                return False
-        return True
-
-    def rec():
-        if len(perm) == m:
-            return True
-        for c in range(m):
-            if used[c] or not open_rows_ok(c):
-                continue
-            used[c] = True
-            perm.append(c)
-            for ri in in_row[c]:
-                placed[ri] += 1
-            if rec():
-                return True
-            for ri in in_row[c]:
-                placed[ri] -= 1
-            perm.pop()
-            used[c] = False
-        return False
-
-    if rec():
-        return list(perm)
-    return None
-
-
-def rows_consecutive_under(rows, perm):
-    """Check every row is consecutive under the column permutation."""
-    pos = {c: i for i, c in enumerate(perm)}
-    for r in rows:
-        r = set(r)
-        if not r:
-            continue
-        ps = [pos[c] for c in r]
-        if max(ps) - min(ps) + 1 != len(ps):
-            return False
-    return True

@@ -8,9 +8,11 @@ the axis grows rightwards by absorbing votes whose peak is already placed
 (the ``oplus`` extension).  When no vote peaks at the current right end, an
 intersecting vote is fetched and the stretch of candidates it ranks above
 the right end is ordered by a pinned run of the guided algorithm.  That
-subproblem is one gather of the matrix's columns, with a fresh boundary
-candidate ``x`` standing in for the highest-ranked candidate outside the
-subproblem in every vote (``rep_top``'s rule, applied to all rows at once).
+subproblem is one gather of the matrix's columns plus a fresh boundary
+candidate ``x``: in every vote, ``x`` takes the place of the best-ranked
+candidate that is neither placed nor in the stretch.  The fetched vote ranks
+``x`` last and the axis's right end second-to-last, so the pinned run's
+axis starts at that right end and ends at ``x``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import ClassError, InternalError
 from .guided import guided_recognize
 from .model import (
     OrderClass,
-    PreferenceOrder,
     Profile,
     Refusal,
     Verdict,
@@ -85,33 +86,14 @@ def oplus(axis_candidates, vote):
     return new_axis
 
 
-def rep_top(vote, replace_set):
-    """Substitute the vote's highest-ranked member of ``replace_set`` by a
-    fresh candidate ``x`` (id ``m``), extending the domain by one.
-
-    If the vote ranks no member of the set it is unchanged apart from ``x``
-    joining its minimal candidates.
-    """
-    x = vote.m
-    ranks = list(vote.ranks)
-    ranked = set(vote.ranked_candidates())
-    targets = [c for c in replace_set if c in ranked]
-    worst = max(ranks)
-    bottom = worst if ranks.count(worst) > 1 else worst + 1
-    ranks.append(bottom)  # x starts among the minimal candidates
-    if targets:
-        target = min(targets, key=lambda c: ranks[c])
-        ranks[x], ranks[target] = ranks[target], bottom
-    return PreferenceOrder.from_ranks(ranks)
-
-
 def _subproblem(ranks, keep, outside):
     """The guided subproblem on the ``keep`` columns plus a last column x.
 
-    Row by row this is ``rep_top(vote, outside)`` restricted to ``keep``
-    and x: x holds the best rank among the ``outside`` columns, capped at
-    the row's bottom level, which is m (a new level) for a total vote and
-    the top level otherwise.
+    In each row, x takes the place of the best-ranked ``outside``
+    candidate, or goes to the bottom when the row ranks none: x holds the
+    best rank among the ``outside`` columns, capped at the row's bottom
+    level, which is m (a new level) for a total vote and the top level
+    otherwise.
     """
     m = ranks.shape[1]
     top = ranks.max(axis=1)
@@ -170,10 +152,6 @@ class IntersectionIndex:
             self.maximal.append([(s, sets[s]) for s in maximal])
 
 
-def build_intersection_index(profile):
-    return IntersectionIndex(profile)
-
-
 def intersecting_vote(index, axis_candidates):
     """A vote ranking both a placed and an unplaced candidate.
 
@@ -212,7 +190,7 @@ def intersecting_vote(index, axis_candidates):
 def _solve_component(profile):
     """Axis for one connected component, or None: the first one grown from
     a leftmost candidate, tried in ascending order."""
-    index = build_intersection_index(profile)
+    index = IntersectionIndex(profile)
     if index.refusal is not None:
         return None
     for c_start in range(profile.m):
@@ -243,9 +221,7 @@ def _grow_axis(profile, index, c_start):
                 return None
             keep = sorted(upper + [a_i])
             sub = _subproblem(ranks, keep, sorted(set(range(m)) - placed - set(keep)))
-            result = guided_recognize(
-                sub, sub.votes[k], pin_left=keep.index(a_i), pin_right=len(keep)
-            )
+            result = guided_recognize(sub, sub.votes[k], pinned=True)
             if not result:
                 return None
             axis.extend(keep[j] for j in result.axis.order[1:-1])

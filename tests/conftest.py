@@ -1,7 +1,8 @@
 """Shared test helpers: small generators and slow references for guided,
 the PrefLib parser, weak-order detection, pair-set closure, restriction and
 classification, the oracle's per-axis tests, the 2-SAT engine, the axis
-verifiers, unguided's subproblems and the c1p reduction's rows."""
+verifiers, unguided's subproblems, the c1p reduction's rows and the
+consecutive-ones solver."""
 
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from peakcheck.model import (
     Verdict,
 )
 from peakcheck.preflib import _COUNT_LINE, _META_LINE, _NAME_LINE
-from peakcheck.unguided import rep_top
 
 
 def random_weak(m, rng):
@@ -265,6 +265,26 @@ def reference_implicit_guiding_vote(profile):
     return PreferenceOrder.from_total(removed[::-1])
 
 
+def rep_top(vote, replace_set):
+    """Substitute the vote's highest-ranked member of ``replace_set`` by a
+    fresh candidate ``x`` (id ``m``), extending the domain by one.
+
+    If the vote ranks no member of the set it is unchanged apart from ``x``
+    joining its minimal candidates.
+    """
+    x = vote.m
+    ranks = list(vote.ranks)
+    ranked = set(vote.ranked_candidates())
+    targets = [c for c in replace_set if c in ranked]
+    worst = max(ranks)
+    bottom = worst if ranks.count(worst) > 1 else worst + 1
+    ranks.append(bottom)  # x starts among the minimal candidates
+    if targets:
+        target = min(targets, key=lambda c: ranks[c])
+        ranks[x], ranks[target] = ranks[target], bottom
+    return PreferenceOrder.from_ranks(ranks)
+
+
 def reference_subproblem(profile, keep, outside):
     """Unguided's guided subproblem built vote by vote: each vote's best
     ``outside`` candidate replaced by the boundary candidate m, then
@@ -376,6 +396,65 @@ def reference_cut_rows(masks, m):
     c = gain.index(max(gain))
     cut = [(mask ^ full) | (1 << m) if mask >> c & 1 else mask for mask in rows]
     return [_reference_columns(mask) for mask in cut], m + 1
+
+
+def backtracking_c1p(rows, m):
+    """Small-scale independent C1P solver by left-to-right column placement.
+
+    Prunes a branch as soon as a row that has started but not finished skips a
+    position.  Intended as the test oracle for :func:`solve_c1p_sets`.
+    """
+    rows = [frozenset(r) for r in rows if 0 < len(r) < m]
+    rows = list(dict.fromkeys(rows))
+    sizes = [len(r) for r in rows]
+    in_row = [[] for _ in range(m)]
+    for ri, r in enumerate(rows):
+        for c in r:
+            in_row[c].append(ri)
+    placed = [0] * len(rows)
+    perm = []
+    used = [False] * m
+
+    def open_rows_ok(c):
+        for ri, r in enumerate(rows):
+            if 0 < placed[ri] < sizes[ri] and c not in r:
+                return False
+        return True
+
+    def rec():
+        if len(perm) == m:
+            return True
+        for c in range(m):
+            if used[c] or not open_rows_ok(c):
+                continue
+            used[c] = True
+            perm.append(c)
+            for ri in in_row[c]:
+                placed[ri] += 1
+            if rec():
+                return True
+            for ri in in_row[c]:
+                placed[ri] -= 1
+            perm.pop()
+            used[c] = False
+        return False
+
+    if rec():
+        return list(perm)
+    return None
+
+
+def rows_consecutive_under(rows, perm):
+    """Check every row is consecutive under the column permutation."""
+    pos = {c: i for i, c in enumerate(perm)}
+    for r in rows:
+        r = set(r)
+        if not r:
+            continue
+        ps = [pos[c] for c in r]
+        if max(ps) - min(ps) + 1 != len(ps):
+            return False
+    return True
 
 
 def reference_bucketise(m, pairs):

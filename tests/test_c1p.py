@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    backtracking_c1p,
     random_weak,
     random_weak_profile,
     reference_c1p_matrix,
     reference_cut_rows,
+    rows_consecutive_under,
 )
 from peakcheck import axis_check, c1p, oracle
 from peakcheck.c1p import (
@@ -24,7 +26,7 @@ from peakcheck.c1p import (
 )
 from peakcheck.errors import ClassError
 from peakcheck.model import Notion, PreferenceOrder, Profile, all_axes, build_order
-from peakcheck.pqtree import Bitset, backtracking_c1p, rows_consecutive_under
+from peakcheck.pqtree import Bitset
 
 EX1_V1 = PreferenceOrder.from_ranks([0, 1, 0, 2, 2, 3])  # <a~c > b > e~d > f>
 EX1_V2 = PreferenceOrder.from_ranks([0, 1, 2, 3, 3, 4])  # <a > b > c > e~d > f>

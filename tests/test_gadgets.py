@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import operator
 import random
 
 import pytest
 
+from peakcheck.errors import PeakcheckError
 from peakcheck.gadgets import (
     from_betweenness,
     from_set_splitting,
@@ -140,6 +143,26 @@ def test_random_sp_profile_reproducible():
     assert a == b
     c = random_sp_profile(6, 8, "psp", 0.4, seed=8)
     assert a != c
+
+
+# sha256 of the seeded sweep below: the benchmark's corpora and the pinned
+# frontiers are drawn from these profiles
+_SP_PROFILE_DIGEST = "ec44547da079a39e00c5808928d27ce98da758904e87b87bf7a7a071da474481"
+
+
+def test_random_sp_profile_reads_its_notion_by_name():
+    for bad in ("bogus", "PSP"):
+        with pytest.raises(PeakcheckError, match=f"^unknown notion {bad!r}$"):
+            random_sp_profile(6, 3, bad, 0.9, 1)
+    # each notion as a name and as a member: the same profiles as before
+    for form in (operator.attrgetter("value"), lambda notion: notion):
+        digest = hashlib.sha256()
+        for notion in Notion:
+            for seed in range(60):
+                m, n = 1 + seed % 9, 1 + seed % 5
+                prof = random_sp_profile(m, n, form(notion), (seed % 4) / 3, seed=seed)
+                digest.update(repr([v.ranks for v in prof.votes]).encode() + b"\n")
+        assert digest.hexdigest() == _SP_PROFILE_DIGEST
 
 
 def test_random_profile_classes():

@@ -128,7 +128,7 @@ def test_pinned_subproblem_from_unguided_example():
     # P' over C' = {a, b, c, x}: <b>c>a>x> and <c>x>.>, pins a left, x right
     w1 = PreferenceOrder.from_total([1, 2, 0, 3])
     w2 = PreferenceOrder.top_order([2, 3], 4)
-    res = guided_recognize(Profile(4, (w1, w2)), w1, pin_left=0, pin_right=3)
+    res = guided_recognize(Profile(4, (w1, w2)), w1, pinned=True)
     assert res.consistent
     assert res.axis.order == (0, 1, 2, 3)
 
@@ -144,18 +144,16 @@ def test_guiding_vote_over_other_candidates_is_a_peakcheck_error():
 
 
 def test_pin_violations_raise():
-    guiding = PreferenceOrder.from_total([0, 1, 2])
-    prof = Profile(3, (guiding,))
+    # a pinned run needs a second-to-last candidate to pin left
+    single = PreferenceOrder.from_total([0])
     with pytest.raises(PinError):
-        guided_recognize(prof, guiding, pin_right=0)  # 0 is ranked first
-    with pytest.raises(PinError):
-        guided_recognize(prof, guiding, pin_left=0)
+        guided_recognize(Profile(1, (single,)), single, pinned=True)
     # infeasible left pin: a vote placing some unseated candidate strictly
     # below both the pinned-left candidate and the pinned-right end.  That is
     # a "no", and its detail ends in a word, not a placed candidate.
     g = PreferenceOrder.from_total([3, 2, 0, 1])  # ranks: 0 second-to-last, 1 last
     blocker = PreferenceOrder.from_ranks([0, 0, 1, 2])  # 0 ~ 1 > 2 > 3
-    res = guided_recognize(Profile(4, (g, blocker)), g, pin_left=0, pin_right=1)
+    res = guided_recognize(Profile(4, (g, blocker)), g, pinned=True)
     assert not res.consistent
     assert res.certificate == Refusal(
         "pinned-left candidate blocked at the left end", detail="candidate 0 pinned left"
@@ -350,9 +348,9 @@ def test_matches_reference_guided_on_unguided_subproblems(monkeypatch):
     # the pinned subproblems the unguided engine poses, replayed on both
     calls = []
 
-    def recording(profile, guiding, pin_left=None, pin_right=None):
-        calls.append((profile, guiding, {"pin_left": pin_left, "pin_right": pin_right}))
-        return guided_recognize(profile, guiding, pin_left=pin_left, pin_right=pin_right)
+    def recording(profile, guiding, pinned=False):
+        calls.append((profile, guiding, pinned))
+        return guided_recognize(profile, guiding, pinned=pinned)
 
     monkeypatch.setattr(unguided, "guided_recognize", recording)
     rng = random.Random(32)
@@ -372,9 +370,13 @@ def test_matches_reference_guided_on_unguided_subproblems(monkeypatch):
             )
             unguided.unguided_recognize(Profile(m, tops))
     kinds = set()
-    for prof, guiding, pins in calls:
+    for prof, guiding, pinned in calls:
+        # the reference takes the pins the guiding vote fixes explicitly:
+        # its second-to-last candidate left, its last right
+        worst_first = sorted(range(prof.m), key=guiding.ranks.__getitem__, reverse=True)
+        pins = {"pin_left": worst_first[1], "pin_right": worst_first[0]} if pinned else {}
         expected = _outcome(reference_guided_recognize, prof, guiding, **pins)
-        assert _outcome(guided_recognize, prof, guiding, **pins) == expected
+        assert _outcome(guided_recognize, prof, guiding, pinned=pinned) == expected
         kinds.add(expected[2].reason if expected[0] is False else expected[0])
     assert kinds == {
         True,

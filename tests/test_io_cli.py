@@ -1,13 +1,17 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import random_local_weak
 import peakcheck
+from peakcheck import c1p
+from peakcheck.axis_check import check_on_axis
 from peakcheck.cli import ALGORITHMS, applicable_engines, dispatch, main
 from peakcheck.errors import (
     ClassError,
@@ -27,6 +31,7 @@ from peakcheck.model import (
     Verdict,
     build_order,
 )
+from peakcheck.oracle import oracle_recognize
 from peakcheck.preflib import (
     parse_any,
     parse_preflib,
@@ -202,6 +207,21 @@ def test_dispatch_unknown_algorithm_is_a_peakcheck_error():
     assert type(info.value) is PeakcheckError
 
 
+def test_unknown_notion_is_a_peakcheck_error():
+    prof = Profile(3, (PreferenceOrder.from_total([0, 1, 2]),))
+    entry_points = (
+        lambda notion: dispatch(prof, notion=notion),
+        lambda notion: applicable_engines(prof, notion),
+        lambda notion: c1p.recognize(prof, notion),
+        lambda notion: check_on_axis(prof, Axis((0, 1, 2)), notion),
+        lambda notion: oracle_recognize(prof, notion),
+    )
+    for call in entry_points:
+        with pytest.raises(PeakcheckError, match="^unknown notion 'bogus'$") as info:
+            call("bogus")
+        assert type(info.value) is PeakcheckError
+
+
 def test_dispatch_plateau_notions():
     prof = Profile(3, (PreferenceOrder.from_ranks([0, 0, 1]),))
     assert dispatch(prof, notion="plateaued").consistent
@@ -251,6 +271,21 @@ def test_python_m_peakcheck_matches_main(tmp_path, capsys, text):
     for payload in (got, expected):
         del payload["wall_time_ms"]
     assert got == expected
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # the README's library examples, each in a fresh interpreter on the
+    # source tree
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for block in blocks:
+        run = subprocess.run(
+            [sys.executable, "-c", block],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        assert run.returncode == 0, run.stderr
 
 
 def test_cli_end_to_end(tmp_path, capsys):

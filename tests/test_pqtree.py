@@ -7,15 +7,10 @@ import random
 
 import pytest
 
+from conftest import backtracking_c1p, rows_consecutive_under
 from peakcheck import c1p
 from peakcheck.gadgets import random_sp_profile
-from peakcheck.pqtree import (
-    Bitset,
-    PQTree,
-    backtracking_c1p,
-    rows_consecutive_under,
-    solve_c1p_sets,
-)
+from peakcheck.pqtree import Bitset, PQTree, solve_c1p_sets
 
 
 def test_trivial_cases():

@@ -1,8 +1,10 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import random_top_profile, reference_subproblem
+from conftest import random_top_profile, reference_subproblem, rep_top
 from peakcheck import guided, oracle, unguided
 from peakcheck.axis_check import is_possibly_sp_on_axis
 from peakcheck.errors import ClassError, InternalError
@@ -10,12 +12,11 @@ from peakcheck.gadgets import random_sp_profile
 from peakcheck.model import PreferenceOrder, Profile
 from peakcheck.unguided import (
     _grow_axis,
+    IntersectionIndex,
     _subproblem,
-    build_intersection_index,
     connected_components,
     intersecting_vote,
     oplus,
-    rep_top,
     unguided_recognize,
 )
 
@@ -69,7 +70,7 @@ def test_rep_top_examples():
 
 
 def test_intersecting_vote_worked_example():
-    idx = build_intersection_index(EX4)
+    idx = IntersectionIndex(EX4)
     assert idx.refusal is None
     k = intersecting_vote(idx, [H, G, F, E, A])
     assert k == 0  # V1 = <b > c > a > .> intersects at a
@@ -82,7 +83,7 @@ def test_index_refusals():
         PreferenceOrder.top_order([1, 3], 5),
         PreferenceOrder.top_order([2, 3], 5),
     )
-    idx = build_intersection_index(Profile(5, votes))
+    idx = IntersectionIndex(Profile(5, votes))
     assert idx.refusal is not None
     assert not unguided_recognize(Profile(5, votes)).consistent
 
@@ -91,7 +92,7 @@ def test_index_refusals():
         PreferenceOrder.top_order([0, 1, 3], 4),
         PreferenceOrder.top_order([1, 2, 3], 4),
     )
-    idx = build_intersection_index(Profile(4, votes))
+    idx = IntersectionIndex(Profile(4, votes))
     assert idx.refusal is not None
     assert not unguided_recognize(Profile(4, votes)).consistent
 
@@ -101,7 +102,7 @@ def test_unguided_worked_example():
     assert res.consistent
     assert is_possibly_sp_on_axis(EX4, res.axis).consistent
     # the documented successful run starts at h
-    axis = _grow_axis(EX4, build_intersection_index(EX4), H)
+    axis = _grow_axis(EX4, IntersectionIndex(EX4), H)
     assert axis[:7] == [H, G, F, E, A, B, C]
 
 
@@ -250,7 +251,7 @@ def test_disconnected_component_is_an_internal_error():
         4, (PreferenceOrder.top_order([0, 1], 4), PreferenceOrder.top_order([2, 3], 4))
     )
     with pytest.raises(InternalError, match="^unguided engine found no intersecting vote"):
-        intersecting_vote(build_intersection_index(prof), [0, 1])
+        intersecting_vote(IntersectionIndex(prof), [0, 1])
 
 
 def test_misplaced_pinned_endpoint_is_an_internal_error(monkeypatch):
@@ -273,3 +274,35 @@ def test_misplaced_pinned_endpoint_is_an_internal_error(monkeypatch):
     for p in profiles:
         with pytest.raises(InternalError, match="pinned endpoint"):
             unguided_recognize(p)
+
+
+# sha256 of the records below: a rewrite of the engine or of its guided
+# subproblems must find the same axes and refusals
+_UNGUIDED_DIGEST = "4911c342ed5e81c76dcfa19ddc33c16b0ba1c5cde801ed5c5a19490c87fc5fbd"
+
+
+def _digest_profiles():
+    rng = random.Random(21)
+    for i in range(2000):
+        m = rng.randint(1, 9)
+        yield random_top_profile(m, rng.randint(1, 8), rng)
+        if i % 50 == 0:
+            # single-peaked total orders cut to top orders: yes-instances
+            # over more candidates
+            m = rng.randint(20, 100)
+            totals = random_sp_profile(m, rng.randint(1, 8), "psp", 0.0, seed=i).votes
+            cut = [sorted(range(m), key=v.ranks.__getitem__)[: rng.randint(1, m)] for v in totals]
+            yield Profile(m, tuple(PreferenceOrder.top_order(c, m) for c in cut))
+
+
+def test_unguided_digest_is_pinned():
+    # verdict bit, axis and certificate of every profile, one line each
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for prof in _digest_profiles():
+        res = unguided_recognize(prof)
+        axis = res.axis.order if res.axis else None
+        kinds[res.consistent] += 1
+        digest.update(f"{res.consistent} {axis} {res.certificate!r}\n".encode())
+    assert kinds == {True: 1194, False: 846}
+    assert digest.hexdigest() == _UNGUIDED_DIGEST
