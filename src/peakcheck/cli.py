@@ -346,8 +346,7 @@ def _cmd_recognize(args):
         profile, names = preflib.parse_any(_read_text(path))
         jobs.append((path, profile, names))
     if not jobs:
-        print("error: no input files (or --seed-corpus) given", file=sys.stderr)
-        return 2
+        raise PeakcheckError("no input files (or --seed-corpus) given")
     # files run one after another: recognition holds the interpreter lock,
     # so threads would only add waiting to each file's wall_time_ms
     results = [_run_one(profile, names, args) for _, profile, names in jobs]

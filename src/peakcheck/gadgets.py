@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import PeakcheckError
 from .model import Notion, OrderClass, PreferenceOrder, Profile
 
 RNG_ID = "python-random-mt19937"
@@ -125,7 +126,7 @@ def random_sp_profile(m, n, notion="psp", incompleteness=0.0, seed=0):
     """
     notion = Notion(notion)
     if not (0.0 <= incompleteness <= 1.0):
-        raise ValueError("incompleteness must be a probability")
+        raise PeakcheckError(f"incompleteness must lie in [0, 1], got {incompleteness}")
     rng = random.Random(seed)
     axis = list(range(m))
     rng.shuffle(axis)

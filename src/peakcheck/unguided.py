@@ -1,11 +1,12 @@
 """The Unguided Algorithm: recognition of top-order profiles.
 
 Works per connected component of the co-rankedness graph (candidates joined
-when some vote ranks both).  Each component gets one rank matrix, and each
-vote's chain, its ranked candidates best first, is read from it once.
-Within a component, each candidate is tried as the leftmost axis candidate;
-the axis grows rightwards by absorbing votes whose peak is already placed
-(the ``oplus`` extension).  When no vote peaks at the current right end, an
+when some vote ranks both).  Each component is solved on its gather of the
+profile's rank matrix alone; each vote's chain, its ranked candidates best
+first, is read from that matrix once.  Within a component, each candidate is
+tried as the leftmost axis candidate; the axis grows rightwards by absorbing
+votes whose peak is already placed (``oplus`` appends the vote's chain and
+checks its row).  When no vote peaks at the current right end, an
 intersecting vote is fetched and the stretch of candidates it ranks above
 the right end is ordered by a pinned run of the guided algorithm.  That
 subproblem is one gather of the matrix's columns plus a fresh boundary
@@ -22,13 +23,7 @@ import numpy as np
 from . import axis_check
 from .errors import ClassError, InternalError
 from .guided import guided_recognize
-from .model import (
-    OrderClass,
-    Profile,
-    Refusal,
-    Verdict,
-    iter_bits,
-)
+from .model import OrderClass, Profile, Refusal, Verdict, iter_bits
 
 
 def _require_top(profile):
@@ -70,18 +65,18 @@ def connected_components(profile):
     ]
 
 
-def oplus(axis_candidates, vote):
+def oplus(axis_candidates, chain, ranks):
     """Extend a partial axis by a vote's unplaced ranked candidates.
 
-    Appends, in the vote's order, its ranked candidates not yet on the axis,
-    then demands the vote be possibly single-peaked on the extended partial
-    axis (restricted to the placed candidates).  Returns the new candidate
-    list, or None when incompatible.
+    ``chain`` is the vote's ranked candidates, best first, and ``ranks`` its
+    row of the rank matrix.  Appends, in chain order, the candidates not yet
+    on the axis, then demands the vote be possibly single-peaked on the
+    extended partial axis (restricted to the placed candidates).  Returns
+    the new candidate list, or None when incompatible.
     """
     placed = set(axis_candidates)
-    extension = [c for c in vote.ranked_candidates() if c not in placed]
-    new_axis = list(axis_candidates) + extension
-    if axis_check.v_valley_rows(np.asarray(vote.ranks)[None, new_axis])[0]:
+    new_axis = list(axis_candidates) + [c for c in chain if c not in placed]
+    if axis_check.v_valley_rows(ranks[None, new_axis])[0]:
         return None
     return new_axis
 
@@ -104,7 +99,10 @@ def _subproblem(ranks, keep, outside):
 
 class IntersectionIndex:
     """Per candidate, the votes whose strictly-above sets are set-maximal,
-    and the votes peaking at it (``peak_votes``, in profile order).
+    and the votes peaking at it (``peak_votes``, in row order).
+
+    Built from the rank matrix of a top-order profile, as ``_chains`` reads
+    it; it keeps the matrix as ``ranks`` and each row's chain as ``chains``.
 
     On a single-peaked axis the candidates strictly above ``c`` in a vote form
     a contiguous stretch directly left or right of ``c``, so at most two
@@ -114,14 +112,14 @@ class IntersectionIndex:
     prefix of the vote's chain.
     """
 
-    def __init__(self, profile):
-        self.profile = profile
+    def __init__(self, ranks):
+        self.ranks = ranks
         self.refusal = None
         self.maximal = []
-        self.chains = _chains(profile.rank_matrix())
+        self.chains = _chains(ranks)
         self.ranked_masks = []
         self.peak_votes = {}
-        above = [{} for _ in range(profile.m)]  # above-set mask -> first vote
+        above = [{} for _ in range(ranks.shape[1])]  # above-set mask -> first vote
         for k, chain in enumerate(self.chains):
             mask = 0
             for c in chain:
@@ -157,11 +155,11 @@ def intersecting_vote(index, axis_candidates):
 
     Prefers the set-maximal votes of the rightmost placed candidate, picking
     the one that does not rank the second-rightmost candidate above it; falls
-    back to a profile-order scan.  Returns a vote index, or raises
+    back to a scan in row order.  Returns a vote index, or raises
     :class:`InternalError` if none exists (impossible for a connected
     component).
     """
-    ranks = index.profile.rank_matrix()
+    ranks = index.ranks
     placed_mask = 0
     for c in axis_candidates:
         placed_mask |= 1 << c
@@ -179,7 +177,7 @@ def intersecting_vote(index, axis_candidates):
             if preferred:
                 return preferred[0]
         return candidates[0]
-    for k in range(index.profile.n):
+    for k in range(len(index.chains)):
         if qualifies(k):
             return k
     raise InternalError(
@@ -187,30 +185,30 @@ def intersecting_vote(index, axis_candidates):
     )
 
 
-def _solve_component(profile):
-    """Axis for one connected component, or None: the first one grown from
-    a leftmost candidate, tried in ascending order."""
-    index = IntersectionIndex(profile)
+def _solve_component(ranks):
+    """Axis for one component's gathered rank matrix, or None: the first one
+    grown from a leftmost candidate, tried in ascending order."""
+    index = IntersectionIndex(ranks)
     if index.refusal is not None:
         return None
-    for c_start in range(profile.m):
-        axis = _grow_axis(profile, index, c_start)
+    for c_start in range(ranks.shape[1]):
+        axis = _grow_axis(index, c_start)
         if axis is not None:
             return axis
     return None
 
 
-def _grow_axis(profile, index, c_start):
-    """The component axis grown rightwards from ``c_start``, or None.  Axis
-    candidates are distinct, so each vote is absorbed once, at its peak."""
-    m = profile.m
-    ranks = profile.rank_matrix()
+def _grow_axis(index, c_start):
+    """The axis grown from ``c_start`` over the index's matrix, or None.
+    Axis candidates are distinct, so each vote is absorbed once, at its peak."""
+    ranks = index.ranks
+    m = ranks.shape[1]
     axis = [c_start]
     i = 0
     while i < len(axis):
         a_i = axis[i]
         for k in index.peak_votes.get(a_i, ()):
-            axis = oplus(axis, profile.votes[k])
+            axis = oplus(axis, index.chains[k], ranks[k])
             if axis is None:
                 return None
         if len(axis) == i + 1 and len(axis) < m:
@@ -242,8 +240,10 @@ def unguided_recognize(profile):
         if len(candidates) == 1:
             order.extend(candidates)
             continue
-        ranks = profile.rank_matrix()[np.ix_(vote_idx, candidates)]
-        part_axis = _solve_component(Profile.from_rank_matrix(ranks))
+        # already dense: a vote's ranked candidates lie in its component, one
+        # per level, and its tied bottom level is present exactly when one of
+        # its unranked candidates is in the component
+        part_axis = _solve_component(profile.rank_matrix()[np.ix_(vote_idx, candidates)])
         if part_axis is None:
             return Verdict.no(
                 Refusal(

@@ -92,7 +92,7 @@ def test_criterion_1_worked_example_regression():
     res4 = unguided.unguided_recognize(EX4)
     assert res4.consistent
     assert axis_check.is_possibly_sp_on_axis(EX4, res4.axis).consistent
-    witness_run = unguided._grow_axis(EX4, unguided.IntersectionIndex(EX4), H)
+    witness_run = unguided._grow_axis(unguided.IntersectionIndex(EX4.rank_matrix()), H)
     assert witness_run is not None and witness_run[:7] == [H, G, F, E, A, B, C]
 
     elapsed = time.perf_counter() - t0

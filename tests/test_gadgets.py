@@ -145,6 +145,12 @@ def test_random_sp_profile_reproducible():
     assert a != c
 
 
+def test_random_sp_profile_refuses_incompleteness_outside_the_unit_interval():
+    for bad in (-0.1, 1.5):
+        with pytest.raises(PeakcheckError, match=r"^incompleteness must lie in \[0, 1\], got "):
+            random_sp_profile(6, 3, "psp", bad, 1)
+
+
 # sha256 of the seeded sweep below: the benchmark's corpora and the pinned
 # frontiers are drawn from these profiles
 _SP_PROFILE_DIGEST = "ec44547da079a39e00c5808928d27ce98da758904e87b87bf7a7a071da474481"

@@ -46,6 +46,28 @@ def test_no_unique_last():
     assert find_implicit_guiding_vote(prof) is None
 
 
+def test_implicit_guiding_votes_need_weak_orders():
+    local_weak = Profile(3, (PreferenceOrder.from_pairs([(0, 1)], 3),))
+    message = "^implicit guiding votes are defined for weak orders$"
+    with pytest.raises(ClassError, match=message):
+        find_implicit_guiding_vote(local_weak)
+    votes = enumerate_implicit_guiding_votes(local_weak)  # raises once iterated
+    with pytest.raises(ClassError, match=message):
+        next(votes)
+
+
+def test_axis_giving_an_outside_guiding_vote_a_valley_is_an_internal_error(monkeypatch):
+    # the only vote ties every candidate, so every axis verifies; the outside
+    # guiding vote 0 > 1 > 2 has a valley at 2 on the axis 0, 2, 1
+    prof = Profile(3, (PreferenceOrder.empty(3),))
+    guiding = PreferenceOrder.from_total([0, 1, 2])
+    assert guided_recognize(prof, guiding).consistent
+    # the steps index the guiding vote worst first: 2, 1, 0
+    monkeypatch.setattr(guided, "_place", lambda rg, pinned_left: ([2, 0, 1], None))
+    with pytest.raises(InternalError, match="axis gives the guiding vote a valley$"):
+        guided_recognize(prof, guiding)
+
+
 def test_implicit_search_is_first_enumerated_order():
     # a candidate enters the search's options only once it is uniquely last
     # somewhere and stays available until taken, so the greedy choice fails

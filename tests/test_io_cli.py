@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import random_local_weak
 import peakcheck
-from peakcheck import c1p
+from peakcheck import c1p, cli, oracle
 from peakcheck.axis_check import check_on_axis
 from peakcheck.cli import ALGORITHMS, applicable_engines, dispatch, main
 from peakcheck.errors import (
@@ -430,6 +431,28 @@ def test_cli_malformed_json_profile_is_an_error(tmp_path, capsys, payload):
     assert err.startswith("error:")
 
 
+def test_cli_text_that_opens_like_json_must_be_json(tmp_path, capsys):
+    # text whose first character is "{" is read as a JSON profile
+    path = tmp_path / "profile.txt"
+    path.write_text("{m: 3, votes: []}\n")
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        parse_profile_json(path.read_text())
+    assert main(["recognize", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+
+def test_cli_recognize_without_input_is_an_error(capsys):
+    # main's one handler prints the error; the command only raises it
+    assert main(["recognize"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no input files (or --seed-corpus) given\n")
+    args = argparse.Namespace(
+        notion="psp", oracle_bound=oracle.DEFAULT_BOUND, seed_corpus=None, files=[]
+    )
+    with pytest.raises(PeakcheckError, match=r"^no input files \(or --seed-corpus\) given$"):
+        cli._cmd_recognize(args)
+
+
 _T, _R = PreferenceOrder.from_total, PreferenceOrder.from_ranks
 _TOTAL = _T([1, 2, 0, 3])
 _LOCAL_WEAK = build_order([(0, 1), (0, 2)], 4)  # candidate 3 compares to none
@@ -520,6 +543,7 @@ def test_cli_cross_validate_runs_every_applicable_engine(tmp_path, capsys):
     [
         ["recognize", "--seed-corpus", "a,b,weak,1"],
         ["recognize", "--seed-corpus", "3,0,weak,1"],
+        ["recognize", "--seed-corpus", "3,2,weak"],
         ["generate", "OUT", "--m", "5", "--n", "3", "--kind", "random", "--class", "bogus"],
         ["generate", "OUT", "--m", "5", "--n", "3", "--incompleteness", "2"],
         ["generate", "OUT", "--m", "0", "--n", "3"],

@@ -179,6 +179,15 @@ def test_ranked_candidates_and_peak():
     assert PreferenceOrder.empty(3).peak() is None
 
 
+def test_rank_queries_refuse_a_vote_of_a_wider_class():
+    pair_based = PreferenceOrder.from_pairs([(0, 1)], 3)  # 2 compares to none
+    with pytest.raises(ClassError, match="^rank buckets exist only for weak-or-tighter"):
+        pair_based.ranks
+    weak = PreferenceOrder.from_ranks([0, 0, 1])
+    with pytest.raises(ClassError, match="^ranked_candidates requires a top order$"):
+        weak.ranked_candidates()
+
+
 def test_profile_basics():
     v = PreferenceOrder.from_total([0, 1])
     p = Profile(2, (v, v), (3, 2))

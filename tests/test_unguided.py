@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import random_top_profile, reference_subproblem, rep_top
@@ -45,16 +46,17 @@ def test_connected_components_examples():
 
 
 def test_oplus_worked_example_steps():
-    assert oplus([H], EX4.votes[3]) == [H, G, F]
-    assert oplus([H, G, F], EX4.votes[2]) == [H, G, F, E, A]
+    idx = IntersectionIndex(EX4.rank_matrix())
+    assert oplus([H], idx.chains[3], idx.ranks[3]) == [H, G, F]
+    assert oplus([H, G, F], idx.chains[2], idx.ranks[2]) == [H, G, F, E, A]
     # vote ranking nothing outside the axis and single-peaked on it: unchanged
-    assert oplus([H, G, F], EX4.votes[3]) == [H, G, F]
+    assert oplus([H, G, F], idx.chains[3], idx.ranks[3]) == [H, G, F]
 
 
 def test_oplus_incompatible():
     vote = PreferenceOrder.top_order([0, 2, 1], 3)  # <0 > 2 > 1>
     # axis <0 1> extends to <0 1 2>; candidate 1 dips below 0 and 2 -> valley
-    assert oplus([0, 1], vote) is None
+    assert oplus([0, 1], vote.ranked_candidates(), np.asarray(vote.ranks)) is None
 
 
 def test_rep_top_examples():
@@ -70,7 +72,7 @@ def test_rep_top_examples():
 
 
 def test_intersecting_vote_worked_example():
-    idx = IntersectionIndex(EX4)
+    idx = IntersectionIndex(EX4.rank_matrix())
     assert idx.refusal is None
     k = intersecting_vote(idx, [H, G, F, E, A])
     assert k == 0  # V1 = <b > c > a > .> intersects at a
@@ -83,7 +85,7 @@ def test_index_refusals():
         PreferenceOrder.top_order([1, 3], 5),
         PreferenceOrder.top_order([2, 3], 5),
     )
-    idx = IntersectionIndex(Profile(5, votes))
+    idx = IntersectionIndex(Profile(5, votes).rank_matrix())
     assert idx.refusal is not None
     assert not unguided_recognize(Profile(5, votes)).consistent
 
@@ -92,7 +94,7 @@ def test_index_refusals():
         PreferenceOrder.top_order([0, 1, 3], 4),
         PreferenceOrder.top_order([1, 2, 3], 4),
     )
-    idx = IntersectionIndex(Profile(4, votes))
+    idx = IntersectionIndex(Profile(4, votes).rank_matrix())
     assert idx.refusal is not None
     assert not unguided_recognize(Profile(4, votes)).consistent
 
@@ -102,7 +104,7 @@ def test_unguided_worked_example():
     assert res.consistent
     assert is_possibly_sp_on_axis(EX4, res.axis).consistent
     # the documented successful run starts at h
-    axis = _grow_axis(EX4, IntersectionIndex(EX4), H)
+    axis = _grow_axis(IntersectionIndex(EX4.rank_matrix()), H)
     assert axis[:7] == [H, G, F, E, A, B, C]
 
 
@@ -222,6 +224,25 @@ def test_subproblem_gather_matches_per_vote_reference():
     assert min(kinds.values()) > 300 and empty_outside > 100
 
 
+def test_component_matrix_is_already_dense():
+    # each component is solved on its gather of the profile's rank matrix,
+    # as it stands: renumbering it to dense ranks must change nothing
+    rng = random.Random(22)
+    shapes = Counter()
+    for _ in range(1500):
+        m = rng.randint(2, 12)
+        short = rng.choice((2, 3, None))  # short votes leave several components
+        profile = random_top_profile(m, rng.randint(1, 8), rng, max_ranked=short)
+        for candidates, vote_idx in connected_components(profile):
+            if not vote_idx:
+                continue
+            ranks = profile.rank_matrix()[np.ix_(vote_idx, candidates)]
+            assert np.array_equal(Profile.from_rank_matrix(ranks).rank_matrix(), ranks)
+            shapes[len(candidates) < m] += 1
+    # whole profiles and proper parts of them
+    assert min(shapes.values()) > 500, shapes
+
+
 def test_refusal_detail_is_bounded():
     # one component of 300 candidates (1..300) whose three pair votes would
     # each need their pair adjacent on the axis; 0 and 301 stay unranked
@@ -240,7 +261,7 @@ def test_component_axis_that_is_no_permutation_is_an_internal_error(monkeypatch)
     # a component solver that repeats a candidate reaches the exit, which
     # names unguided
     assert unguided_recognize(EX4).consistent
-    monkeypatch.setattr(unguided, "_solve_component", lambda profile: [0] * profile.m)
+    monkeypatch.setattr(unguided, "_solve_component", lambda ranks: [0] * ranks.shape[1])
     with pytest.raises(InternalError, match="^unguided engine .* not a permutation"):
         unguided_recognize(EX4)
 
@@ -251,7 +272,7 @@ def test_disconnected_component_is_an_internal_error():
         4, (PreferenceOrder.top_order([0, 1], 4), PreferenceOrder.top_order([2, 3], 4))
     )
     with pytest.raises(InternalError, match="^unguided engine found no intersecting vote"):
-        intersecting_vote(IntersectionIndex(prof), [0, 1])
+        intersecting_vote(IntersectionIndex(prof.rank_matrix()), [0, 1])
 
 
 def test_misplaced_pinned_endpoint_is_an_internal_error(monkeypatch):
