@@ -181,6 +181,8 @@ def _seed_corpus_profiles(spec):
             f"--seed-corpus expects integer m, n, seed and count, got {spec!r}"
         ) from None
     _require_sizes(m, n)
+    if count < 1:
+        raise PeakcheckError(f"--seed-corpus count must be at least 1 (got {count})")
     cls = _order_class(parts[2])
     for i in range(count):
         yield (

@@ -36,9 +36,11 @@ left end is blocked for it the answer is "no", as for any other blocked
 placement.
 
 When no vote is total, an implicit guiding vote is searched for by removing
-uniquely-last candidates one at a time.  Each removal updates all votes with
-one vectorised step, and finding the next candidate usually looks at the
-first vote or two; the worst case is O(n*m) for the whole search.
+uniquely-last candidates one at a time, scanning the votes in profile order.
+A vote's buckets are built when the scan first reaches it, and a removal is
+only recorded: a vote catches up with the removals it has not seen when the
+scan next reads it.  The search costs O(m) per vote it reaches, usually a
+handful of votes, and O(n*m) when it reaches every vote.
 """
 
 from __future__ import annotations
@@ -193,45 +195,58 @@ def find_implicit_guiding_vote(profile):
     the guiding vote.  The choice made at each step does not affect whether
     the profile is possibly single-peaked.
 
-    Every (vote, bucket) cell keeps the number of live candidates in it and
-    the sum of their ids, packed into one integer: the count above ``shift``
-    bits and the id sum below, so a cell holding one candidate names it.  A
-    removal updates the candidate's cell in every vote with one indexed
-    subtraction; each vote's bottom pointer moves up only when that vote is
-    looked at.
+    Every bucket of a vote keeps the number of live candidates in it and the
+    sum of their ids, packed into one integer: the count above ``shift`` bits
+    and the id sum below, so a bucket holding one candidate names it.  The
+    buckets are packed when the scan first reaches the vote, with one
+    vectorised pass over a block of votes that doubles in size each time.
+    A removal is only appended to the removal list; a vote read again first
+    applies the removals it has not seen, one bucket decrement each, then
+    moves its bottom pointer up past empty buckets.  The cost is O(m) per
+    vote the scan reaches, and O(n*m) when it reaches every vote.
     """
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("implicit guiding votes are defined for weak orders")
     m = profile.m
     ranks = profile.rank_matrix()
-    size = ranks.max(axis=1) + 1  # buckets per vote
-    first = np.cumsum(size) - size  # flat index of each vote's top bucket
-    cell = (ranks + first[:, None]).ravel()  # flat (vote, bucket) per candidate
     # an id sum is at most m(m-1)/2 and a count at most m; int64 holds both
     # up to about two million candidates, Python ints beyond
     shift = (m * (m - 1) // 2).bit_length()
-    one, two = 1 << shift, 2 << shift  # a cell holding only c reads one + c
+    one, two = 1 << shift, 2 << shift  # a bucket holding only c reads one + c
     dtype = np.int64 if m.bit_length() + shift < 63 else object
-    # float weights are exact here: an id sum stays far below 2**53
-    id_sum = np.bincount(cell, weights=np.tile(np.arange(m), len(ranks)))
-    id_sum = id_sum.astype(np.int64).astype(dtype)
-    cells = np.bincount(cell).astype(dtype) * one + id_sum
-    cell_of = np.ascontiguousarray(cell.reshape(ranks.shape).T)  # [c]: c's cell per vote
-    bottom = (first + size - 1).tolist()
+    ids = np.arange(m, dtype=np.float64)
+    votes = []  # per vote read: [packed buckets, its rank row, bottom bucket, removals seen]
     removed = []
-    for _ in range(m):
-        # a live candidate remains, so every vote has a non-empty bucket
-        for k, b in enumerate(bottom):
-            while not cells[b]:
+    for step in range(m):
+        for k in range(len(ranks)):
+            if k == len(votes):
+                # votes k to 2k - 1, so the blocks hold 1, 1, 2, 4, ... votes
+                block = ranks[k : max(1, 2 * k)]
+                size = block.max(axis=1) + 1  # buckets per vote
+                first = np.cumsum(size) - size  # flat index of each vote's top bucket
+                cell = (block + first[:, None]).ravel()
+                # float weights are exact here: an id sum stays far below 2**53
+                id_sum = np.bincount(cell, weights=np.tile(ids, len(block))).astype(np.int64)
+                packed = (np.bincount(cell).astype(dtype) * one + id_sum).tolist()
+                votes += [
+                    [packed[f : f + s], row, s - 1, 0]
+                    for f, s, row in zip(first.tolist(), size.tolist(), map(memoryview, block))
+                ]
+            vote = votes[k]
+            buckets, rank, b, seen = vote
+            if seen < step:  # catch up with the removals made since the last read
+                for c in removed[seen:]:
+                    buckets[rank[c]] -= one + c
+                vote[3] = step
+            # a live candidate remains, so the vote has a non-empty bucket
+            while not buckets[b]:
                 b -= 1
-            bottom[k] = b
-            if cells[b] < two:
-                candidate = int(cells[b]) - one
+            vote[2] = b
+            if buckets[b] < two:
+                removed.append(buckets[b] - one)
                 break
         else:
             return None
-        removed.append(candidate)
-        cells[cell_of[candidate]] -= one + candidate
     return PreferenceOrder.from_total(removed[::-1])
 
 

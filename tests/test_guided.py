@@ -1,5 +1,7 @@
+import hashlib
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -103,6 +105,72 @@ def test_implicit_search_matches_reference_at_scale():
         assert find_implicit_guiding_vote(prof) == expected
         outcomes.add(expected is None)
     assert outcomes == {False, True}
+
+
+def _deep_scan_profile(m, n, tied, rng):
+    """Weak orders on which the implicit search first reads votes late, and
+    the guiding vote it must find (None when ``tied``).
+
+    All candidates but a and b are split into four segments, each owned by
+    a segment vote; the segment votes sit at increasing indices, the last
+    at 40 or beyond.  A segment vote ranks its segment as singletons below
+    a tie of a and b, so it offers that segment one candidate at a time,
+    and then never again.  Every other vote ends in the tie of a and b.  So
+    the segments go in order, and the votes after a segment vote are first
+    read once its segment and every earlier one are gone, hundreds of
+    removals in.  The last segment vote ranks a above b unless ``tied``;
+    then the search reads every vote and ends in None.
+    """
+    a, b, *rest = rng.sample(range(m), m)
+    size = len(rest) // 4
+    segments = [rest[i * size : (i + 1) * size] for i in range(3)] + [rest[3 * size :]]
+    owners = sorted(rng.sample(range(40), 3)) + [rng.randint(40, n - 1)]
+    votes = []
+    for k in range(n):
+        ranks = [rng.randrange(20) for _ in range(m)]
+        ranks[a] = ranks[b] = 20
+        if k in owners:
+            if k == owners[-1] and not tied:
+                ranks[b] = 21
+            for depth, c in enumerate(segments[owners.index(k)]):
+                ranks[c] = 1000 - depth  # the segment's first is its last
+        votes.append(PreferenceOrder.from_ranks(ranks))
+    removals = [c for segment in segments for c in segment] + [b, a]
+    return Profile(m, tuple(votes)), None if tied else PreferenceOrder.from_total(removals[::-1])
+
+
+def test_implicit_search_reads_deep_votes_late():
+    # each scan step crosses the lazily built blocks of votes up to the
+    # current segment vote; a vote first read after earlier segments went
+    # catches up with all of their removals
+    rng = random.Random(23)
+    for i in range(6):
+        prof, expected = _deep_scan_profile(rng.randint(280, 320), 48, i % 2 == 1, rng)
+        assert reference_implicit_guiding_vote(prof) == expected
+        assert find_implicit_guiding_vote(prof) == expected
+
+
+# sha256 of the guiding votes over the profiles below: a rewrite of the search
+# must return the same vote, or None, on each
+_IMPLICIT_DIGEST = "e374b6a9afe6c1836e77249e4e677b1ce505deda3a69b261abea7fc888c779e0"
+
+
+def test_implicit_guiding_vote_digest_is_pinned():
+    # guided-wide's implicit slots at m = 500-2,000 with 100 votes, each also
+    # with two candidates tied in every vote, where the search ends in None
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for s, (m, p) in enumerate((m, p) for m in (500, 1000, 2000) for p in (0.1, 0.3, 0.5)):
+        prof = random_sp_profile(m, 100, "psp", p, s)
+        ranks = prof.rank_matrix().copy()
+        ranks[:, s + 1] = ranks[:, s]
+        for profile in (prof, Profile.from_rank_matrix(ranks)):
+            guiding = find_implicit_guiding_vote(profile)
+            outcomes[guiding is None] += 1
+            got = None if guiding is None else tuple(guiding.ranks)
+            digest.update(f"{m} {p} {got}\n".encode())
+    assert outcomes == {False: 9, True: 9}
+    assert digest.hexdigest() == _IMPLICIT_DIGEST
 
 
 def test_guided_placement_that_is_no_permutation_is_an_internal_error(monkeypatch):

@@ -547,6 +547,8 @@ def test_cli_cross_validate_runs_every_applicable_engine(tmp_path, capsys):
         ["generate", "OUT", "--m", "5", "--n", "3", "--kind", "random", "--class", "bogus"],
         ["generate", "OUT", "--m", "5", "--n", "3", "--incompleteness", "2"],
         ["generate", "OUT", "--m", "0", "--n", "3"],
+        ["recognize", "--seed-corpus", "3,2,weak,0,0"],
+        ["recognize", "--seed-corpus", "3,2,weak,0,-2"],
     ],
 )
 def test_cli_malformed_arguments_are_errors(tmp_path, capsys, argv):
@@ -555,7 +557,19 @@ def test_cli_malformed_arguments_are_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:")
+    assert "no input files" not in err  # every case gives an input
     assert not out.exists()
+
+
+def test_cli_seed_corpus_count_below_one_is_an_error(tmp_path, capsys):
+    # with a file beside it, the corpus of no profiles was dropped unannounced
+    path = tmp_path / "one.soc"
+    path.write_text("# NUMBER ALTERNATIVES: 3\n1: 1,2,3\n")
+    rc = main(["recognize", "--seed-corpus", "3,2,weak,0,0", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: --seed-corpus count must be at least 1 (got 0)\n"
+    assert captured.out == ""
 
 
 def test_cli_class_names_are_shared(tmp_path, capsys):
