@@ -281,7 +281,7 @@ def main(argv=None):
         "--oracle-bound",
         type=int,
         default=oracle.DEFAULT_BOUND,
-        help=f"largest m the brute-force oracle takes (at most {oracle.MAX_BOUND})",
+        help=f"largest m the brute-force oracle takes, 0 to {oracle.MAX_BOUND} (0: never)",
     )
 
     gen = sub.add_parser("generate", help="write a reproducible corpus")
@@ -341,6 +341,8 @@ def _cmd_recognize(args):
         raise SizeError(
             f"--oracle-bound {args.oracle_bound} exceeds the maximum {oracle.MAX_BOUND}"
         )
+    if args.oracle_bound < 0:  # 0 means that the oracle never applies
+        raise SizeError(f"--oracle-bound must be at least 0 (got {args.oracle_bound})")
     jobs = []
     if args.seed_corpus:
         jobs.extend(_seed_corpus_profiles(args.seed_corpus))

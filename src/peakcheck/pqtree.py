@@ -6,32 +6,45 @@ only read forwards or backwards.  Reducing the tree by each row's column set
 restricts the represented permutations to those where the set is consecutive;
 the tree's frontier after all reductions is a witnessing permutation.
 
-Every node keeps the bitmask of its leaf columns.  A Q-node lists its
-children in order and caches the running OR of their masks.  A P-node holds
-its leaf children as one bitmask of their columns and lists only its other
-children, so the leaves a row meets in it are one mask operation away and a
-leaf the row misses is never visited.  A reduction climbs from the row's
-lowest leaf to the first node covering the row, the pertinent root, and works
-top-down from there after Booth and Lueker (1976, *JCSS* 13).  Each listed
-child is empty, full or partial by one test of its mask against the row.  At
-a Q-node root the run of children the row meets comes from two binary
-searches over the prefixes, and one more mask test tells whether the
-children inside the run are full.  Below the pertinent root a partial Q-node
-must meet the row in a run at one of its ends, found by walking in from the
-other end.  So only partial children are descended into, and below the
-pertinent root each partial node may have one partial child.  That chain is
-reduced bottom-up by the P3, P5 and Q2 templates, then the pertinent root by
-P2, P4, P6 or Q3.  A P-node's full leaves are visited once, to move them into
-their new group.  A row that is all of the pertinent root, or a run of full
-children of a Q-node root, leaves the tree as it was.
+Every node keeps the bitmask of its leaf columns.  A P-node holds its leaf
+children as one bitmask of their columns and lists only its other children,
+so the leaves a row meets in it are one mask operation away and a leaf the
+row misses is never visited.  A Q-node keeps its children on two stacks,
+read leftwards and rightwards from a fixed middle.  Each child of a Q-node
+caches its reach, the OR of the masks from the middle out through it, and
+each side caches the set of its reaches, its cuts.  That cache is never
+rebuilt: a turn swaps the two sides in O(1), a child added at either end
+takes its reach from the end child, and children spliced in for one they
+cover exactly get reaches of their own while every other reach stays.
+
+A reduction climbs from the row's lowest leaf to the first node covering the
+row, the pertinent root, and works top-down from there after Booth and
+Lueker (1976, *JCSS* 13).  A row that is all of the pertinent root, or a run
+of full children of a Q-node root, leaves the tree as it was.  The second
+case takes O(1) at the root: the climb passes the root's child holding the
+row's lowest column, and a few mask operations and set lookups compare the
+row with the cuts around that child (``PQTree._full_run``).  Any other row
+is reduced.  Each listed child is empty, full or partial by one test of its
+mask against the row.  At a Q-node root the run of children the row meets
+comes from keyed binary searches over the reaches of each side it meets,
+and one more mask test tells whether the children inside the run are full.
+Below the pertinent root a partial Q-node must meet the row in a run at one
+of its ends, found by walking in from the other end.  So only partial
+children are descended into, and below the pertinent root each partial node
+may have one partial child.  That chain is reduced bottom-up by the P3, P5
+and Q2 templates, then the pertinent root by P2, P4, P6 or Q3.  P3 and P5
+add the new children at the two ends of the Q-node below, and P4 and P6 at
+the right end of the root's reduced partial child.  A P-node's full leaves
+are visited once, to move them into their new group.
 
 A P-node's listed children keep their place among its leaves as a sort key,
 and its leaves keep theirs as their columns, which stay ascending: a child
 regrouped as full is keyed by its lowest column, one hung at the right end by
 P2, P4 or P6 by a counter that starts at ``m``, and one put in another's place
-takes that one's key.  ``frontier`` merges the two sequences by key.  Q3
-splices the reduced children in where a partial child was; they cover what it
-covered, so it patches only their stretch of the cached prefixes.
+takes that one's key.  ``frontier`` merges the two sequences by key, and
+reads a Q-node's left side backwards and then its right side, so a turn is
+honoured.  Q2 and Q3 splice the reduced children in where a partial child
+was; they cover what it covered, so only their own reaches are new.
 
 The witness depends on two orders: a P-node template orders the full
 children it regroups by their lowest column, and at a P-node root with two
@@ -39,7 +52,7 @@ partial children the one whose lowest column in the row is larger takes in
 the other.  ``solve_c1p_sets`` reduces the rows in ascending size order,
 which on tie-dense weak profiles is 15-25 % faster than reducing them in
 vote order; in that order about 80 % of the distinct rows ``c1p.recognize``
-passes leave the tree unchanged.
+passes leave the tree unchanged, most of them at a Q-node root.
 
 A row is a ``Bitset``: an ``int`` whose bit ``c`` is column ``c``, whose
 ``len`` is its number of columns and which iterates over its columns in
@@ -52,9 +65,9 @@ as a mask.  Rows given as other collections of columns are converted to a
 
 from __future__ import annotations
 
-import itertools
 import operator
 from bisect import bisect_left
+from itertools import chain
 
 from .model import iter_bits
 
@@ -86,42 +99,100 @@ class Bitset(int):
 
 class _Node:
     __slots__ = ("kind", "children", "leaves", "parent", "col", "key", "mask",
-                 "prefix")
+                 "sides", "reach")
 
     def __init__(self, kind, children=None, leaves=0, col=None):
         self.kind = kind  # 'P', 'Q' or 'L'
-        # a Q-node lists all its children in order; a P-node holds its leaf
-        # children as the bitmask ``leaves`` of their columns and lists only
-        # its other children, ascending by ``key`` (see ``PQTree._ordered``)
+        # a P-node holds its leaf children as the bitmask ``leaves`` of their
+        # columns and lists only its other children, ascending by ``key``
+        # (see ``PQTree._ordered``); a Q-node holds its children in ``sides``
+        # (see ``_q_node``), and each of them keeps its ``reach`` there
         self.children = children or []
         self.leaves = leaves
         self.parent = None
         self.col = col
         self.key = col
-        # bitmask of the node's leaf columns; for a Q-node, ``prefix`` caches
-        # the running OR of its children's masks and is None until needed
+        # bitmask of the node's leaf columns
         self.mask = 1 << col if kind == "L" else leaves
-        self.prefix = None
+        self.sides = None
         for ch in self.children:
             ch.parent = self
             self.mask |= ch.mask
 
 
-def _adopt(node, children):
-    for ch in children:
+def _q_node(first, last):
+    """A Q-node reading ``first`` then ``last``.
+
+    A Q-node's ``sides`` are ``[(left, cuts), (right, cuts)]``: two stacks
+    of its children, read outward from a fixed middle, so the node reads
+    ``left[::-1] + right``.  Each child keeps as ``reach`` the columns of
+    its stack from the middle out through itself, and a side's ``cuts`` is
+    the set of its children's reaches and 0: for each place between two
+    children, or at the middle, the columns between it and the middle.  A
+    turn swaps the sides.  A child added at an end takes its reach from the
+    end child.  Children spliced in for one whose columns they cover exactly
+    leave the reaches outward of it as they were, and the last of them takes
+    its reach, so no cut is ever lost.  Neither side is ever empty.
+    """
+    node = _Node("Q")
+    node.sides = [([], {0}), ([], {0})]
+    _push(node, 0, [first])
+    _push(node, 1, [last])
+    return node
+
+
+def _stretch(node, kids, reach, cuts):
+    """Adopt ``kids`` into the Q-node ``node`` as a stretch of one side,
+    read outward from the cut ``reach``, and add each one's reach to the
+    side's ``cuts``."""
+    for ch in kids:
         ch.parent = node
+        reach |= ch.mask
+        ch.reach = reach
+        cuts.add(reach)
+
+
+def _push(node, side, kids):
+    """Add ``kids`` at the left (``side`` 0) or right (1) end of the Q-node
+    ``node``, the first of them next to the end child."""
+    stack, cuts = node.sides[side]
+    _stretch(node, kids, stack[-1].reach if stack else 0, cuts)
+    stack += kids
+    node.mask |= stack[-1].reach
+
+
+def _reading(node, back=False):
+    """The children of the Q-node ``node`` left to right, or right to left
+    if ``back``."""
+    (left, _), (right, _) = node.sides
+    return right[::-1] + left if back else left[::-1] + right
+
+
+def _at(node, i):
+    """The child of the Q-node ``node`` at index ``i``, left to right."""
+    (left, _), (right, _) = node.sides
+    return left[len(left) - 1 - i] if i < len(left) else right[i - len(left)]
+
+
+def _splice(node, i, q, back):
+    """Put the children of the Q-node ``q``, read backwards if ``back``,
+    where the child of ``node`` at index ``i`` is.  They cover what that
+    child covered, so only their own reaches are new."""
+    k = len(node.sides[0][0])
+    side, j = (0, k - 1 - i) if i < k else (1, i - k)
+    stack, cuts = node.sides[side]
+    kids = _reading(q, back != (side == 0))  # outward from the middle
+    _stretch(node, kids, stack[j - 1].reach if j else 0, cuts)
+    stack[j : j + 1] = kids
 
 
 def _reduce_q(node, part, start, turn):
     """Q2: a partial Q-node below the pertinent root, turned if ``turn``,
     with its partial child's children spliced in where its run starts."""
-    children = node.children
     if turn:
-        children.reverse()
+        node.sides.reverse()
     if part is not None:
-        _adopt(node, part.children)
-        children[start : start + 1] = part.children
-    node.prefix = None
+        _splice(node, start, part, False)
     return node
 
 
@@ -140,7 +211,7 @@ class PQTree:
         """The children of ``node`` left to right.  A P-node's leaf children
         take their columns as keys, so its two sequences merge by key."""
         if node.kind == "Q":
-            return node.children
+            return _reading(node)
         leaves = [self.leaves[c] for c in Bitset(node.leaves)]
         return sorted(leaves + node.children, key=operator.attrgetter("key"))
 
@@ -178,9 +249,13 @@ class PQTree:
         new.key = old.key
         if parent is None:
             self.root = new
-        else:
+            return
+        if parent.kind == "P":
             siblings = parent.children
-            siblings[siblings.index(old)] = new
+        else:
+            new.reach = old.reach
+            siblings = next(stack for stack, _ in parent.sides if old in stack)
+        siblings[siblings.index(old)] = new
 
     # -- reduction ---------------------------------------------------------
 
@@ -201,37 +276,76 @@ class PQTree:
         size = row.bit_count()
         if size <= 1 or size >= self.m:
             return True
-        node = self._pertinent_root(row)
+        node, below = self._pertinent_root(row)
         if node.mask == row:
             return True
         if node.kind == "Q":
-            return self._reduce_q_root(node, row)
+            return self._full_run(node, below, row) or self._reduce_q_root(node, row)
         return self._reduce_p_root(node, row)
 
     def _pertinent_root(self, row):
-        """The deepest node whose leaves cover the bitmask ``row``, found by
-        climbing from the leaf of the row's lowest column."""
-        node = self.leaves[(row & -row).bit_length() - 1]
+        """The deepest node whose leaves cover the bitmask ``row`` of two or
+        more columns, found by climbing from the leaf of the row's lowest
+        column, and its child the climb came from."""
+        below = self.leaves[(row & -row).bit_length() - 1]
+        node = below.parent
         while node.mask & row != row:
-            node = node.parent
-        return node
+            below, node = node, node.parent
+        return node, below
+
+    @staticmethod
+    def _full_run(node, below, row):
+        """Whether ``row`` is the union of a run of children of the Q-node
+        pertinent root ``node``, so that reducing by it changes nothing;
+        ``below`` is the child holding the row's lowest column.
+
+        Let ``lo`` be the reach of ``below`` minus the row.  The row is such
+        a run exactly when ``lo`` and ``lo`` with the row's columns on
+        ``below``'s side are both cuts of that side, and the row's columns
+        on the other side, if any, are a cut there with ``lo`` empty (the
+        run crosses the middle).  That is a few mask operations and set
+        lookups, however long the node."""
+        (stack, near), (other, far) = node.sides
+        total = stack[-1].reach
+        if not below.mask & total:
+            near, far, total = far, near, other[-1].reach
+        lo = below.reach & ~row
+        own = row & total
+        if own != row and (lo or row ^ own not in far):
+            return False
+        return lo in near and lo | own in near
 
     @staticmethod
     def _run(node, row):
-        """``(first, last)``, the indices of the first and the last child of
-        the Q-node ``node`` that meet ``row``, or None unless every child
-        between them lies inside the row."""
-        prefix = node.prefix
-        if prefix is None:
-            masks = [ch.mask for ch in node.children]
-            prefix = node.prefix = list(itertools.accumulate(masks, operator.or_))
-        part = row & node.mask
-        # the children are disjoint, so ``p & part`` grows along the
-        # prefixes: the run starts at the first prefix meeting the row and
-        # ends at the first covering the row's part in this node
-        first = bisect_left(prefix, 1, key=part.__and__)
-        last = bisect_left(prefix, part, key=part.__and__)
-        inner = prefix[last - 1] ^ prefix[first] if last > first else 0
+        """``(first, last)``, the indices left to right of the first and the
+        last child of the Q-node pertinent root ``node`` that meet ``row``,
+        or None unless every child between them lies inside the row.
+
+        ``reduce`` asks only for a row that ``_full_run`` found is not a run
+        of full children, so a row that leaves the tree as it was is never
+        searched for.  The cached reaches are read as they stand, since a
+        turn only swapped the node's sides and appends and splices kept
+        them.  The children are disjoint, so on each side the reaches meet
+        the row's part there in a growing set: the children meeting it run
+        from the first reach meeting it to the first covering it, two keyed
+        bisections of the side.  A run with columns on both sides must hold
+        the children next to the middle, so only its outer ends are sought.
+        """
+        (left, _), (right, _) = node.sides
+        k = len(left)
+        lpart = row & left[-1].reach
+        rpart = row ^ lpart
+        if lpart and rpart:
+            b = bisect_left(left, lpart, key=lambda ch: ch.reach & lpart)
+            c = bisect_left(right, rpart, key=lambda ch: ch.reach & rpart)
+            inner = (left[b - 1].reach if b else 0) | (right[c - 1].reach if c else 0)
+            first, last = k - 1 - b, k + c
+        else:
+            stack, part = (left, lpart) if lpart else (right, rpart)
+            a = bisect_left(stack, 1, key=lambda ch: ch.reach & part)
+            b = bisect_left(stack, part, key=lambda ch: ch.reach & part)
+            inner = stack[b - 1].reach ^ stack[a].reach
+            first, last = (k - 1 - b, k - 1 - a) if lpart else (k + a, k + b)
         return (first, last) if inner & row == inner else None
 
     @staticmethod
@@ -244,13 +358,14 @@ class PQTree:
 
         The children outside the run are walked in from the other end, and
         one mask test tells whether all beyond the first child meeting the
-        row are inside it.  No prefix list is built."""
-        children = node.children
-        first = children[0].mask
+        row are inside it.  No cached reach is read."""
+        (left, _), (right, _) = node.sides
+        first = left[-1].mask
         # with both ends in the row, the partial one is the run's inner end
-        turn = not children[-1].mask & row or first & row == first
+        turn = not right[-1].mask & row or first & row == first
         rest = node.mask
-        for start, ch in enumerate(reversed(children) if turn else children):
+        walk = chain(reversed(right), left) if turn else chain(reversed(left), right)
+        for start, ch in enumerate(walk):
             cut = ch.mask & row
             if cut:
                 part = ch if cut != ch.mask else None
@@ -280,19 +395,26 @@ class PQTree:
         """P3 and P5: a partial P-node below the pertinent root becomes a
         Q-node of its empty children, its partial child's children and its
         full ones.  Two or more empty children stay in ``node``, so its empty
-        leaves keep their parent, and a new Q-node holds it."""
+        leaves keep their parent.  The partial child, a Q-node, takes the
+        empty and the full children at its ends; without one, a new Q-node
+        holds them."""
         rest = node.leaves ^ cut
         if rest.bit_count() + len(empties) > 1:
             node.leaves, node.children = rest, empties
             node.mask &= ~(row | part.mask) if part is not None else ~row
-            merged = [node]
+            empty = node
+        elif rest:
+            empty = self.leaves[rest.bit_length() - 1]
         else:
-            merged = [self.leaves[rest.bit_length() - 1]] if rest else empties
-        if part is not None:
-            merged += part.children
-        if cut or fulls:
-            merged.append(self._group(cut, fulls, None))
-        return _Node("Q", merged)
+            empty = empties[0] if empties else None
+        full = self._group(cut, fulls, None) if cut or fulls else None
+        if part is None:
+            return _q_node(empty, full)
+        if empty is not None:
+            _push(part, 0, [empty])
+        if full is not None:
+            _push(part, 1, [full])
+        return part
 
     def _reduce_partial(self, node, row):
         """Reduce the partial ``node`` below the pertinent root to a Q-node
@@ -343,16 +465,9 @@ class PQTree:
                 parts.reverse()
         q = parts[0]
         if cut or fulls:
-            group = self._group(cut, fulls, q)
-            q.children.append(group)
-            q.mask |= group.mask
+            _push(q, 1, [self._group(cut, fulls, None)])
         if len(parts) == 2:
-            moved = parts[1].children
-            moved.reverse()
-            _adopt(q, moved)
-            q.children.extend(moved)
-            q.mask |= parts[1].mask
-        q.prefix = None
+            _push(q, 1, _reading(parts[1], back=True))
         if node.leaves or empties:
             self._hang(node, q)
         else:
@@ -365,26 +480,13 @@ class PQTree:
         if run is None:
             return False
         first, last = run
-        children = node.children
         for i in (last, first):
-            end = children[i]
+            end = _at(node, i)
             if end.mask & ~row:
-                end = self._reduce_partial(end, row)
+                end = self._reduce_partial(end, row)  # full side last
                 if end is None:
                     return False
-                grand = end.children  # full side last
-                if i == last:
-                    grand.reverse()
-                _adopt(node, grand)
-                children[i : i + 1] = grand
-                # ``grand`` covers what ``end`` covered, so only the prefixes
-                # of the spliced-in children are new
-                prefix = node.prefix
-                masks = (ch.mask for ch in grand)
-                prefix[i : i + 1] = itertools.accumulate(
-                    masks, operator.or_, initial=prefix[i - 1] if i else 0
-                )
-                del prefix[i]  # the initial value
+                _splice(node, i, end, back=i == last)
         return True
 
     # -- output ------------------------------------------------------------
@@ -412,8 +514,9 @@ def solve_c1p_sets(rows, m):
     leaves the tree unchanged.
 
     A ``Bitset`` row is tested as it is, with no pass over its cells; a row
-    of another type is first converted to one.  A row the tree does not
-    already keep consecutive costs, in each node it partly covers, a pass
+    of another type is first converted to one.  A row the tree already keeps
+    consecutive costs the climb from its lowest leaf and O(1) more.  One it
+    does not costs, in each node it partly covers, a pass
     over the node's listed children if it is a P-node, whose leaf children
     are one mask, and a walk over the children outside the row's run if it
     is a Q-node below the pertinent root; the full leaves of a P-node are

@@ -23,7 +23,13 @@ import re
 
 import numpy as np
 
-from .errors import ClassError, CycleError, ParseError, UnknownCandidateError
+from .errors import (
+    ClassError,
+    CycleError,
+    ParseError,
+    PeakcheckError,
+    UnknownCandidateError,
+)
 from .model import (
     OrderClass,
     PreferenceOrder,
@@ -269,15 +275,31 @@ def _raise_first_bad_cell(outside, values, lines, exact, m, linenos):
     raise ParseError(f"candidate {candidate} listed twice", line=lineno)
 
 
+def _names(names, m):
+    """``names`` as a list; a PeakcheckError unless it lists ``m`` strings,
+    which is what the parsers read back."""
+    names = list(names)
+    if len(names) != m or not all(isinstance(name, str) for name in names):
+        raise PeakcheckError(f"names must list {m} strings, one per candidate")
+    return names
+
+
 def write_preflib(profile, names=None, comments=()):
-    """Canonical PrefLib text for a profile of weak-or-tighter orders."""
+    """Canonical PrefLib text for a profile of weak-or-tighter orders.
+
+    ``names``, if given, lists one string per candidate.  A name or comment
+    holding a line break would end its header line early, so it is refused
+    with a PeakcheckError."""
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError(
             "only weak-or-tighter orders have a PrefLib representation; "
             "use write_profile_json for looser classes"
         )
     m = profile.m
-    names = list(names) if names is not None else [str(i) for i in range(1, m + 1)]
+    names = _names(names, m) if names is not None else [str(i) for i in range(1, m + 1)]
+    for text in (*names, *map(str, comments)):
+        if "".join(text.splitlines()) != text:
+            raise PeakcheckError(f"a PrefLib name or comment holds a line break: {text!r}")
     data_type = "soc" if all(v.is_total() for v in profile.votes) else "toc"
     lines = [f"# DATA TYPE: {data_type}"]
     lines += [f"# {c}" for c in comments]
@@ -304,11 +326,12 @@ def write_preflib(profile, names=None, comments=()):
 
 
 def write_profile_json(profile, names=None):
-    """JSON serialisation by strict pairs (covers every order class)."""
+    """JSON serialisation by strict pairs (covers every order class).
+    ``names``, if given, lists one string per candidate."""
     payload = {
         "schema": "peakcheck-profile-v1",
         "m": profile.m,
-        "names": list(names) if names else None,
+        "names": _names(names, profile.m) if names is not None else None,
         "votes": [
             {
                 "pairs": sorted(map(list, vote.pairs())),

@@ -105,6 +105,27 @@ def test_write_preflib_rejects_partial_orders():
     assert again == prof
 
 
+def test_writers_refuse_names_their_parsers_would_not_read_back():
+    prof = Profile(3, (PreferenceOrder.from_total([2, 0, 1]),))
+    for names in (["a", "b"], ["a", "b", "c", "d"], ["a", "b", 3], []):
+        with pytest.raises(PeakcheckError, match="names must list 3 strings"):
+            write_profile_json(prof, names=names)
+        with pytest.raises(PeakcheckError, match="names must list 3 strings"):
+            write_preflib(prof, names=names)
+    # a line break would end the header line early
+    for names, comments in (
+        (["a", "b\nc", "d"], ()),
+        (["a\r", "b", "c"], ()),
+        (["a", "b", "c"], ["one\ntwo"]),
+    ):
+        with pytest.raises(PeakcheckError, match="line break"):
+            write_preflib(prof, names=names, comments=comments)
+    # m names without line breaks come back as they were written
+    names = ["alpha", "b c", "\u00fc"]
+    assert parse_profile_json(write_profile_json(prof, names)) == (prof, names)
+    assert parse_preflib_full(write_preflib(prof, names, ["a comment"]))[:2] == (prof, names)
+
+
 def test_parse_any_sniffs_format():
     prof = Profile(3, (PreferenceOrder.from_total([2, 0, 1]),))
     assert parse_any(write_preflib(prof))[0] == prof
@@ -549,6 +570,7 @@ def test_cli_cross_validate_runs_every_applicable_engine(tmp_path, capsys):
         ["generate", "OUT", "--m", "0", "--n", "3"],
         ["recognize", "--seed-corpus", "3,2,weak,0,0"],
         ["recognize", "--seed-corpus", "3,2,weak,0,-2"],
+        ["recognize", "--oracle-bound", "-1", "--algorithm", "oracle", "--seed-corpus", "5,2,weak,1"],
     ],
 )
 def test_cli_malformed_arguments_are_errors(tmp_path, capsys, argv):
@@ -570,6 +592,22 @@ def test_cli_seed_corpus_count_below_one_is_an_error(tmp_path, capsys):
     assert rc == 2
     assert captured.err == "error: --seed-corpus count must be at least 1 (got 0)\n"
     assert captured.out == ""
+
+
+def test_cli_negative_oracle_bound_is_an_error(tmp_path, capsys):
+    # it was taken, and the oracle then refused m=5 as above the bound -1
+    path = tmp_path / "five.toc"
+    path.write_text(write_preflib(random_sp_profile(5, 3, "psp", 0.5, seed=1)))
+    rc = main(["recognize", "--oracle-bound", "-1", "--algorithm", "oracle", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: --oracle-bound must be at least 0 (got -1)\n"
+    assert captured.out == ""
+    # a bound of 0 still means that the oracle never applies
+    for bound, applies in (("0", False), ("5", True)):
+        assert main(["recognize", "--oracle-bound", bound, "--cross-validate", str(path)]) == 0
+        engines = re.search(r"\[psp/([a-z0-9+]+)\]", capsys.readouterr().out).group(1)
+        assert ("oracle" in engines.split("+")) == applies
 
 
 def test_cli_class_names_are_shared(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import hashlib
@@ -8,7 +9,7 @@ import random
 import pytest
 
 from conftest import backtracking_c1p, rows_consecutive_under
-from peakcheck import c1p
+from peakcheck import c1p, pqtree
 from peakcheck.gadgets import random_sp_profile
 from peakcheck.pqtree import Bitset, PQTree, solve_c1p_sets
 
@@ -243,37 +244,40 @@ def _keeps(tree, row):
 
     Exactly when the row is all of the pertinent root's leaves, or when
     the pertinent root is a Q-node and the row is the union of a run of
-    its children: the cases ``reduce`` returns from without a change.
+    its children: the cases ``reduce`` returns from without a change, the
+    second by the test over the Q-node's cached cuts.
     """
-    node = tree._pertinent_root(row)
-    if node.kind != "Q":
-        return node.mask == row
-    run = tree._run(node, row)
-    if run is None:
-        return False
-    ends = node.children[run[0]].mask | node.children[run[1]].mask
-    return ends & row == ends
+    node, below = tree._pertinent_root(row)
+    return node.mask == row or node.kind == "Q" and tree._full_run(node, below, row)
 
 
 def _assert_keeps_is_exact(m, rows):
     """Reduce ``rows`` in order; before each one, ``_keeps`` must say the row
-    changes nothing exactly when ``reduce``, run on a copy, leaves the
-    tree's shape as it was."""
+    changes nothing exactly when the reduction templates, run on a copy
+    without that test, leave the tree's shape as it was."""
     tree = PQTree(m)
     for row in rows:
         if 1 < len(row) < m:
             before = _shape(tree, tree.root)
             reduced = copy.deepcopy(tree)
-            unchanged = reduced.reduce(row) and _shape(reduced, reduced.root) == before
-            assert _keeps(tree, sum(1 << c for c in row)) == unchanged
+            mask = Bitset.of(row)
+            node, _ = reduced._pertinent_root(mask)
+            if node.mask == mask:
+                ok = True
+            elif node.kind == "Q":
+                ok = reduced._reduce_q_root(node, mask)
+            else:
+                ok = reduced._reduce_p_root(node, mask)
+            unchanged = ok and _shape(reduced, reduced.root) == before
+            assert _keeps(tree, mask) == unchanged
         if not tree.reduce(row):
             return
 
 
-def _row_sequences(rng, count):
-    """Random row sequences at m <= 9, a third of their rows repeated."""
+def _row_sequences(rng, count, top=9):
+    """Random row sequences at m <= ``top``, a third of their rows repeated."""
     for _ in range(count):
-        m = rng.randint(2, 9)
+        m = rng.randint(2, top)
         rows = []
         for _ in range(rng.randint(1, 12)):
             if rows and rng.random() < 0.3:
@@ -318,9 +322,9 @@ def test_hypothesis_keeps_is_exact():
 
 
 def _assert_tree_invariants(tree):
-    """Masks, parent links, P-node leaf masks and keys, and cached Q-node
-    prefixes agree with the children.  Returns the number of cached prefix
-    lists checked."""
+    """Masks, parent links, P-node leaf masks and keys, and each Q-node's
+    cached reaches and cuts agree with the children.  Returns the number of
+    Q-node caches checked."""
     assert tree.root.parent is None
     assert sorted(tree.frontier()) == list(range(tree.m))
     cached = 0
@@ -331,9 +335,10 @@ def _assert_tree_invariants(tree):
             assert node.mask == 1 << node.col and not node.children
             assert node.key == node.col
             continue
-        masks = [ch.mask for ch in node.children]
+        children = node.children if node.kind == "P" else tree._ordered(node)
+        masks = [ch.mask for ch in children]
         assert node.mask == functools.reduce(operator.or_, masks, node.leaves)
-        assert all(ch.parent is node for ch in node.children)
+        assert all(ch.parent is node for ch in children)
         if node.kind == "P":
             # the leaves are held in the mask alone, every one of them with
             # this node as its parent, and the other children are listed
@@ -344,13 +349,20 @@ def _assert_tree_invariants(tree):
             keys = [ch.key for ch in node.children]
             assert keys == sorted(set(keys)) and not set(keys) & set(cols)
             assert len(cols) + len(keys) >= 2
+            assert node.sides is None
         else:
-            assert node.leaves == 0
-        if node.prefix is not None:
-            assert node.kind == "Q"
-            assert node.prefix == list(itertools.accumulate(masks, operator.or_))
+            assert node.leaves == 0 and not node.children
+            # each side, read outward from the middle, is never empty; each
+            # child's reach is the OR of the masks from the middle through
+            # it, and the side's cuts are exactly 0 and those reaches
+            assert len(node.sides) == 2
+            for side, cuts in node.sides:
+                assert side
+                reaches = list(itertools.accumulate((ch.mask for ch in side), operator.or_))
+                assert [ch.reach for ch in side] == reaches
+                assert cuts == {0, *reaches}
             cached += 1
-        stack.extend(node.children)
+        stack.extend(children)
     return cached
 
 
@@ -378,7 +390,72 @@ def test_tree_invariants_hold_after_every_reduction(monkeypatch):
     assert len(calls) == 4
     for rows, m in calls:
         cached += _reduce_checking_invariants(rows, m)
-    assert cached  # some Q-node prefixes were cached and checked
+    assert cached  # some Q-node caches were checked
+
+
+def _frontier_checking_invariants(rows, m):
+    """The frontier after reducing ``rows`` in order, or None, with the tree
+    checked after every reduction."""
+    tree = PQTree(m)
+    for row in rows:
+        if not tree.reduce(row):
+            return None
+        _assert_tree_invariants(tree)
+    return tree.frontier()
+
+
+def test_q_node_caches_survive_turns_and_appends(monkeypatch):
+    # a Q-node that Q2 turned or left as it was and that P4 or P6 then
+    # extends at its right end, and a Q3 root with reduced ends spliced in,
+    # keep their cached reaches and cuts, which are checked against the
+    # children after every reduction
+    seen = collections.Counter()
+    turned = {}  # the nodes Q2 reduced in this reduction, to their turn
+    depth = [0]  # inside a reduction below the pertinent root
+
+    def reduce_q(node, part, start, turn, q2=pqtree._reduce_q):
+        turned[node] = turn
+        return q2(node, part, start, turn)
+
+    def reduce_partial(self, node, row, partial=PQTree._reduce_partial):
+        depth[0] += 1
+        try:
+            return partial(self, node, row)
+        finally:
+            depth[0] -= 1
+
+    def push(node, side, kids, push=pqtree._push):
+        if not depth[0] and node in turned:
+            if kids[0].parent not in (None, node):
+                seen["Q2 then P6"] += 1
+            else:
+                seen["Q2 turn then P4" if turned[node] else "Q2 then P4"] += 1
+        return push(node, side, kids)
+
+    def splice(node, i, q, back, splice=pqtree._splice):
+        if not depth[0]:
+            seen["Q3 splice"] += 1
+        return splice(node, i, q, back)
+
+    def reduce(self, row, reduce=PQTree.reduce):
+        turned.clear()
+        return reduce(self, row)
+
+    monkeypatch.setattr(pqtree, "_reduce_q", reduce_q)
+    monkeypatch.setattr(PQTree, "_reduce_partial", reduce_partial)
+    monkeypatch.setattr(pqtree, "_push", push)
+    monkeypatch.setattr(pqtree, "_splice", splice)
+    monkeypatch.setattr(PQTree, "reduce", reduce)
+    frontiers = [
+        (_frontier_checking_invariants(rows, m),
+         _frontier_checking_invariants(sorted(rows, key=len), m))
+        for m, rows in _row_sequences(random.Random(24), 20000, top=12)
+    ]
+    assert all(seen[p] for p in ("Q2 turn then P4", "Q2 then P4", "Q2 then P6", "Q3 splice")), seen
+    # the frontiers of the tree that rebuilt its Q-node caches after each
+    # turn or append: caches that survive them must not change one
+    digest = hashlib.sha256(repr(frontiers).encode()).hexdigest()
+    assert digest == "51b269531e0dd949f42b35e5d66c4386bc6193f1ae1811e947c3ea1e5fbf0169"
 
 
 def _pinned_row_sequences():
