@@ -18,17 +18,18 @@ rows, so a vote's block has one distinct row per upper set (the candidates
 of its first ``r`` buckets), and the full set never constrains.  It builds
 one row per vote per upper set short of the full one, plus the gadget rows.
 
-Both read the profile's rank matrix.  Its bucket sizes per vote give the
-refusals and the indifferent pairs (``_levels``); each vote's rows are then
-one numpy comparison of its rank row against the rows' bucket thresholds,
-packed to bits (``_packed_rows``).  ``recognize`` deduplicates the packed
-rows, cuts the distinct ones into a circular-ones instance around the
-column that sheds the most cells, and hands them to the PQ-tree as
-``pqtree.Bitset`` rows, which the tree tests as masks without unpacking.
+Both read the profile's rank matrix, whose bucket sizes give the refusals
+and the indifferent pairs (``_levels``).  Every row is an upper set, or one
+plus a column, so ``_packed_rows`` gathers all rows from one table of upper
+sets as packed 32-bit words, which one ``np.bincount`` and a running sum give.
+``recognize`` drops duplicates on the words, cuts the distinct rows into a
+circular-ones instance around the column that sheds the most cells, and
+unpacks each only then, into the ``pqtree.Bitset`` the tree tests as a mask.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,91 +81,113 @@ _REDUCTIONS = {
 }
 
 
+def _buckets(ranks):
+    """``(bucket, upto)``: the votes' buckets, numbered vote by vote, best
+    first.  ``bucket[k, c]`` numbers candidate ``c``'s bucket in vote ``k``;
+    ``upto[i]`` counts the candidates in buckets ``0..i``.  As a vote ranks
+    all ``m`` candidates, bucket ``i`` is in vote ``k = (upto[i] - 1) // m``,
+    its upper set has ``upto[i] - k * m`` members, and it is ``k``'s last
+    bucket iff ``m`` divides ``upto[i]``."""
+    count = ranks.max(axis=1) + 1
+    bucket = ranks + (np.cumsum(count) - count)[:, None]
+    return bucket, np.cumsum(np.bincount(bucket.ravel(), minlength=count.sum()))
+
+
 def _levels(profile, notion):
     """The level arrays of ``notion``'s reduction, read off the rank matrix.
 
-    Returns ``(ranks, pairs, stop)``.  ``stop`` is ``(k, reason)`` for the
-    first vote ``k`` that forces rejection, or None: a top plateau when the
-    notion rejects one, or (with gadget rows) a non-top indifference class of
-    three or more.  ``ranks`` holds the rank-matrix rows of the votes before
-    it.  With gadget rows, ``pairs`` holds one row ``(k, r, a, b)`` per
-    non-top indifferent pair ``a < b`` in bucket ``r`` of vote ``k``, in vote
-    and bucket order; without, it has no rows.
+    Returns ``(bucket, upto, pairs, stop)``.  ``stop`` is ``(k, reason)`` for
+    the first vote ``k`` that forces rejection, or None: a top plateau when
+    the notion rejects one, or (with gadget rows) a non-top indifference
+    class of three or more.  ``bucket`` and ``upto`` (``_buckets``) cover the
+    votes before it.  With gadget rows, ``pairs`` holds one row
+    ``(k, i, a, b)`` per non-top indifferent pair ``a < b``, bucket ``i`` of
+    vote ``k``, in bucket order; without, it has no rows.
     """
     what, gadgets, single_top = _REDUCTIONS[notion]
     _require_weak(profile, what)
-    ranks = profile.rank_matrix()
-    n, m = ranks.shape
-    # sizes[k, r]: the number of candidates in bucket r of vote k
-    cells = ranks + np.arange(0, n * m, m)[:, None]
-    sizes = np.bincount(cells.ravel(), minlength=n * m).reshape(n, m)
-    plateau = sizes[:, 0] >= 2 if single_top else np.zeros(n, bool)
-    triple = (sizes[:, 1:] >= 3).any(axis=1) if gadgets else np.zeros(n, bool)
+    bucket, upto = _buckets(profile.rank_matrix())
+    n, m = bucket.shape
+    size = np.diff(upto, prepend=0)
+    vote = (upto - 1) // m
+    top = (upto - size) % m == 0
+    plateau = (size[top] >= 2) & single_top
+    triple = (np.bincount(vote, ~top & (size >= 3), n) > 0) & gadgets
     stop = None
     bad = np.flatnonzero(plateau | triple)
     if len(bad):
         k = int(bad[0])
         stop = (k, "more than one most-preferred candidate" if plateau[k]
                 else "three-way non-top indifference")
-        ranks, sizes = ranks[:k], sizes[:k]
+        bucket, upto = bucket[:k], upto[: np.searchsorted(vote, k)]
     pairs = np.empty((0, 4), np.int64)
     if gadgets:
-        k, r = np.nonzero(sizes[:, 1:] == 2)
-        r += 1
-        voters, row = np.unique(k, return_inverse=True)
-        # each such vote's candidates by bucket, each bucket in candidate
-        # order; bucket r starts after the candidates of buckets 0..r-1
-        order = np.argsort(ranks[voters], axis=1, kind="stable")
-        at = np.cumsum(sizes, axis=1)[k, r - 1]
-        pairs = np.column_stack((k, r, order[row, at], order[row, at + 1]))
-    return ranks, pairs, stop
+        # the pairs' candidates, vote by vote, grouped by bucket
+        k, c = np.nonzero(((size == 2) & ~top)[bucket])
+        order = np.argsort(bucket[k, c], kind="stable")
+        k, c = k[order], c[order]
+        pairs = np.column_stack((k[::2], bucket[k[::2], c[::2]], c[::2], c[1::2]))
+    return bucket, upto, pairs, stop
 
 
-def _packed_rows(ranks, pairs, chain):
-    """The reduction's rows as a ``rows x ceil(m / 8)`` array of packed bits
-    (column ``c`` is bit ``c % 8`` of byte ``c // 8``).
+def _packed_rows(bucket, upto, pairs, chain):
+    """The reduction's rows as packed words, ``(words, source, extra)``: row
+    ``j`` is the upper set of bucket ``source[j]`` plus column ``extra[j]``
+    unless that is -1.  ``words[j]`` holds it in little-endian 32-bit words,
+    column ``c`` in bit ``c % 32`` of word ``c // 32``, with room for a
+    column ``m``.
 
     Per vote, its base rows come first: with ``chain`` one per upper set short
     of the full one, best first, else the paper's block, one row per candidate
-    in candidate order.  The upper set of bucket ``r`` is the candidates of
-    buckets ``0..r``.  Then the three gadget rows of each of its pairs
-    ``(r, a, b)``: the upper set of bucket ``r - 1`` plus ``b``, the upper
-    set of bucket ``r``, and the upper set of bucket ``r - 1`` plus ``a``.
+    in candidate order.  Then the three gadget rows of each of its pairs
+    ``(i, a, b)``: the upper sets of buckets ``i - 1`` plus ``b``, ``i``, and
+    ``i - 1`` plus ``a``.
     """
-    n, m = ranks.shape
-    levels = np.arange(m)
-    tops = ranks.max(axis=1).tolist()
-    gadget_levels = (pairs[:, 1:2] + [-1, 0, -1]).reshape(-1)
-    bounds = np.searchsorted(pairs[:, 0], np.arange(n + 1)).tolist()
-    blocks = [np.empty((0, (m + 7) // 8), np.uint8)]
-    for k, row in enumerate(ranks):
-        # each row is the upper set of its bucket: the candidates ranked at
-        # or above it
-        level = levels[: tops[k]] if chain else row
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo == hi:
-            block = row <= level[:, None]
-        else:
-            base = len(level)
-            level = np.concatenate((level, gadget_levels[3 * lo : 3 * hi]))
-            block = row <= level[:, None]
-            first = np.arange(base, len(level), 3)
-            block[first, pairs[lo:hi, 3]] = True
-            block[first + 2, pairs[lo:hi, 2]] = True
-        blocks.append(np.packbits(block, axis=1, bitorder="little"))
-    return np.concatenate(blocks)
+    n, m = bucket.shape
+    width, cols = m // 32 + 1, np.arange(m)
+    bit = np.exp2(cols % 32)
+    # a bucket's candidates hold disjoint bits, so their sum is their OR, and
+    # so is the running sum over a vote's buckets; each vote's first bucket
+    # takes off the full set of the vote before it.  The words wrap modulo
+    # 2^32, which keeps every result exact
+    upper = np.bincount((bucket * width + cols // 32).ravel(), np.tile(bit, n),
+                        len(upto) * width).astype("<u4").reshape(-1, width)
+    full = np.bincount(cols // 32, bit, width).astype("<u4")
+    upper[np.flatnonzero(upto % m == 0)[:-1] + 1] -= full
+    np.cumsum(upper, axis=0, dtype=upper.dtype, out=upper)
+    # every bucket but each vote's last, or each candidate's
+    source = np.flatnonzero(upto % m) if chain else bucket.ravel()
+    extra = np.full(len(source), -1)
+    if len(pairs):
+        _, i, a, b = pairs.T
+        source = np.concatenate((source, np.column_stack((i - 1, i, i - 1)).ravel()))
+        extra = np.concatenate((extra, np.column_stack((b, np.full_like(b, -1), a)).ravel()))
+        # each vote's gadget rows right after its base rows
+        order = np.argsort((upto[source] - 1) // m, kind="stable")
+        source, extra = source[order], extra[order]
+    words = upper[source]
+    j = np.flatnonzero(extra >= 0)
+    words[j, extra[j] // 32] |= (1 << extra[j] % 32).astype(words.dtype)
+    return words, source, extra
+
+
+def _bitsets(words):
+    """Each row of packed words (``_packed_rows``) as a ``Bitset``."""
+    # a bytes item drops its trailing zero bytes, the high ones here
+    items = words.view(f"S{words.itemsize * words.shape[1]}").ravel().tolist()
+    return list(map(Bitset.from_bytes, items, itertools.repeat("little")))
 
 
 def _paper_matrix(profile, notion):
     """The paper's matrix of ``notion``, up to the first vote that forces
     rejection (see ``_levels``), without that vote's rows."""
-    ranks, pairs, stop = _levels(profile, notion)
+    bucket, upto, pairs, stop = _levels(profile, notion)
     mat = C1Matrix(profile.m, short_circuit=stop is not None, short_circuit_reason=stop)
-    mat.rows = [int.from_bytes(row, "little") for row in _packed_rows(ranks, pairs, False)]
+    mat.rows = _bitsets(_packed_rows(bucket, upto, pairs, chain=False)[0])
     by_vote = {}
     for k, _, a, b in pairs.tolist():
         by_vote.setdefault(k, []).append((a, b))
-    for k in range(len(ranks)):
+    for k in range(len(bucket)):
         mat.provenance.extend((k, "base", a) for a in range(profile.m))
         for pair in by_vote.get(k, ()):
             mat.provenance.extend((k, f"plateau-gadget-{j}", pair) for j in (1, 2, 3))
@@ -187,45 +210,63 @@ def build_black_matrix(profile):
 
 
 def solve_c1p(matrix):
-    """Witnessing column permutation of a ``C1Matrix``, or None."""
+    """Witnessing column permutation of a ``C1Matrix``, or None.  Raises
+    ValueError on a row with a column outside ``0..m - 1``."""
     if matrix.short_circuit:
         return None
-    width = (matrix.m + 7) // 8
-    packed = b"".join(mask.to_bytes(width, "little") for mask in matrix.rows)
-    rows = np.frombuffer(packed, np.uint8).reshape(-1, width)
-    return _solve(rows, matrix.m)
+    m = matrix.m
+    if any(mask < 0 or mask >> m for mask in matrix.rows):
+        raise ValueError(f"a row holds a column out of range for {m} columns")
+    # a row that constrains is the upper set of a two-bucket vote
+    width = (m + 7) // 8
+    rows = b"".join(mask.to_bytes(width, "little") for mask in matrix.rows
+                    if 1 < mask.bit_count() < m)
+    bits = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(-1, width), axis=1,
+                         count=m, bitorder="little")
+    return _solve(*_buckets(1 - bits.astype(np.int32)), pairs=())
 
 
-def _solve(packed, m):
-    """Witnessing column permutation of the packed rows (see
-    ``_packed_rows``), or None.
+def _solve(bucket, upto, pairs):
+    """Witnessing column permutation of the chain rows of the buckets
+    (``_packed_rows``), or None.
 
-    Duplicate and unconstraining rows are dropped first; the distinct rows
-    keep the order of their first occurrence.  The rows are then cut into a
-    circular-ones instance around one column ``c`` (see ``_cut_column``):
-    with an all-zero column ``z = m`` added, the matrix has consecutive ones
-    iff it has circular ones (Tucker 1971), and on a circle a row may be
-    replaced by its complement.  Complementing every row that holds ``c``
-    leaves ``c`` in no row, so cutting the circle at ``c`` gives a
-    consecutive-ones instance on ``m + 1`` columns (Hsu and McConnell 2003,
-    *TCS* 296).  Its frontier, rotated so that ``z`` comes last and with
-    ``z`` dropped, makes every original row consecutive.  Without a column
-    whose cut saves cells the rows are solved as they are.
+    The rows stay packed words until they reach the tree.  Duplicates are
+    dropped on the words, the distinct rows keeping the order of their first
+    occurrence, and so are the rows of fewer than two or of all ``m`` columns.
+    With an all-zero column ``z = m`` added, the matrix has consecutive ones
+    iff it has circular ones (Tucker 1971), where a row may be replaced by
+    its complement; complementing, by XOR, every row that holds a column
+    ``c`` and cutting the circle at ``c`` gives a consecutive-ones instance
+    on ``m + 1`` columns (Hsu and McConnell 2003, *TCS* 296).  Its frontier,
+    rotated so that ``z`` comes last and with ``z`` dropped, is the answer.
+    A row ``S`` has ``m + 1 - |S|`` cells once complemented, so the cut is at
+    the column that saves the most, the sum of ``2|S| - m - 1`` over the rows
+    that hold it (the smallest on a tie), if that is positive.
     """
-    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
-    bits = np.unpackbits(packed[np.sort(first)], axis=1, count=m, bitorder="little")
-    # empty, complete or singleton rows never constrain
-    size = bits.sum(axis=1)
-    bits = bits[(size > 1) & (size < m)]
-    c = _cut_column(bits, m)
-    if c is None:
-        return solve_c1p_sets(_bitsets(bits), m)
-    holds_c = bits[:, c] == 1
-    bits[holds_c] ^= 1
-    rows = _bitsets(np.column_stack((bits, holds_c)))
-    perm = solve_c1p_sets(rows, m + 1)
-    if perm is None:
-        return None
+    m = bucket.shape[1]
+    words, source, extra = _packed_rows(bucket, upto, pairs, chain=True)
+    nbytes = words.itemsize * words.shape[1]
+    _, keep = np.unique(words.view(f"V{nbytes}").ravel(), return_index=True)
+    keep.sort()
+    # a row's size: its bucket's upper set (``_buckets``), and its extra column
+    size = (upto[source[keep]] - 1) % m + 1 + (extra[keep] >= 0)
+    constrains = (size > 1) & (size < m)
+    keep, saved = keep[constrains], 2 * size[constrains] - (m + 1)
+    words, source, extra = words[keep], source[keep], extra[keep]
+    # after[i] sums the savings of bucket i and all later ones; summed over a
+    # column's bucket in each vote, it counts each row once per column it
+    # holds, and once per vote before the row's own, which is taken off
+    after = np.cumsum(np.bincount(source, saved, len(upto))[::-1])[::-1]
+    gain = after[bucket].sum(axis=0) - saved @ ((upto[source] - 1) // m)
+    gain += np.bincount(extra + 1, saved, m + 1)[1:]
+    c = int(np.argmax(gain))
+    cut = bool(gain[c] > 0)
+    if cut:
+        everything = np.frombuffer(((1 << (m + 1)) - 1).to_bytes(nbytes, "little"), words.dtype)
+        words[(words[:, c // 32] >> c % 32 & 1) == 1] ^= everything
+    perm = solve_c1p_sets(_bitsets(words), m + cut)
+    if perm is None or not cut:
+        return perm
     # z must be a column of the frontier before it is rotated there
     if sorted(perm) != list(range(m + 1)):
         raise InternalError(
@@ -234,30 +275,6 @@ def _solve(packed, m):
         )
     z = perm.index(m)
     return perm[z + 1 :] + perm[:z]
-
-
-def _cut_column(bits, m):
-    """The column whose cut saves the most cells, or None if none saves any.
-
-    Complementing a row ``S`` in ``m + 1`` columns turns ``|S|`` cells into
-    ``m + 1 - |S|``, so cutting at ``c`` saves the sum of ``2|S| - m - 1``
-    over the rows that hold ``c``.  Ties go to the smallest column.
-    """
-    if not len(bits):
-        return None
-    saved = 2 * bits.sum(axis=1, dtype=np.int64) - (m + 1)
-    gain = np.einsum("r,rc->c", saved, bits)
-    c = int(np.argmax(gain))
-    return c if gain[c] > 0 else None
-
-
-def _bitsets(bits):
-    """Each row of the 0/1 matrix as the ``Bitset`` of its set columns."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    from_bytes = Bitset.from_bytes
-    return [from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 def recognize(profile, notion=Notion.PSP):
@@ -274,11 +291,11 @@ def recognize(profile, notion=Notion.PSP):
         refusal = axis_check.top_class_refusal(profile)
         if refusal is not None:
             return Verdict.no(refusal, notion=notion, algorithm="c1p")
-    ranks, pairs, stop = _levels(profile, notion)
+    bucket, upto, pairs, stop = _levels(profile, notion)
     if stop is not None:
         k, why = stop
         return Verdict.no(Refusal(why, vote_index=k), notion=notion, algorithm="c1p")
-    perm = _solve(_packed_rows(ranks, pairs, chain=True), profile.m)
+    perm = _solve(bucket, upto, pairs)
     if perm is None:
         return Verdict.no(
             Refusal("no column permutation yields consecutive ones"),

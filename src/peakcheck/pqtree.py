@@ -520,12 +520,10 @@ def solve_c1p_sets(rows, m):
     over the node's listed children if it is a P-node, whose leaf children
     are one mask, and a walk over the children outside the row's run if it
     is a Q-node below the pertinent root; the full leaves of a P-node are
-    visited once, to move them into their new group.  Callers pass few
-    rows: ``c1p.recognize`` passes one row per distinct upper set of a vote,
-    not one per candidate, and ``c1p`` passes the distinct rows cut into a
-    circular-ones instance on ``m + 1`` columns, in which every row holding
-    the cut column is replaced by its complement.  A row with a negative
-    column or one not below ``m`` raises ValueError.
+    visited once, to move them into their new group.  ``c1p`` passes each
+    distinct row of its reduction once, as a ``Bitset``, cut into a
+    circular-ones instance on ``m + 1`` columns (``c1p._solve``).  A row
+    with a negative column or one not below ``m`` raises ValueError.
     """
     tree = PQTree(m)
     for row in sorted(rows, key=len):

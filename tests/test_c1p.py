@@ -25,6 +25,7 @@ from peakcheck.c1p import (
     solve_c1p,
 )
 from peakcheck.errors import ClassError
+from peakcheck.gadgets import random_sp_profile
 from peakcheck.model import Notion, PreferenceOrder, Profile, all_axes, build_order
 from peakcheck.pqtree import Bitset
 
@@ -439,9 +440,9 @@ def _assert_matches_reference_builder(profile, calls):
         assert paper.short_circuit_reason == ref.short_circuit_reason
 
         chain = reference_c1p_matrix(profile, notion, chain=True)
-        ranks, pairs, stop = c1p._levels(profile, notion)
-        rows = c1p._packed_rows(ranks, pairs, chain=True)
-        assert [int.from_bytes(row, "little") for row in rows] == chain.rows
+        bucket, upto, pairs, stop = c1p._levels(profile, notion)
+        words = c1p._packed_rows(bucket, upto, pairs, chain=True)[0]
+        assert [int.from_bytes(row, "little") for row in words] == chain.rows
         assert stop == chain.short_circuit_reason
 
         calls.clear()
@@ -501,8 +502,54 @@ def test_rank_matrix_builder_matches_reference(monkeypatch):
 def test_rank_matrix_builder_edge_cases(monkeypatch, ranks, stops):
     profile = Profile(len(ranks[0]), tuple(map(PreferenceOrder.from_ranks, ranks)))
     for notion in NOTIONS:
-        assert c1p._levels(profile, notion)[2] == stops.get(notion)
+        assert c1p._levels(profile, notion)[-1] == stops.get(notion)
     _assert_matches_reference_builder(profile, _seam_calls(monkeypatch))
+
+
+def _pair_tied_ranks(m, rng, last_pair):
+    """Ranks of a vote with a single top candidate and indifference classes
+    of at most two below it, the last one a pair when ``last_pair``."""
+    sizes = [1]
+    while sum(sizes) < m:
+        sizes.append(2 if m - sum(sizes) >= 2 and rng.random() < 0.4 else 1)
+    if last_pair and sizes[-1] == 1:
+        # [..., 2, 1] becomes [..., 1, 2], and [..., 1, 1] becomes [..., 2]
+        sizes[-2:] = [1, 2] if sizes[-2] == 2 else [2]
+    cands = rng.sample(range(m), m)
+    ranks = [0] * m
+    for r, size in enumerate(sizes):
+        for c in cands[:size]:
+            ranks[c] = r
+        cands = cands[size:]
+    return ranks
+
+
+@pytest.mark.parametrize("m", [31, 32, 33, 63, 64, 65])
+def test_rank_matrix_builder_across_word_boundaries(monkeypatch, m):
+    # rows are packed 32 columns to a word, and the cut adds column z = m,
+    # which opens a new word at m = 32 and m = 64
+    rng = random.Random(m)
+    votes = [_pair_tied_ranks(m, rng, last_pair=k == 0) for k in range(6)]
+    assert sorted(votes[0]).count(max(votes[0])) == 2
+    pair_tied = Profile(m, tuple(map(PreferenceOrder.from_ranks, votes)))
+    chain = reference_c1p_matrix(pair_tied, Notion.PSP, chain=True)
+    assert reference_cut_rows(chain.rows, m)[1] == m + 1
+    calls = _seam_calls(monkeypatch)
+    for profile in (
+        pair_tied,
+        random_sp_profile(m, 6, "plateaued", 0.6, seed=m),
+        random_weak_profile(m, 4, rng),
+    ):
+        _assert_matches_reference_builder(profile, calls)
+
+
+@pytest.mark.parametrize("mask", [0b10000, 0b1000, -1, -0b110])
+def test_solve_c1p_rejects_rows_outside_its_columns(mask):
+    # a column at or above m, or a negative mask, is no row of the matrix
+    with pytest.raises(ValueError, match="out of range for 3 columns"):
+        solve_c1p(C1Matrix(3, rows=[0b011, mask]))
+    with pytest.raises(ValueError, match="out of range for 3 columns"):
+        solve_c1p(C1Matrix(3, rows=[mask]))
 
 
 def _bench_gen():

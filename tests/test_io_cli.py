@@ -295,6 +295,25 @@ def test_python_m_peakcheck_matches_main(tmp_path, capsys, text):
     assert got == expected
 
 
+def test_import_does_not_load_numpy_random():
+    # numpy.random costs megabytes of resident memory, and numpy 2 loads it
+    # only on first use; peakcheck draws nothing random from numpy
+    src = os.path.dirname(os.path.dirname(peakcheck.__file__))
+    probe = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import peakcheck, peakcheck.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if m.split('.')[:2] == ['numpy', 'random']))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_readme_python_blocks_run(tmp_path):
     # the README's library examples, each in a fresh interpreter on the
     # source tree
