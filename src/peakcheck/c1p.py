@@ -217,6 +217,8 @@ def solve_c1p(matrix):
     m = matrix.m
     if any(mask < 0 or mask >> m for mask in matrix.rows):
         raise ValueError(f"a row holds a column out of range for {m} columns")
+    if not m:
+        return []
     # a row that constrains is the upper set of a two-bucket vote
     width = (m + 7) // 8
     rows = b"".join(mask.to_bytes(width, "little") for mask in matrix.rows

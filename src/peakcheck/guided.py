@@ -17,13 +17,19 @@ indices, so one placement step is O(n) and the whole run O(m*n).
 
 The placement and the implicit search both read the profile's cached rank
 matrix (``Profile.rank_matrix``), built once per profile.  The placement
-copies it into an m x n array with one row per candidate in guiding order.
-For a block of steps at a time, one pass over the block's rows turns the
-per-vote conditions into one threshold row per candidate: the "c_i above
-the remaining minimum" and "remaining maximum above c_i" masks select the
-buckets that can block.  A step is then one comparison of its row against
-the tops of both axis halves, and the left side is tested only when the
-right one is blocked or ``c_i`` is pinned left.
+copies it into an m x n array with one row per candidate in guiding order, in
+16-bit entries up to 2**15 candidates.  For a block of steps at a time, one
+pass over the block's rows turns the per-vote conditions into one threshold
+row per candidate: the "c_i above the remaining minimum" and "remaining
+maximum above c_i" masks select the buckets that can block.  Blocks grow from
+a few steps, so a run that stops early builds few rows.  One pass of numpy
+calls then decides a window of steps: each step's side is guessed from the
+tops of both axis halves at the window's start (a side blocked then stays
+blocked, since the tops only rise), one running minimum per side gives the
+tops the guesses imply, and every step is tested again on those.  The window
+keeps the steps up to the first one whose test disagrees with its guess; that
+step starts the next window, whose guess for it is exact.  A pinned run tests
+``c_2`` at the left end on its own row before any window.
 
 The final axis leaves through the engines' one exit,
 ``axis_check.verified``, and an outside guiding vote is checked on it with
@@ -51,39 +57,40 @@ from . import axis_check
 from .errors import ClassError, InternalError, PeakcheckError, PinError
 from .model import OrderClass, PreferenceOrder, Refusal, Verdict
 
-_BIG = np.iinfo(np.int32).max // 2
+# an int32, so that the placement's arithmetic with it stays in int32
+_BIG = np.int32(np.iinfo(np.int32).max // 2)
 # Rank cells handled at once: the placement builds the threshold rows for
 # about this many cells of rg at a time.  Built whole, the array took fresh
 # pages from the system on every call at m = 10,000, and the run time grew
 # faster than m.
 _BLOCK_CELLS = 1 << 17
+# Most steps one window decides.  Windows of 64 or 256 steps placed the
+# guided-wide benchmark's profiles more slowly: a window's arrays stay in
+# cache, and a longer one more often runs past a wrong guess.
+_WINDOW = 128
 
 
-def _thresholds(block, after_max, after_min):
-    """Threshold rows [worst' | best'] of consecutive steps, for the rules
-    R1 and R2, given the worst and best buckets of the candidates after them.
+def _thresholds(block, after_max, after_min, gate):
+    """Write the threshold rows worst', best' of consecutive steps into
+    ``gate``, for the rules R1 and R2, given the worst and best buckets of
+    the candidates after them.
 
     c_i may not go right iff max(A_L) or max(A_R) lies above (is a smaller
     bucket than) its entry of the row in some vote:
-      worst' = max_k(C_>i)'s bucket where c_i >_k min_k(C_>i), else -1
-      best'  = c_i's bucket where max_k(C_>i) >_k c_i, else -1
-    With A_L and A_R swapped the same row gives L1 and L2.  Buckets are
-    >= 0, so a -1 never blocks.
+      worst' = max_k(C_>i)'s bucket where c_i >_k min_k(C_>i), else 0
+      best'  = c_i's bucket where max_k(C_>i) >_k c_i, else 0
+    With A_L and A_R swapped the same rows give L1 and L2.  An entry that
+    can block is above 0, and as buckets are >= 0 a 0 never blocks.
     """
-    k, n = block.shape
-    gate = np.empty((k, 2 * n), np.int32)
-    worst, best = gate[:, :n], gate[:, n:]
+    worst, best = gate
     # exclusive suffix extrema of C_>i
     worst[-1], best[-1] = after_max, after_min
     np.maximum.accumulate(block[:0:-1], axis=0, out=worst[-2::-1])
     np.minimum.accumulate(block[:0:-1], axis=0, out=best[-2::-1])
     np.maximum(worst[:-1], after_max, out=worst[:-1])
     np.minimum(best[:-1], after_min, out=best[:-1])
-    np.putmask(worst, block >= worst, -1)
-    above_ci = best < block
-    best.fill(-1)
-    np.copyto(best, block, where=above_ci)
-    return gate
+    worst *= block < worst
+    np.multiply(block, best < block, out=best)
 
 
 def _place(rg, pinned_left):
@@ -94,43 +101,66 @@ def _place(rg, pinned_left):
     With ``pinned_left`` step 1 may only go left.
     """
     m, n = rg.shape
-    size = max(1, _BLOCK_CELLS // n)  # steps per block
-    starts = range(0, m, size)
+    side = np.zeros(m, np.int8)  # 1 where a step went left
+    state = np.empty((2, 1, n), np.int32)  # max(A_L), max(A_R)
+    state[0], state[1] = _BIG, rg[0]
+    start = 1
+    if pinned_left and m > 1:
+        # at the left end only L1 can block c_2: some vote ranks c_1 and
+        # c_2 both above the worst of the rest
+        if np.any(np.maximum(rg[0], rg[1]) < rg[2:].max(axis=0, initial=-1)):
+            return None, 1
+        side[1] = 1
+        state[0] = rg[1]
+        start = 2
+    size = max(1, _BLOCK_CELLS // n)  # most steps per block
+    # blocks grow from 9 steps to size, so that a run that stops early
+    # builds few threshold rows
+    starts = [start]
+    while starts[-1] < m:
+        starts.append(min(m, starts[-1] + min(size, 8 + starts[-1])))
     # worst and best bucket of the candidates from each block on; the last
     # row, for none, blocks nothing
-    tail_max = np.full((len(starts) + 1, n), -1, np.int32)
-    tail_min = np.full((len(starts) + 1, n), _BIG, np.int32)
-    block_max = np.maximum.reduceat(rg, starts, axis=0)
-    block_min = np.minimum.reduceat(rg, starts, axis=0)
-    np.maximum.accumulate(block_max[::-1], axis=0, out=tail_max[-2::-1])
-    np.minimum.accumulate(block_min[::-1], axis=0, out=tail_min[-2::-1])
-
-    # rows max(A_L), max(A_R), max(A_R), max(A_L): the first two face the
-    # threshold row for the right side, the last two the row for the left
-    state = np.empty((4, n), np.int32)
-    max_left, max_right = state[::3], state[1:3]
-    max_left.fill(_BIG)
-    max_right[:] = rg[0]
-    right_state, left_state = state[:2].reshape(-1), state[2:].reshape(-1)
-    pinned_step = 1 if pinned_left else None
-    left_part = []
-    right_part = [0]
-    for b, start in enumerate(starts):
-        block = rg[start : start + size]
-        gate = _thresholds(block, tail_max[b + 1], tail_min[b + 1])
-        for i in range(max(start, 1), start + len(block)):
-            row = gate[i - start]
-            # the left side is tested only when the right one is blocked or
-            # c_i is pinned left
-            if i != pinned_step and not np.count_nonzero(right_state < row):
-                right_part.append(i)
-                np.minimum(max_right, rg[i], out=max_right)
-            elif not np.count_nonzero(left_state < row):
-                left_part.append(i)
-                np.minimum(max_left, rg[i], out=max_left)
-            else:
-                return None, i
-    return left_part + right_part[::-1], None
+    tail_max = np.full((len(starts), n), -1, np.int32)
+    tail_min = np.full((len(starts), n), _BIG, np.int32)
+    if start < m:
+        cuts = starts[:-1]
+        np.maximum.accumulate(np.maximum.reduceat(rg, cuts)[::-1], axis=0, out=tail_max[-2::-1])
+        np.minimum.accumulate(np.minimum.reduceat(rg, cuts)[::-1], axis=0, out=tail_min[-2::-1])
+    # one array for every block's threshold rows: a fresh one per block
+    # took fresh pages each time
+    gates = np.empty((2, min(size, m), n), np.int32)
+    states = np.empty((2, min(size, _WINDOW) + 1, n), np.int32)
+    i, width = start, 8
+    for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        gate = gates[:, : hi - lo]
+        _thresholds(rg[lo:hi], tail_max[b + 1], tail_min[b + 1], gate)
+        while i < hi:
+            # guess each step of a window from the state at its start: a side
+            # blocked then stays blocked, as both maxima only rise
+            rows = gate[:, i - lo : i - lo + width]
+            k = rows.shape[1]
+            guess = (state < rows).any(axis=(0, 2))  # right blocked: go left
+            # the states before each step if the guess holds (a bucket |
+            # _BIG is _BIG), and each step tested on them
+            hide = (_BIG * ~guess)[:, None]
+            states[:, 0] = state[:, 0]
+            np.bitwise_or(rg[i : i + k], hide, out=states[0, 1 : k + 1])
+            np.bitwise_or(rg[i : i + k], _BIG - hide, out=states[1, 1 : k + 1])
+            np.minimum.accumulate(states[:, : k + 1], axis=1, out=states[:, : k + 1])
+            right = (states[:, :k] < rows).any(axis=(0, 2))
+            left = (states[::-1, :k] < rows).any(axis=(0, 2))
+            # the guess holds up to the first step that must go left or fits
+            # nowhere; the first step's guess is exact, so e > 0 or a stop
+            miss = np.flatnonzero(right & (left | ~guess))
+            e = miss[0] if miss.size else k
+            if e < k and left[e]:
+                return None, int(i + e)
+            side[i : i + e] = guess[:e]
+            state[:, 0] = states[:, e]
+            i += e
+            width = min(2 * width, _WINDOW) if e == k else max(8, e)
+    return np.flatnonzero(side).tolist() + np.flatnonzero(side == 0)[::-1].tolist(), None
 
 
 def guided_recognize(profile, guiding, pinned=False):
@@ -155,9 +185,17 @@ def guided_recognize(profile, guiding, pinned=False):
     # c_1, ..., c_m: the guiding vote's candidates, worst first
     seq = np.argsort(guiding.ranks)[::-1]
     order = seq.tolist()
-    # rg[i, k] = bucket of candidate c_{i+1} in vote k of the profile
-    rg = profile.rank_matrix().T[seq]
+    # row i: the buckets of candidate c_{i+1}, one per vote of the profile.
+    # Buckets are below m, so up to 2**15 candidates the rows take 16 bits,
+    # half the rank matrix; they are gathered a block at a time and dropped
+    # before the final check.
+    ranks = profile.rank_matrix().T
+    rg = np.empty(ranks.shape, np.int16 if profile.m <= 1 << 15 else np.int32)
+    size = max(1, _BLOCK_CELLS // rg.shape[1])
+    for a in range(0, profile.m, size):
+        rg[a : a + size] = ranks[seq[a : a + size]]
     steps, blocked = _place(rg, pinned_left=pinned)
+    del rg
     if blocked == 1 and pinned:
         # the detail ends in a word: it names no placed candidate
         refusal = Refusal(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from peakcheck import axis_check
+from peakcheck import axis_check, guided
 from peakcheck.c1p import C1Matrix
 from peakcheck.errors import (
     AxisError,
@@ -242,6 +242,90 @@ def reference_guided_recognize(profile, guiding, pin_left=None, pin_right=None):
     if axis_check.v_valley_rows(ranks[:, axis.order]).any():
         raise InternalError("guided algorithm produced an invalid axis")
     return Verdict.yes(axis, algorithm="guided")
+
+
+def placement_rows(profile, guiding):
+    """The placement's input as ``guided_recognize`` builds it: one rank row
+    per candidate, in the guiding vote's order, worst first."""
+    return profile.rank_matrix().T[np.argsort(guiding.ranks)[::-1]]
+
+
+def _reference_thresholds(block, after_max, after_min):
+    """Threshold rows [worst' | best'] of consecutive steps, for the rules
+    R1 and R2, given the worst and best buckets of the candidates after them.
+
+    c_i may not go right iff max(A_L) or max(A_R) lies above (is a smaller
+    bucket than) its entry of the row in some vote:
+      worst' = max_k(C_>i)'s bucket where c_i >_k min_k(C_>i), else -1
+      best'  = c_i's bucket where max_k(C_>i) >_k c_i, else -1
+    With A_L and A_R swapped the same row gives L1 and L2.  Buckets are
+    >= 0, so a -1 never blocks.
+    """
+    k, n = block.shape
+    gate = np.empty((k, 2 * n), np.int32)
+    worst, best = gate[:, :n], gate[:, n:]
+    # exclusive suffix extrema of C_>i
+    worst[-1], best[-1] = after_max, after_min
+    np.maximum.accumulate(block[:0:-1], axis=0, out=worst[-2::-1])
+    np.minimum.accumulate(block[:0:-1], axis=0, out=best[-2::-1])
+    np.maximum(worst[:-1], after_max, out=worst[:-1])
+    np.minimum(best[:-1], after_min, out=best[:-1])
+    np.putmask(worst, block >= worst, -1)
+    above_ci = best < block
+    best.fill(-1)
+    np.copyto(best, block, where=above_ci)
+    return gate
+
+
+def reference_place(rg, pinned_left):
+    """The guided placement one step per Python iteration, as ``_place`` was
+    before it decided windows of steps: the same arguments and result.
+
+    Place c_2, ..., c_m on the axis, ``rg[i]`` holding c_{i+1}'s buckets.
+    Returns the steps (indices into the guiding sequence) in axis order and
+    None, or None and the first step whose candidate fits on neither side.
+    With ``pinned_left`` step 1 may only go left.  Blocks of rows are sized
+    by ``guided._BLOCK_CELLS`` as in the engine.
+    """
+    big = np.iinfo(np.int32).max // 2
+    m, n = rg.shape
+    size = max(1, guided._BLOCK_CELLS // n)  # steps per block
+    starts = range(0, m, size)
+    # worst and best bucket of the candidates from each block on; the last
+    # row, for none, blocks nothing
+    tail_max = np.full((len(starts) + 1, n), -1, np.int32)
+    tail_min = np.full((len(starts) + 1, n), big, np.int32)
+    block_max = np.maximum.reduceat(rg, starts, axis=0)
+    block_min = np.minimum.reduceat(rg, starts, axis=0)
+    np.maximum.accumulate(block_max[::-1], axis=0, out=tail_max[-2::-1])
+    np.minimum.accumulate(block_min[::-1], axis=0, out=tail_min[-2::-1])
+
+    # rows max(A_L), max(A_R), max(A_R), max(A_L): the first two face the
+    # threshold row for the right side, the last two the row for the left
+    state = np.empty((4, n), np.int32)
+    max_left, max_right = state[::3], state[1:3]
+    max_left.fill(big)
+    max_right[:] = rg[0]
+    right_state, left_state = state[:2].reshape(-1), state[2:].reshape(-1)
+    pinned_step = 1 if pinned_left else None
+    left_part = []
+    right_part = [0]
+    for b, start in enumerate(starts):
+        block = rg[start : start + size]
+        gate = _reference_thresholds(block, tail_max[b + 1], tail_min[b + 1])
+        for i in range(max(start, 1), start + len(block)):
+            row = gate[i - start]
+            # the left side is tested only when the right one is blocked or
+            # c_i is pinned left
+            if i != pinned_step and not np.count_nonzero(right_state < row):
+                right_part.append(i)
+                np.minimum(max_right, rg[i], out=max_right)
+            elif not np.count_nonzero(left_state < row):
+                left_part.append(i)
+                np.minimum(max_left, rg[i], out=max_left)
+            else:
+                return None, i
+    return left_part + right_part[::-1], None
 
 
 def reference_implicit_guiding_vote(profile):

@@ -552,6 +552,15 @@ def test_solve_c1p_rejects_rows_outside_its_columns(mask):
         solve_c1p(C1Matrix(3, rows=[mask]))
 
 
+def test_solve_c1p_of_no_columns_is_the_empty_order():
+    # as with columns but no rows, where every order is a witness
+    assert solve_c1p(C1Matrix(3)) == [0, 1, 2]
+    assert solve_c1p(C1Matrix(0)) == []
+    assert solve_c1p(C1Matrix(0, rows=[0, 0])) == []
+    with pytest.raises(ValueError, match="out of range for 0 columns"):
+        solve_c1p(C1Matrix(0, rows=[1]))
+
+
 def _bench_gen():
     path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
     spec = importlib.util.spec_from_file_location("bench_gen", path)

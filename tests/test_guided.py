@@ -5,14 +5,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ReferenceGuided,
+    placement_rows,
     random_top_profile,
     random_total,
     random_weak,
     reference_guided_recognize,
     reference_implicit_guiding_vote,
+    reference_place,
 )
 from peakcheck import axis_check, c1p, cli, guided, oracle, unguided
 from peakcheck.axis_check import check_on_axis, is_possibly_sp_on_axis
@@ -474,3 +478,106 @@ def test_matches_reference_guided_on_unguided_subproblems(monkeypatch):
         "pinned-left candidate blocked at the left end",
     }
 
+
+
+# ---------------------------------------------------------------------------
+# the placement against the per-step reference
+# ---------------------------------------------------------------------------
+
+
+def _yes_rows(m, n, seed):
+    """Placement input of a yes-instance: weak orders and a total guiding
+    vote drawn on one hidden axis."""
+    prof = random_sp_profile(m, n, "psp", 0.5, seed)
+    total = random_sp_profile(m, 1, "psp", 0.0, seed).votes[0]
+    return placement_rows(Profile(m, (total,) + prof.votes[1:]), total)
+
+
+def _blocked_at(rg, s, pinned):
+    """``rg`` with two votes added that block step s and no step before it,
+    or None.
+
+    Step 1 is blocked by votes that rank c_1 and c_2 both above the rest
+    (L1), and c_1 above the rest above c_2 (R2).  A later step s is blocked
+    by two votes of a top bucket and a bottom one: c_{s+1} shares the top
+    with the candidate placed at step s - 1 in one of them, and with the
+    latest candidate placed on the other side in the other, so it must sit
+    next to both; neither vote blocks an earlier step.
+    """
+    m, n = rg.shape
+    votes = np.ones((m, 2), np.int32)
+    if s == 1:
+        votes[:2, 0] = 0
+        votes[0, 1], votes[1, 1] = 0, 2
+        return np.column_stack((rg, votes))
+    steps, blocked = reference_place(rg, pinned)
+    if blocked is not None:
+        return None
+    # the left part ascends and the right part descends to step 0, so a
+    # step below m - 1 went left iff no larger step precedes it
+    before = np.maximum.accumulate([-1] + steps[:-1])
+    went_left = before[np.argsort(steps)] < np.arange(m)
+    other = np.flatnonzero(went_left[: s - 1] != went_left[s - 1])
+    if not other.size:
+        return None
+    votes[[s, s - 1], 0] = 0
+    votes[[s, other[-1]], 1] = 0
+    return np.column_stack((rg, votes))
+
+
+@pytest.mark.parametrize("block_cells", [None, 24])
+def test_place_matches_reference_place(monkeypatch, block_cells):
+    # runs blocked at every step up to 45 and in the bands 60-75, 125-159
+    # and 270-285: these hold the first and last steps of the early windows
+    # and the early block boundaries, at the default block size and at
+    # blocks of 3 or 4 steps
+    if block_cells is not None:
+        monkeypatch.setattr(guided, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(26)
+    cases = [(rng.integers(0, 3, (m, 6)).astype(np.int32), pinned)
+             for m in (1, 1, 2, 2, 2, 3) for pinned in (False, True)]
+    targets = {*range(1, 46), *range(60, 76), *range(125, 160), *range(270, 286)}
+    blocked_at = {False: set(), True: set()}
+    bases = ((40, 0), (60, 2), (290, 4), (300, 3), (310, 5))  # (m, seed)
+    for m, seed in bases:
+        rg = _yes_rows(m, 6, seed)
+        for pinned in (False, True):
+            # a yes-instance, pinned or not
+            assert reference_place(rg, pinned)[1] is None
+            cases.append((rg, pinned))
+            for s in sorted(targets | {m - 3, m - 2} if m > 100 else range(1, m - 1)):
+                grown = _blocked_at(rg, s, pinned) if s < m - 1 else None
+                if grown is not None:
+                    assert reference_place(grown, pinned) == (None, s)
+                    blocked_at[pinned].add(s)
+                    cases.append((grown, pinned))
+    for rg, pinned in cases:
+        assert guided._place(rg, pinned) == reference_place(rg, pinned)
+    # each target step is blocked in some case, pinned and not
+    for pinned in (False, True):
+        assert targets | {287, 288, 297, 298, 307, 308} <= blocked_at[pinned]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_place_matches_reference_place_on_drawn_buckets(data):
+    # any bucket matrix, or a yes-instance with a few cells redrawn, in 16
+    # or 32 bits as guided_recognize gathers them, at the default block size
+    # or at blocks of a step or a few
+    m = data.draw(st.integers(1, 60), label="m")
+    n = data.draw(st.integers(1, 6), label="n")
+    if data.draw(st.booleans(), label="from a yes-instance"):
+        rg = _yes_rows(m, n, data.draw(st.integers(0, 10**6), label="seed")).copy()
+        for _ in range(data.draw(st.integers(0, 3), label="redrawn cells")):
+            i = data.draw(st.integers(0, m - 1))
+            rg[i, data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, m - 1))
+    else:
+        levels = data.draw(st.integers(1, m), label="levels")
+        cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=m * n, max_size=m * n))
+        rg = np.array(cells, np.int32).reshape(m, n)
+    rg = rg.astype(data.draw(st.sampled_from([np.int16, np.int32]), label="dtype"))
+    pinned = data.draw(st.booleans(), label="pinned")
+    block_cells = data.draw(st.sampled_from([guided._BLOCK_CELLS, 1, 5, 24]), label="block cells")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(guided, "_BLOCK_CELLS", block_cells)
+        assert guided._place(rg, pinned) == reference_place(rg, pinned)
