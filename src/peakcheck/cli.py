@@ -126,7 +126,7 @@ def applicable_engines(profile, notion=Notion.PSP, oracle_bound=oracle.DEFAULT_B
 
 def _read_text(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not text in the expected encoding: {exc}") from None
@@ -142,7 +142,7 @@ def _read_axis(path, names):
             order.append(index[label])
         # ASCII digits only: str.isdigit() also passes '²', which int() refuses
         elif label.isascii() and label.isdigit() and (
-            1 <= preflib._header_int(label, None) <= len(names)
+            1 <= preflib._ascii_int(label, "candidate", None) <= len(names)
         ):
             order.append(int(label) - 1)
         else:
@@ -329,7 +329,7 @@ def _cmd_generate(args):
         text = preflib.write_preflib(profile, comments=comments)
     else:
         text = preflib.write_profile_json(profile)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.out} (m={profile.m}, n={profile.n})")
     return 0

@@ -2,10 +2,18 @@
 
 Handles the PrefLib order formats (soc/soi/toc/toi): ``#``-prefixed metadata
 lines (``NUMBER ALTERNATIVES``, ``ALTERNATIVE NAME i``), then one ballot per
-line as ``multiplicity: ranking`` with ``{...}`` for tied groups.  A ranking
-holds ASCII decimal candidate numbers separated by commas, with ASCII
-whitespace allowed between tokens.  Candidates are 1-based in files and mapped
-to dense 0-based ids in file order.
+line as ``multiplicity: ranking`` with ``{...}`` for tied groups.  Lines are
+those of ``str.splitlines``.  Multiplicities, candidate numbers and the numbers
+of the two header lines are ASCII decimal digits; a ranking holds candidate
+numbers separated by commas, with ASCII whitespace allowed between tokens.
+Candidates are 1-based in files and mapped to dense 0-based ids in file order.
+
+The header lines and each ballot's multiplicity are read line by line.  The
+rankings are read ``_CHUNK_BYTES`` of ballot text at a time, each chunk in
+one pass of numpy calls from its bytes to its rows of the rank matrix: the
+last digit of every number, every brace and every line end are found in one
+sorted list; the numbers are read four digits at a time from their last
+digit; and a number's bucket follows from the separator before it.
 
 Candidates missing from a ballot are read as unranked: jointly last and
 mutually incomparable (top-order semantics for truncated ballots).  Writing
@@ -18,6 +26,8 @@ those a JSON format (``write_profile_json``) serialises the strict pairs.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import re
 
@@ -38,87 +48,84 @@ from .model import (
     ValleyWitness,
 )
 
-_NAME_LINE = re.compile(r"#\s*ALTERNATIVE\s+NAME\s+(\d+)\s*:\s*(.*)\s*$", re.I)
-_COUNT_LINE = re.compile(r"#\s*NUMBER\s+ALTERNATIVES\s*:\s*(\d+)\s*$", re.I)
+_NAME_LINE = re.compile(r"#\s*ALTERNATIVE\s+NAME\s+([^\s:]+)\s*:\s*(.*)\s*$", re.I)
+_COUNT_LINE = re.compile(r"#\s*NUMBER\s+ALTERNATIVES\s*:\s*(.*)\s*$", re.I)
 _META_LINE = re.compile(r"#\s*([A-Z ]+?)\s*:\s*(.*)\s*$")
 
 
 def parse_preflib_full(text):
     """(Profile, candidate names, metadata dict) from PrefLib text.
 
-    The header and each ballot's multiplicity are read line by line; the
-    rankings are scanned with numpy, ``_CHUNK_BYTES`` of ballot text at a
-    time.  Errors keep the order of a line-by-line reader: the first malformed
-    line in the file is reported, and unknown or repeated candidates only
-    once every line is well formed.
+    The header lines and each ballot's multiplicity are read line by line,
+    then the rankings chunk by chunk (see the module docstring); a chunk is
+    written straight into its rows of the rank matrix when the file has a
+    ``NUMBER ALTERNATIVES`` line, and kept until the largest candidate sets m
+    when it has none.  Errors keep the order of a line-by-line reader: the
+    first malformed line in the file is reported, with its line and, inside a
+    ranking, its column there; unknown or repeated candidates only once every
+    line is well formed.
     """
     names = {}
     metadata = {}
-    declared_m = None
-    linenos, mults, tails = [], [], []
+    m = None
+    ballots = []  # (line number, line, index of its colon)
+    mults = []
     failure = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            match = _NAME_LINE.match(line)
-            if match:
-                names[_header_int(match.group(1), lineno)] = match.group(2)
-                continue
-            match = _COUNT_LINE.match(line)
-            if match:
-                declared_m = _header_int(match.group(1), lineno)
-                continue
-            match = _META_LINE.match(line)
-            if match:
-                metadata[match.group(1).strip().upper()] = match.group(2)
-            continue
-        if ":" not in line:
-            failure = ParseError("expected 'count: ranking'", line=lineno)
-            break
-        head, _, tail = line.partition(":")
         try:
-            mult = int(head.strip())
-        except ValueError:
-            failure = ParseError(f"invalid multiplicity {head.strip()!r}", line=lineno)
+            if line.startswith("#"):
+                match = _NAME_LINE.match(line)
+                if match:
+                    number, name = match.groups()
+                    names[_ascii_int(number, "candidate number", lineno)] = name
+                elif match := _COUNT_LINE.match(line):
+                    m = _ascii_int(match.group(1), "number of alternatives", lineno)
+                elif match := _META_LINE.match(line):
+                    metadata[match.group(1).strip().upper()] = match.group(2)
+                continue
+            colon = line.find(":")
+            if colon < 0:
+                raise ParseError("expected 'count: ranking'", line=lineno)
+            mult = _ascii_int(line[:colon].strip(), "multiplicity", lineno)
+            if mult == 0:
+                raise ParseError("multiplicity must be positive", line=lineno)
+        except ParseError as exc:
+            failure = exc
             break
-        if mult <= 0:
-            failure = ParseError("multiplicity must be positive", line=lineno)
-            break
-        linenos.append(lineno)
+        ballots.append((lineno, line, colon))
         mults.append(mult)
-        tails.append(tail.strip())
+    n = len(ballots)
+    ranks = None
+    if m is not None:
+        with contextlib.suppress(ParseError):  # raised again below, in order
+            ranks = _rank_matrix(n, m)
+    pending = []  # chunks scanned before there is a matrix to hold them
+    bad = None  # the first unknown or repeated candidate
     # rankings above a malformed line are checked before it is reported
-    values, lines, levels, groups, exact = _scan_ballots(tails, linenos)
+    for row, cells in _scan_ballots(ballots):
+        if ranks is None:
+            pending.append((row, cells))
+        elif bad is None:
+            bad = _fill(ranks, row, cells, ballots)
     if failure is not None:
         raise failure
-    if declared_m is None:
-        top = max(exact.values()) if exact else int(values.max(initial=0))
-        declared_m = max(top, max(names, default=0))
-    m = declared_m
+    if m is None:
+        top = max((_largest(cells) for _, cells in pending), default=0)
+        m = max(top, max(names, default=0))
     if m == 0:
         raise ParseError("no alternatives declared or referenced")
-    if not tails:
+    if not n:
         raise ParseError("no ballots in file")
-    n = len(tails)
-    try:
-        ranks = np.empty((n, m), np.int32)
-        listed = np.zeros((n, m), bool)
-    except (MemoryError, ValueError):
-        raise ParseError(
-            f"m={m} candidates: a {n} x {m} rank matrix does not fit in memory"
-        ) from None
-    outside = (values < 1) | (values > m)
-    if not outside.any():
-        listed[lines, values - 1] = True
-    if outside.any() or np.count_nonzero(listed) < len(values):
-        _raise_first_bad_cell(outside, values, lines, exact, m, linenos)
-    del listed
-    # every bucket holds a candidate, so the levels are dense ranks already;
-    # candidates a ballot leaves out share the level after its last bucket
-    ranks[:] = groups[:, None]
-    ranks[lines, values - 1] = levels
+    if ranks is None:
+        ranks = _rank_matrix(n, m)
+        for row, cells in pending:
+            bad = bad or _fill(ranks, row, cells, ballots)
+    if bad is not None:
+        raise bad
+    del ballots, pending  # the ballot text, before the votes are built
     profile = Profile._from_dense_ranks(ranks, mults)
     name_list = [names.get(i, str(i)) for i in range(1, m + 1)]
     return profile, name_list, metadata
@@ -129,11 +136,24 @@ def parse_preflib(text):
     return parse_preflib_full(text)[0]
 
 
-def _header_int(digits, lineno):
+def _ascii_int(digits, what, lineno):
+    """``digits`` as an int; a ParseError unless they are ASCII decimal digits
+    (``int`` would also take ``+3``, ``1_0`` and other scripts' digits)."""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"invalid {what} {digits!r}", line=lineno)
     try:
         return int(digits)
     except ValueError:  # beyond the interpreter's integer-string limit
         raise ParseError(f"a number of {len(digits)} digits is too long", line=lineno) from None
+
+
+def _rank_matrix(n, m):
+    try:
+        return np.empty((n, m), np.int32)
+    except (MemoryError, ValueError):
+        raise ParseError(
+            f"m={m} candidates: a {n} x {m} rank matrix does not fit in memory"
+        ) from None
 
 
 # Ballot text is scanned at most this many bytes at a time (a longer ballot
@@ -147,54 +167,136 @@ _SPACES = b" \t\x1f"
 
 # digit runs up to _DIGITS long are read exactly in int64; longer ones are
 # converted one by one and stored as at most _HUGE, above any allocatable m
-_DIGITS = 18
-_POW10 = 10 ** np.arange(_DIGITS, dtype=np.int64)
+_DIGITS = 16
 _HUGE = 2**62
+_LEAD = "\n" * (_DIGITS - 1)
 
 
-def _scan_ballots(tails, linenos):
-    """Candidate cells of all ballots, scanned ``_CHUNK_BYTES`` at a time.
-
-    Returns per cell (in file order) its candidate id, its ballot's index and
-    its bucket level within the ballot; per ballot its number of buckets; and
-    the exact ids of cells stored as ``_HUGE``, by cell index.  Raises
-    ``ParseError`` for the first ballot with a syntax error.
-    """
-    parts = []
-    exact = {}
-    cells = 0
+def _scan_ballots(ballots):
+    """``(first row, cells)`` per chunk of consecutive ballots, in file order
+    (see ``_scan_chunk``).  Raises ``ParseError`` for the first ballot with a
+    syntax error."""
     start = 0
-    while start < len(tails):
-        stop, size = start + 1, len(tails[start]) + 1
-        while stop < len(tails) and size + len(tails[stop]) < _CHUNK_BYTES:
-            size += len(tails[stop]) + 1
+    while start < len(ballots):
+        stop, size = start + 1, _tail_bytes(ballots[start])
+        while stop < len(ballots) and size + _tail_bytes(ballots[stop]) < _CHUNK_BYTES:
+            size += _tail_bytes(ballots[stop])
             stop += 1
-        values, lines, levels, groups, huge = _scan_chunk(
-            tails[start:stop], linenos[start:stop]
-        )
-        exact.update((cells + cell, value) for cell, value in huge.items())
-        cells += len(values)
-        parts.append((values, lines + start, levels, groups))
+        yield start, _scan_chunk(ballots[start:stop])
         start = stop
-    if not parts:
-        empty = np.zeros(0, np.int64)
-        return empty, empty, empty, empty, exact
-    return (*(np.concatenate(column) for column in zip(*parts)), exact)
 
 
-def _scan_chunk(tails, linenos):
-    """One numpy pass over consecutive ballot tails (see ``_scan_ballots``)."""
-    raw = ("\n".join(tails) + "\n").encode("ascii", "replace")
+def _tail_bytes(ballot):
+    _, line, colon = ballot
+    return len(line) - colon
+
+
+def _scan_chunk(ballots):
+    """The cells of consecutive ballots, in one pass of numpy calls.
+
+    Returns per cell, in file order, its candidate id and its bucket, the
+    buckets numbered from 1 across the chunk; per ballot i, in ``bounds[i]``
+    and ``totals[i]``, the cells and the buckets before it, one entry more
+    for the end; and the exact ids of cells stored as ``_HUGE``, by cell.
+    Raises ``ParseError`` for the first ballot with a syntax error.
+    """
+    tails = [line[colon + 1 :].strip() for _, line, colon in ballots]
+    # the tails start at byte _DIGITS, after line ends only, so that reading
+    # up to _DIGITS bytes before a digit stays in the chunk
+    raw = "\n".join([_LEAD, *tails, ""]).encode("ascii", "replace")
+    ends = np.fromiter(  # the "\n" after each tail
+        itertools.accumulate((len(tail) + 1 for tail in tails), initial=len(_LEAD)),
+        np.intp,
+        len(tails) + 1,
+    )[1:]
     buf = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    braces = np.flatnonzero((buf == ord("{")) | (buf == ord("}")))
-    opening = buf[braces] == ord("{")
-    # brace depth after each brace; it is 0 at the start of every ballot up
-    # to the first malformed one, and only that one is reported
-    depth = np.cumsum(np.where(opening, 1, -1))
-    digit = (buf - ord("0")) < 10  # bytes below "0" wrap around
-    stops = np.flatnonzero(digit[:-1] > digit[1:]) + 1  # ends of digit runs
+    digits = buf - ord("0")  # bytes below "0" wrap around
+    digit = digits < 10
+    # the structure in one sorted list: the last digit of every run, and
+    # every byte above "z" (braces) or a line end
+    marks = (buf > ord("z")) | (buf == ord("\n"))
+    marks[:-1] |= digit[:-1] > digit[1:]
+    events = np.flatnonzero(marks)
+    kinds = buf[events]
+    is_cell = (kinds - ord("0")) < 10
+    at_cell = np.flatnonzero(is_cell)
+    separators = kinds[np.flatnonzero(~is_cell)]
+    last = events[at_cell]
 
+    # a well-formed chunk holds digits, commas, and separators that are
+    # "{}" pairs and line ends; whitespace or an error is located apart
+    opening = separators == ord("{")
+    commas = np.count_nonzero(buf == ord(","))
+    well_formed = (
+        np.count_nonzero(digit) + commas + len(separators) == len(buf)
+        and 2 * np.count_nonzero(opening) + _DIGITS + len(tails) == len(separators)
+        and np.array_equal(opening[:-1], separators[1:] == ord("}"))
+    )
+    if not well_formed:
+        _raise_first_error(raw, buf, digit, ends, tails, ballots)
+
+    # candidate ids, four digits at a time from the right: where byte i + 3
+    # is a digit, quads[i] is the number that bytes i to i + 3 spell in its
+    # run (0 for a byte that is not a digit, and for every byte before one)
+    digits *= digit
+    pairs = digits[:-1] * 10 + digits[1:]
+    runs = digit[:-1] & digit[1:]
+    quads = np.multiply(pairs[:-2] * runs[1:-1], 100, dtype=np.uint16)
+    quads += pairs[2:]
+    values = quads[last - 3].astype(np.int64)
+    fours = runs[:-2] & runs[2:]
+    span = fours  # span[i]: bytes i to i + place - 1 are digits
+    exact = {}
+    for place in range(4, _DIGITS + 1, 4):
+        longer = span[:-1] & digit[place:]  # a run of more than `place` digits
+        if not longer.any():
+            break
+        if place == _DIGITS:
+            exact, error = _exact_ids(raw, last, np.flatnonzero(longer[last - place]))
+            if error:
+                raise _error_at(raw, ends, tails, ballots, *error)
+            break
+        # the quad before a run's last `place` digits, where they all are
+        upper = quads[: len(span) - 3] * span[3:]
+        values += upper[last - 3 - place].astype(np.int64) * 10**place
+        span = span[:-4] & fours[place:]
+    for cell, value in exact.items():
+        values[cell] = min(value, _HUGE)
+
+    # with braces in pairs, a cell lies in a "{...}" when the separator
+    # before it is a "{", and continues the bucket of the cell before it when
+    # no separator lies between them
+    before = at_cell  # the index of the separator before each cell
+    before -= np.arange(1, len(last) + 1)
+    inner = opening[before]
+    inner[1:] &= before[1:] == before[:-1]
+    inner[:1] = False
+    buckets = np.zeros(len(last) + 1, np.int32)
+    np.cumsum(np.logical_not(inner, out=inner), dtype=np.int32, out=buckets[1:])
+    bounds = np.zeros(len(tails) + 1, np.intp)
+    bounds[1:] = last.searchsorted(ends)
+    totals = buckets[bounds]
+    exact = {cell: value for cell, value in exact.items() if value > _HUGE}
+    return values, buckets[1:], bounds, totals, exact
+
+
+def _exact_ids(raw, last, cells):
+    """The ids of the digit runs ending at ``last[cells]``, by cell, and the
+    (byte position, message) of the first run too long to read, or None."""
+    exact = {}
+    for cell in cells.tolist():
+        stop = int(last[cell]) + 1
+        begin = len(raw[:stop].rstrip(b"0123456789"))
+        try:
+            exact[cell] = int(raw[begin:stop])
+        except ValueError:  # beyond the interpreter's integer-string limit
+            return exact, (begin, "invalid candidate: too many digits")
+    return exact, None
+
+
+def _raise_first_error(raw, buf, digit, ends, tails, ballots):
+    """Raise for the first syntax error of a chunk; return if there is none
+    (whitespace between tokens is no error)."""
     errors = []  # (byte position, message): the first error of each kind
     rest = raw.translate(None, _TOKENS)
     invalid = rest.translate(None, _SPACES)
@@ -205,9 +307,16 @@ def _scan_chunk(tails, linenos):
         spaces = np.flatnonzero(np.isin(buf, np.frombuffer(_SPACES, np.uint8)))
         gap = np.flatnonzero(np.diff(spaces) != 1)
         first, last = spaces[np.r_[0, gap + 1]], spaces[np.r_[gap, len(spaces) - 1]]
-        split = last[digit[first - 1] & digit[last + 1]] + 1  # digit[-1] is "\n"
+        split = last[digit[first - 1] & digit[last + 1]] + 1
         if len(split):
             errors.append((int(split[0]), "invalid candidate: a number split by whitespace"))
+    # brace depth after each brace; it is 0 at the start of every ballot up
+    # to the first malformed one, and only that one is reported.  "|", "~"
+    # and DEL count as braces here, but each is reported as invalid at or
+    # before any error it causes that way
+    braces = np.flatnonzero(buf > ord("z"))
+    opening = buf[braces] == ord("{")
+    depth = np.cumsum(np.where(opening, 1, -1))
     wrong = np.flatnonzero((depth < 0) | (depth > 1))
     if len(wrong):
         message = "nested '{'" if opening[wrong[0]] else "unmatched '}'"
@@ -215,64 +324,71 @@ def _scan_chunk(tails, linenos):
     unclosed = ends[np.r_[0, depth][braces.searchsorted(ends)] != 0]
     if len(unclosed):
         errors.append((int(unclosed[0]), "unterminated '{'"))
-
-    # candidate ids: the digits from the right, one decimal place at a time
-    values = (buf[stops - 1] - ord("0")).astype(np.int64)
-    more = np.ones(len(stops), bool)  # runs with a digit at this place
-    for place in range(1, _DIGITS + 1):
-        more &= digit[stops - 1 - place]  # index -1 is "\n" and ends every run
-        if place == _DIGITS or not more.any():
-            break
-        values[more] += (buf[stops[more] - 1 - place] - ord("0")) * _POW10[place]
-    huge = {}
-    for cell in np.flatnonzero(more).tolist():  # runs of more than _DIGITS
-        stop = int(stops[cell])
-        begin = len(raw[:stop].rstrip(b"0123456789"))
-        try:
-            huge[cell] = int(raw[begin:stop])
-        except ValueError:  # beyond the interpreter's integer-string limit
-            errors.append((begin, "invalid candidate: too many digits"))
-        values[cell] = min(huge.get(cell, 0), _HUGE)
-
+    edges = np.flatnonzero(digit[1:] != digit[:-1])  # around each digit run
+    long_runs = np.flatnonzero(edges[1::2] - edges[0::2] > _DIGITS)
+    error = _exact_ids(raw, edges[1::2], long_runs)[1]
+    if error:
+        errors.append(error)
     if errors:
-        at, message = min(errors, key=lambda error: error[0])
-        index = int(ends.searchsorted(at))
-        column = at - raw.rfind(b"\n", 0, at)
-        if message is None:  # name the character as written, not as encoded
-            message = f"invalid character {tails[index][column - 1]!r}"
-        raise ParseError(
-            message, line=linenos[index], column=None if at in ends else column
-        )
-
-    # a cell opens a bucket unless the last brace before it is a "{" that
-    # also precedes the cell before it; levels count buckets per ballot
-    cells_per_line = np.diff(stops.searchsorted(ends, "right"), prepend=0)
-    line = np.repeat(np.arange(len(tails)), cells_per_line)
-    after_brace = braces.searchsorted(stops)
-    opens_bucket = ~np.r_[False, opening][after_brace]
-    opens_bucket[:1] = True
-    opens_bucket[1:] |= after_brace[1:] != after_brace[:-1]
-    bucket = np.cumsum(opens_bucket.view(np.int8), dtype=np.int32)
-    groups = np.diff(np.r_[0, bucket][np.cumsum(cells_per_line)], prepend=0)
-    levels = bucket - 1 - (np.cumsum(groups) - groups)[line]
-    huge = {cell: value for cell, value in huge.items() if value > _HUGE}
-    return values, line, levels, groups, huge
+        raise _error_at(raw, ends, tails, ballots, *min(errors, key=lambda error: error[0]))
 
 
-def _raise_first_bad_cell(outside, values, lines, exact, m, linenos):
-    """Raise for the first cell, in file order, that is outside 1..m or names
-    a candidate already listed in its ballot."""
+def _error_at(raw, ends, tails, ballots, at, message):
+    """The ParseError for byte ``at`` of a chunk: its line, and its column
+    in the ranking unless it is the line's end.  A message of None names the
+    character there."""
+    index = int(ends.searchsorted(at))
+    column = at - raw.rfind(b"\n", 0, at)
+    if message is None:  # name the character as written, not as encoded
+        message = f"invalid character {tails[index][column - 1]!r}"
+    return ParseError(message, line=ballots[index][0], column=None if at in ends else column)
+
+
+def _largest(cells):
+    values, _, _, _, exact = cells
+    return max(exact.values()) if exact else int(values.max(initial=0))
+
+
+def _fill(ranks, row, cells, ballots):
+    """Write one chunk's ballots into their rows of ``ranks``, where every
+    candidate a ballot leaves out takes the level after its last bucket.
+    Returns the error for the chunk's first unknown or repeated candidate
+    instead, if it has one, and leaves the rows unfinished."""
+    values, buckets, bounds, totals, _ = cells
+    m = ranks.shape[1]
+    block = ranks[row : row + len(bounds) - 1]
+    if len(values) and (values.min() < 1 or values.max() > m):
+        return _first_bad_cell(row, cells, m, ballots)
+    block.fill(-1)
+    flat = np.repeat(np.arange(len(block)) * m - 1, np.diff(bounds))
+    flat += values
+    block.reshape(-1)[flat] = buckets
+    missing = block < 0
+    if missing.size - np.count_nonzero(missing) < len(values):
+        return _first_bad_cell(row, cells, m, ballots)
+    # every bucket holds a candidate, so the levels are dense ranks already
+    np.copyto(block, totals[1:, None] + 1, where=missing)
+    block -= totals[:-1, None] + 1
+    return None
+
+
+def _first_bad_cell(row, cells, m, ballots):
+    """The error for the first cell of a chunk, in file order, that is
+    outside 1..m or names a candidate already listed in its ballot."""
+    values, _, bounds, _, exact = cells
+    lines = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     order = np.lexsort((np.arange(len(values)), values, lines))
     again = np.zeros(len(values), bool)
     again[order[1:]] = (values[order[1:]] == values[order[:-1]]) & (
         lines[order[1:]] == lines[order[:-1]]
     )
+    outside = (values < 1) | (values > m)
     cell = int(np.argmax(outside | again))
     candidate = exact.get(cell, int(values[cell]))
-    lineno = linenos[int(lines[cell])]
+    lineno = ballots[row + int(lines[cell])][0]
     if outside[cell]:
-        raise UnknownCandidateError(f"candidate {candidate} outside 1..{m}", line=lineno)
-    raise ParseError(f"candidate {candidate} listed twice", line=lineno)
+        return UnknownCandidateError(f"candidate {candidate} outside 1..{m}", line=lineno)
+    return ParseError(f"candidate {candidate} listed twice", line=lineno)
 
 
 def _names(names, m):

@@ -624,8 +624,10 @@ def reference_parse_preflib(text):
     """(Profile, names, metadata) by a character-at-a-time ballot scanner.
 
     The parser's line-by-line predecessor: each ranking is read one character
-    at a time into tokens converted by ``int``, then placed into a rank list
-    candidate by candidate.  Used to cross-check the vectorised scan.
+    at a time into tokens of ASCII digits, then placed into a rank list
+    candidate by candidate.  Multiplicities and header numbers are ASCII
+    digits too, and whitespace inside a ranking is ASCII.  Used to
+    cross-check the vectorised scan.
     """
     names = {}
     metadata = {}
@@ -638,11 +640,11 @@ def reference_parse_preflib(text):
         if line.startswith("#"):
             match = _NAME_LINE.match(line)
             if match:
-                names[int(match.group(1))] = match.group(2)
+                names[_reference_number(match.group(1), "candidate", lineno)] = match.group(2)
                 continue
             match = _COUNT_LINE.match(line)
             if match:
-                declared_m = int(match.group(1))
+                declared_m = _reference_number(match.group(1), "count", lineno)
                 continue
             match = _META_LINE.match(line)
             if match:
@@ -651,13 +653,10 @@ def reference_parse_preflib(text):
         if ":" not in line:
             raise ParseError("expected 'count: ranking'", line=lineno)
         head, _, tail = line.partition(":")
-        try:
-            mult = int(head.strip())
-        except ValueError:
-            raise ParseError(f"invalid multiplicity {head.strip()!r}", line=lineno)
+        mult = _reference_number(head.strip(), "multiplicity", lineno)
         if mult <= 0:
             raise ParseError("multiplicity must be positive", line=lineno)
-        ballots.append((lineno, mult, _reference_ranking(tail, lineno)))
+        ballots.append((lineno, mult, _reference_ranking(tail.strip(), lineno)))
     if declared_m is None:
         seen = {c for _, _, groups in ballots for g in groups for c in g}
         seen |= set(names)
@@ -692,6 +691,19 @@ def reference_parse_preflib(text):
     return profile, name_list, metadata
 
 
+# the whitespace a ranking may hold between tokens: ASCII, and no line break
+_RANKING_SPACES = " \t\x1f"
+
+
+def _reference_number(text, what, lineno, column=None):
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"invalid {what} {text!r}", line=lineno, column=column)
+    try:
+        return int(text)
+    except ValueError:  # beyond the interpreter's integer-string limit
+        raise ParseError(f"{what} too long", line=lineno, column=column) from None
+
+
 def _reference_ranking(text, lineno):
     groups = []
     i = 0
@@ -700,14 +712,10 @@ def _reference_ranking(text, lineno):
 
     def flush_single():
         nonlocal token
-        tok = token.strip()
+        tok = token.strip(_RANKING_SPACES)
         token = ""
-        if not tok:
-            return
-        try:
-            groups.append([int(tok)])
-        except ValueError:
-            raise ParseError(f"invalid candidate {tok!r}", line=lineno, column=i)
+        if tok:
+            groups.append([_reference_number(tok, "candidate", lineno, column=i)])
 
     while i < len(text):
         ch = text[i]
@@ -719,29 +727,19 @@ def _reference_ranking(text, lineno):
         elif ch == "}":
             if in_group is None:
                 raise ParseError("unmatched '}'", line=lineno, column=i + 1)
-            tok = token.strip()
+            tok = token.strip(_RANKING_SPACES)
             token = ""
             if tok:
-                try:
-                    in_group.append(int(tok))
-                except ValueError:
-                    raise ParseError(
-                        f"invalid candidate {tok!r}", line=lineno, column=i
-                    )
+                in_group.append(_reference_number(tok, "candidate", lineno, column=i))
             if in_group:
                 groups.append(in_group)
             in_group = None
         elif ch == ",":
             if in_group is not None:
-                tok = token.strip()
+                tok = token.strip(_RANKING_SPACES)
                 token = ""
                 if tok:
-                    try:
-                        in_group.append(int(tok))
-                    except ValueError:
-                        raise ParseError(
-                            f"invalid candidate {tok!r}", line=lineno, column=i
-                        )
+                    in_group.append(_reference_number(tok, "candidate", lineno, column=i))
             else:
                 flush_single()
         else:

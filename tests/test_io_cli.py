@@ -295,6 +295,24 @@ def test_python_m_peakcheck_matches_main(tmp_path, capsys, text):
     assert got == expected
 
 
+def test_cli_reads_utf8_whatever_the_locale(tmp_path):
+    # under the C locale with UTF-8 mode off, open() would default to ASCII
+    path = tmp_path / "names.toc"
+    path.write_text(
+        "# NUMBER ALTERNATIVES: 2\n# ALTERNATIVE NAME 1: Zoë\n1: 1,2\n", encoding="utf-8"
+    )
+    src = os.path.dirname(os.path.dirname(peakcheck.__file__))
+    env = dict(
+        os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "peakcheck", "recognize", str(path), "--json"],
+        capture_output=True, env=env, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert sorted(json.loads(run.stdout)["axis"]) == ["2", "Zoë"]
+
+
 def test_import_does_not_load_numpy_random():
     # numpy.random costs megabytes of resident memory, and numpy 2 loads it
     # only on first use; peakcheck draws nothing random from numpy

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,11 @@ def test_huge_candidate_count_in_json_is_a_parse_error(tmp_path, capsys):
         "# NUMBER ALTERNATIVES: 3\n1: 1 2\n",
         "# NUMBER ALTERNATIVES: 3\n1: 1, " + "9" * 5000 + "\n",
         "# NUMBER ALTERNATIVES: " + "9" * 5000 + "\n1: 1\n",
+        "# NUMBER ALTERNATIVES: 2\n1_0: 1,2\n",  # multiplicities and header
+        "# NUMBER ALTERNATIVES: 2\n+3: 1,2\n",  # numbers are ASCII digits too
+        "# NUMBER ALTERNATIVES: 2\n٣: 1,2\n",
+        "# NUMBER ALTERNATIVES: ٣\n1: 1,2\n",
+        "# NUMBER ALTERNATIVES: 3\n# ALTERNATIVE NAME ٣: c\n1: 1,2\n",
         '{"m": 3, "votes": [{"pairs": [[0, 1], [1, 0]]}]}',
         '{"m": [' + "[" * 100_000 + "]" * 100_000 + "]}",
     ],
@@ -134,6 +140,84 @@ def test_huge_candidate_count_in_json_is_a_parse_error(tmp_path, capsys):
 def test_malformed_input_is_a_parse_error(text):
     with pytest.raises(ParseError):
         parse_any(text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1_0: 1,2",
+        "+3: 1,2",
+        "٣: 1,2",
+        "# NUMBER ALTERNATIVES: ٣",
+        "# ALTERNATIVE NAME ٣: c",
+        "# ALTERNATIVE NAME x: c",
+        "# NUMBER ALTERNATIVES: 3 or 4",
+    ],
+)
+def test_number_that_is_not_ascii_digits_fails_on_its_line(line):
+    # a count or name line with such a number is not read as metadata either
+    text = f"# NUMBER ALTERNATIVES: 3\n1: 1,2\n{line}\n1: 2,1\n"
+    with pytest.raises(ParseError) as caught:
+        parse_preflib_full(text)
+    assert caught.value.line == 3
+
+
+# every line boundary of str.splitlines, and "\r\n", which is one
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# whitespace that str.strip and the header patterns take, but a ranking
+# holds only between its ASCII tokens
+_WIDE = st.sampled_from(["", " ", "\t", "\xa0", "\u3000"])
+_WIDE_BALLOT = st.builds(
+    lambda a, head, b, c, tail, d: f"{a}{head}{b}:{c}{tail}{d}",
+    _WIDE,
+    _HEAD,
+    _WIDE,
+    _WIDE,
+    st.one_of(
+        _RANKING,
+        _SPOILT,
+        st.builds(lambda tail, space: tail.replace(",", "," + space, 1), _RANKING, _WIDE),
+    ),
+    _WIDE,
+)
+_WIDE_HEADER = st.one_of(
+    st.builds(
+        lambda a, b, c, k: f"#{a}NUMBER{b}ALTERNATIVES{c}:{a}{k}{b}",
+        _WIDE, _WIDE, _WIDE, st.integers(0, 9),
+    ),
+    st.builds(
+        lambda a, b, k, name: f"{a}#{a}ALTERNATIVE NAME{b}{k}{a}:{b}{name}",
+        _WIDE, _WIDE, st.integers(1, 9), st.sampled_from(["Zoë", "b c", "", "x:y"]),
+    ),
+    st.builds(lambda a, b: f"#{a}TITLE{b}:{a}t{b}", _WIDE, _WIDE),
+)
+
+
+@given(st.lists(st.tuples(st.one_of(_WIDE_BALLOT, _WIDE_HEADER, _LINE), st.sampled_from(_BREAKS))))
+@example([("# NUMBER ALTERNATIVES: 3", brk) for brk in _BREAKS] + [("1: 1,2", "\n")])
+@example([("1: 1", brk) for brk in _BREAKS] + [("1: 1,\xa02", "\n")])
+@example([("1:\u30003,\t1\xa0", "\r"), ("", "\n"), ("\xa02\u3000: 2", "\x85")])
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_reference_across_line_breaks_and_wide_spaces(lines):
+    text = "".join(line + brk for line, brk in lines)
+    assume(not re.search(r"\d{4}", text))
+    assert _outcome(parse_preflib_full, text) == _outcome(reference_parse_preflib, text)
+
+
+@pytest.mark.parametrize("notion", ["psp", "black"])
+def test_parsing_transient_memory_is_a_few_times_the_text(notion):
+    # peak less retained memory while parsing an m=1000 file of 100 ballots:
+    # each ballot chunk goes to its rows of the rank matrix, so the scan's
+    # temporaries stay near one chunk's worth
+    text = write_preflib(random_sp_profile(1000, 100, notion, 0.5, seed=1100))
+    tracemalloc.start()
+    try:
+        parsed = parse_preflib_full(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed[0].m == 1000
+    assert peak - retained < 4 * len(text)
 
 
 def test_cli_undecodable_file_is_an_error(tmp_path, capsys):
