@@ -127,9 +127,8 @@ def _pair_valley(vote, axis):
 def _first_flagged(profile, axis, rule):
     """Index of the first vote ``rule`` flags on ``axis``, or None."""
     order = np.asarray(axis.order, np.intp)
-    # votes all have rank buckets exactly when the profile is weak or
-    # tighter, and testing that classifies no pair-based vote
-    if all(vote.has_ranks() for vote in profile.votes):
+    # votes all have rank buckets exactly when the profile is weak or tighter
+    if profile.order_class() <= OrderClass.WEAK:
         ranks = profile.rank_matrix()
         rows = max(1, _BLOCK_CELLS // max(1, profile.m))
         for start in range(0, len(ranks), rows):
@@ -257,7 +256,7 @@ def _check(profile, axis, notion):
     idx = _first_flagged(profile, axis, _rule(notion))
     if idx is None:
         return Verdict.yes(axis, notion=notion, algorithm="axis-check")
-    witness = _witness(notion, profile.votes[idx], axis, idx)
+    witness = _witness(notion, profile.vote(idx), axis, idx)
     return Verdict.no(witness, notion=notion, algorithm="axis-check")
 
 

@@ -183,7 +183,8 @@ def guided_recognize(profile, guiding, pinned=False):
         raise PinError("a pinned run needs two candidates")
 
     # c_1, ..., c_m: the guiding vote's candidates, worst first
-    seq = np.argsort(guiding.ranks)[::-1]
+    guide = np.array(guiding.ranks, np.int32)
+    seq = np.argsort(guide)[::-1]
     order = seq.tolist()
     # row i: the buckets of candidate c_{i+1}, one per vote of the profile.
     # Buckets are below m, so up to 2**15 candidates the rows take 16 bits,
@@ -215,7 +216,9 @@ def guided_recognize(profile, guiding, pinned=False):
     if pinned and (placed[0] != order[1] or placed[-1] != order[0]):
         raise InternalError("guided placement moved a pinned endpoint")
     verdict = axis_check.verified(profile, placed, "guided")
-    if guiding not in profile.votes and axis_check.has_v_valley(guiding, verdict.axis):
+    # the guiding vote is a vote of the profile if a (total) row holds it
+    totals = profile.rank_matrix()[profile._vote_classes() == OrderClass.TOTAL]
+    if not (totals == guide).all(1).any() and axis_check.has_v_valley(guiding, verdict.axis):
         raise InternalError("guided engine's axis gives the guiding vote a valley")
     return verdict
 

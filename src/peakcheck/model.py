@@ -399,6 +399,27 @@ class PreferenceOrder:
         return f"PreferenceOrder<pairs={sorted(self.pairs())}, m={self.m}>"
 
 
+class _Votes:
+    """``Profile.votes``: the votes given, or those of the rank matrix,
+    built on first read."""
+
+    def __get__(self, profile, owner=None):
+        if profile is None:
+            raise AttributeError("votes")  # the field has no default
+        state = profile.__dict__
+        if "_votes" not in state:
+            state["_votes"] = self.build(profile)
+        return state["_votes"]
+
+    def __set__(self, profile, votes):
+        profile.__dict__["_votes"] = votes
+
+    @staticmethod
+    def build(profile):
+        rows = profile.__dict__["_rank_matrix"].tolist()
+        return tuple(PreferenceOrder(profile.m, row) for row in rows)
+
+
 @dataclass(frozen=True)
 class Profile:
     """An ordered multiset of votes over a shared candidate set.
@@ -407,26 +428,33 @@ class Profile:
     (:meth:`rank_matrix`), and classifies its votes from it in one pass.
     The matrix and the vote classes are built on first use and cached
     outside the dataclass fields, so equality and hashing ignore them.
+    A profile built from a matrix (:meth:`from_rank_matrix`, and so every
+    PrefLib file) holds only the matrix until its ``votes`` are read;
+    :meth:`vote` builds one vote alone.
     """
 
     m: int
-    votes: tuple[PreferenceOrder, ...]
+    votes: tuple[PreferenceOrder, ...] = _Votes()
     multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("a profile needs at least one candidate")
-        if not self.votes:
-            raise ValueError("a profile needs at least one vote")
-        if not self.multiplicities:
-            object.__setattr__(self, "multiplicities", (1,) * len(self.votes))
-        if len(self.multiplicities) != len(self.votes):
-            raise ValueError("one multiplicity per vote required")
-        if any(w <= 0 for w in self.multiplicities):
-            raise ValueError("multiplicities must be positive")
+        self._check(len(self.votes or ()))
         for v in self.votes:
             if v.m != self.m:
                 raise ValueError("all votes must range over the same candidate set")
+
+    def _check(self, n):
+        """The constructor's refusals for ``n`` votes."""
+        if self.m < 1:
+            raise ValueError("a profile needs at least one candidate")
+        if not n:
+            raise ValueError("a profile needs at least one vote")
+        if not self.multiplicities:
+            object.__setattr__(self, "multiplicities", (1,) * n)
+        if len(self.multiplicities) != n:
+            raise ValueError("one multiplicity per vote required")
+        if any(w <= 0 for w in self.multiplicities):
+            raise ValueError("multiplicities must be positive")
 
     @classmethod
     def from_rank_matrix(cls, ranks, multiplicities=()):
@@ -434,7 +462,7 @@ class Profile:
 
         Each row is renumbered to dense ranks, as by ``PreferenceOrder.from_ranks``,
         in O(n · largest index).  The result becomes the profile's rank
-        matrix, so it is not built again from the votes.
+        matrix, and the votes are built from it only when read.
         """
         ranks = np.asarray(ranks)
         if ranks.ndim != 2 or not np.issubdtype(ranks.dtype, np.integer):
@@ -442,13 +470,10 @@ class Profile:
                 "expected an n×m integer matrix of bucket indices, "
                 f"got a {ranks.ndim}-D array of {ranks.dtype}"
             )
-        n, m = ranks.shape
-        if not (n and m):
-            return cls(m, ())  # refused with the constructor's own message
-        if ranks.min() < 0:
+        if ranks.min(initial=0) < 0:
             raise ValueError("bucket indices must be non-negative")
-        rows = np.arange(n)[:, None]
-        present = np.zeros((n, int(ranks.max()) + 1), bool)
+        rows = np.arange(len(ranks))[:, None]
+        present = np.zeros((len(ranks), int(ranks.max(initial=0)) + 1), bool)
         present[rows, ranks] = True
         dense = (np.cumsum(present, axis=1, dtype=np.int32) - 1)[rows, ranks]
         return cls._from_dense_ranks(dense, multiplicities)
@@ -457,9 +482,10 @@ class Profile:
     def _from_dense_ranks(cls, ranks, multiplicities=()):
         """``from_rank_matrix`` for an ``int32`` matrix whose rows are dense
         ranks already, which becomes the profile's rank matrix as it is."""
-        m = ranks.shape[1]
-        votes = tuple(PreferenceOrder(m, ranks=row) for row in ranks.tolist())
-        profile = cls(m, votes, tuple(multiplicities))
+        profile = cls.__new__(cls)
+        object.__setattr__(profile, "m", ranks.shape[1])
+        object.__setattr__(profile, "multiplicities", tuple(multiplicities))
+        profile._check(len(ranks))
         profile._cache("_rank_matrix", ranks)
         return profile
 
@@ -471,11 +497,17 @@ class Profile:
     @property
     def n(self):
         """Number of distinct votes."""
-        return len(self.votes)
+        return len(self.multiplicities)
 
     @property
     def total_voters(self):
         return sum(self.multiplicities)
+
+    def vote(self, k):
+        """Vote ``k``, built alone when the profile holds only its matrix."""
+        if "_votes" in self.__dict__:
+            return self.votes[k]
+        return PreferenceOrder(self.m, self.rank_matrix()[k].tolist())
 
     def rank_matrix(self):
         """Read-only ``int32`` n×m matrix whose row k is ``votes[k].ranks``.
@@ -484,10 +516,9 @@ class Profile:
         """
         ranks = self.__dict__.get("_rank_matrix")
         if ranks is None:
-            if not all(v.has_ranks() for v in self.votes):
-                raise ClassError("a rank matrix exists only for weak-or-tighter votes")
             # struct converts a whole rank tuple in one call, about twice as
-            # fast as np.fromiter over the chained tuples
+            # fast as np.fromiter over the chained tuples; a vote without
+            # rank buckets raises ClassError
             row = struct.Struct(f"={self.m}i")
             rows = b"".join(row.pack(*v.ranks) for v in self.votes)
             ranks = np.frombuffer(rows, np.int32).reshape(self.n, self.m)
@@ -501,8 +532,11 @@ class Profile:
         m - top candidates, weak otherwise."""
         classes = self.__dict__.get("_classes")
         if classes is None:
-            if all(v.has_ranks() for v in self.votes):
+            try:
                 ranks = self.rank_matrix()
+            except ClassError:
+                classes = np.array([v.order_class() for v in self.votes])
+            else:
                 top = ranks.max(axis=1)
                 at_top = np.count_nonzero(ranks == top[:, None], axis=1)
                 classes = np.where(
@@ -510,8 +544,6 @@ class Profile:
                     OrderClass.TOTAL,
                     np.where(at_top == self.m - top, OrderClass.TOP, OrderClass.WEAK),
                 )
-            else:
-                classes = np.array([v.order_class() for v in self.votes])
             classes = self._cache("_classes", classes)
         return classes
 
@@ -520,11 +552,11 @@ class Profile:
         return OrderClass(int(self._vote_classes().max()))
 
     def contains_total_order(self):
-        return self.first_total_order() is not None
+        return bool(np.any(self._vote_classes() == OrderClass.TOTAL))
 
     def first_total_order(self):
         total = np.flatnonzero(self._vote_classes() == OrderClass.TOTAL)
-        return self.votes[total[0]] if len(total) else None
+        return self.vote(int(total[0])) if len(total) else None
 
     def restrict(self, subset):
         return Profile(

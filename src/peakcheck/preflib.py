@@ -110,6 +110,7 @@ def parse_preflib_full(text):
             pending.append((row, cells))
         elif bad is None:
             bad = _fill(ranks, row, cells, ballots)
+        del cells  # before the next chunk is scanned
     if failure is not None:
         raise failure
     if m is None:
@@ -125,7 +126,7 @@ def parse_preflib_full(text):
             bad = bad or _fill(ranks, row, cells, ballots)
     if bad is not None:
         raise bad
-    del ballots, pending  # the ballot text, before the votes are built
+    del ballots, pending  # the ballot text, before the profile is built
     profile = Profile._from_dense_ranks(ranks, mults)
     name_list = [names.get(i, str(i)) for i in range(1, m + 1)]
     return profile, name_list, metadata
@@ -222,6 +223,9 @@ def _scan_chunk(ballots):
     at_cell = np.flatnonzero(is_cell)
     separators = kinds[np.flatnonzero(~is_cell)]
     last = events[at_cell]
+    # each array takes up to 8 bytes per chunk byte: it goes once read, so
+    # that few are alive at a time
+    del marks, events, kinds, is_cell
 
     # a well-formed chunk holds digits, commas, and separators that are
     # "{}" pairs and line ends; whitespace or an error is located apart
@@ -235,16 +239,30 @@ def _scan_chunk(ballots):
     if not well_formed:
         _raise_first_error(raw, buf, digit, ends, tails, ballots)
 
+    # with braces in pairs, a cell lies in a "{...}" when the separator
+    # before it is a "{", and continues the bucket of the cell before it when
+    # no separator lies between them
+    before = at_cell  # the index of the separator before each cell
+    before -= np.arange(1, len(last) + 1)
+    inner = opening[before]
+    inner[1:] &= before[1:] == before[:-1]
+    inner[:1] = False
+    buckets = np.zeros(len(last) + 1, np.int32)
+    np.cumsum(np.logical_not(inner, out=inner), dtype=np.int32, out=buckets[1:])
+    del at_cell, before, inner
+
     # candidate ids, four digits at a time from the right: where byte i + 3
     # is a digit, quads[i] is the number that bytes i to i + 3 spell in its
     # run (0 for a byte that is not a digit, and for every byte before one)
     digits *= digit
     pairs = digits[:-1] * 10 + digits[1:]
+    del digits
     runs = digit[:-1] & digit[1:]
     quads = np.multiply(pairs[:-2] * runs[1:-1], 100, dtype=np.uint16)
     quads += pairs[2:]
-    values = quads[last - 3].astype(np.int64)
     fours = runs[:-2] & runs[2:]
+    del pairs, runs
+    values = quads[last - 3].astype(np.int64)
     span = fours  # span[i]: bytes i to i + place - 1 are digits
     exact = {}
     for place in range(4, _DIGITS + 1, 4):
@@ -263,16 +281,6 @@ def _scan_chunk(ballots):
     for cell, value in exact.items():
         values[cell] = min(value, _HUGE)
 
-    # with braces in pairs, a cell lies in a "{...}" when the separator
-    # before it is a "{", and continues the bucket of the cell before it when
-    # no separator lies between them
-    before = at_cell  # the index of the separator before each cell
-    before -= np.arange(1, len(last) + 1)
-    inner = opening[before]
-    inner[1:] &= before[1:] == before[:-1]
-    inner[:1] = False
-    buckets = np.zeros(len(last) + 1, np.int32)
-    np.cumsum(np.logical_not(inner, out=inner), dtype=np.int32, out=buckets[1:])
     bounds = np.zeros(len(tails) + 1, np.intp)
     bounds[1:] = last.searchsorted(ends)
     totals = buckets[bounds]

@@ -219,7 +219,7 @@ def _grow_axis(index, c_start):
                 return None
             keep = sorted(upper + [a_i])
             sub = _subproblem(ranks, keep, sorted(set(range(m)) - placed - set(keep)))
-            result = guided_recognize(sub, sub.votes[k], pinned=True)
+            result = guided_recognize(sub, sub.vote(k), pinned=True)
             if not result:
                 return None
             axis.extend(keep[j] for j in result.axis.order[1:-1])

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_local_weak
 import peakcheck
-from peakcheck import c1p, cli, oracle
+from peakcheck import c1p, cli, oracle, preflib
 from peakcheck.axis_check import check_on_axis
 from peakcheck.cli import ALGORITHMS, applicable_engines, dispatch, main
 from peakcheck.errors import (
@@ -378,6 +378,41 @@ def test_cli_end_to_end(tmp_path, capsys):
     rc = main(["recognize", str(good), "--axis", str(axis_file)])
     capsys.readouterr()
     assert rc in (0, 1)
+
+
+def _weak_with_total(m, n, seed):
+    weak = random_sp_profile(m, n, "psp", 0.6, seed=seed)
+    total = random_sp_profile(m, 1, "psp", 0.0, seed=seed).votes[0]
+    return Profile(m, weak.votes[:-1] + (total,))
+
+
+@pytest.mark.parametrize(
+    "suffix, profile, engine",
+    [("toc", random_sp_profile(30, 12, "psp", 0.8, seed=4), "c1p"),
+     ("toc", _weak_with_total(30, 12, 5), "guided"),
+     ("toi", random_sp_profile(30, 12, "psp", 1.0, seed=6), "unguided")],
+    ids=["c1p", "guided", "unguided"],
+)
+def test_recognize_json_builds_no_votes_for_the_parsed_profile(
+    tmp_path, capsys, monkeypatch, suffix, profile, engine
+):
+    # engines and the verifier read the parsed profile's rank matrix; a
+    # vote they need (the guiding one) is built alone
+    built, parsed = [], []
+    build, parse = peakcheck.model._Votes.build, preflib.parse_any
+    monkeypatch.setattr(
+        peakcheck.model._Votes, "build", staticmethod(lambda p: built.append(p) or build(p))
+    )
+    monkeypatch.setattr(preflib, "parse_any", lambda text: parsed.append(parse(text)) or parsed[-1])
+    path = tmp_path / f"profile.{suffix}"
+    path.write_text(write_preflib(profile))
+    assert main(["recognize", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["algorithm"] == engine
+    (parsed_profile, _), = parsed
+    assert not any(p is parsed_profile for p in built)
+    assert parsed_profile == profile  # reads the votes, through the spy
+    assert built[-1] is parsed_profile
 
 
 def test_cli_seed_corpus(capsys):

@@ -503,6 +503,44 @@ def test_from_rank_matrix_refuses_an_empty_matrix_by_name(shape, message):
         Profile.from_rank_matrix(np.zeros(shape, np.int32))
 
 
+@given(_rank_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_matrix_profile_builds_its_votes_only_when_read(rows, data):
+    m, n = len(rows[0]), len(rows)
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    lazy = Profile.from_rank_matrix(np.array(rows), weights)
+    votes = tuple(PreferenceOrder.from_ranks(r) for r in rows)
+    eager = Profile(m, votes, tuple(weights))
+    stored = lazy.__dict__["_rank_matrix"]
+    assert lazy.rank_matrix() is stored
+    assert np.array_equal(stored, eager.rank_matrix())
+    assert lazy.n == eager.n == n
+    assert lazy.multiplicities == eager.multiplicities == tuple(weights)
+    assert lazy.total_voters == eager.total_voters
+    assert [lazy.vote(k) for k in range(n)] == [eager.vote(k) for k in range(n)] == list(votes)
+    assert lazy.order_class() == eager.order_class()
+    assert lazy.first_total_order() == eager.first_total_order()
+    assert "_votes" not in lazy.__dict__  # nothing above built them
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert repr(lazy) == repr(eager)
+    assert lazy.votes == votes and lazy.votes is lazy.votes
+    assert lazy.rank_matrix() is stored
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [((1,), "one multiplicity per vote"), ((1, 2, 3), "one multiplicity per vote"),
+     ((1, 0), "multiplicities must be positive"), ((2, -1), "multiplicities must be positive")],
+)
+def test_matrix_and_vote_profiles_refuse_the_same_multiplicities(weights, message):
+    rows = np.array([[0, 1, 1], [1, 0, 2]])
+    votes = tuple(PreferenceOrder.from_ranks(r) for r in rows.tolist())
+    with pytest.raises(ValueError, match=message):
+        Profile(3, votes, weights)
+    with pytest.raises(ValueError, match=message):
+        Profile.from_rank_matrix(rows, weights)
+
+
 @pytest.mark.parametrize(
     "ranks",
     [np.zeros(3, np.int32), np.zeros((2, 2, 2), np.int32), [[0, 1.5]]],
