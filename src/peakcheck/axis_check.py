@@ -51,9 +51,9 @@ from .model import (
     iter_bits,
 )
 
-# Rank cells read at once from a profile's rank matrix.  Read whole, the
-# axis-ordered copy took fresh pages from the system on every call at
-# m = 10,000.
+# Rank cells handled at once by the verifier's axis-ordered copy of the rank
+# matrix and by guided's gathered and threshold rows.  Built whole, each took
+# fresh pages from the system on every call at m = 10,000.
 _BLOCK_CELLS = 1 << 17
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ step starts the next window, whose guess for it is exact.  A pinned run tests
 ``c_2`` at the left end on its own row before any window.
 
 The final axis leaves through the engines' one exit,
-``axis_check.verified``, and an outside guiding vote is checked on it with
-``axis_check.has_v_valley``; a valley there is an ``InternalError``.
+``axis_check.verified``, and the guiding vote's own row is then checked on
+it with ``axis_check.v_valley_rows``; a valley there is an ``InternalError``.
 
 A pinned run (the unguided algorithm's subproblems) fixes both ends of the
 axis: the guiding vote's last candidate, placed first, always ends at the
@@ -43,10 +43,11 @@ placement.
 
 When no vote is total, an implicit guiding vote is searched for by removing
 uniquely-last candidates one at a time, scanning the votes in profile order.
-A vote's buckets are built when the scan first reaches it, and a removal is
-only recorded: a vote catches up with the removals it has not seen when the
-scan next reads it.  The search costs O(m) per vote it reaches, usually a
-handful of votes, and O(n*m) when it reaches every vote.
+A vote's bucket counts and id sums, plain lists, are built when the scan first
+reaches it, and a removal is only recorded: a vote catches up with the
+removals it has not seen when the scan next reads it.  The search costs O(m)
+per vote it reaches, usually a handful of votes, and O(n*m) when it reaches
+every vote.
 """
 
 from __future__ import annotations
@@ -54,16 +55,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import axis_check
+from .axis_check import _BLOCK_CELLS
 from .errors import ClassError, InternalError, PeakcheckError, PinError
 from .model import OrderClass, PreferenceOrder, Refusal, Verdict
 
 # an int32, so that the placement's arithmetic with it stays in int32
 _BIG = np.int32(np.iinfo(np.int32).max // 2)
-# Rank cells handled at once: the placement builds the threshold rows for
-# about this many cells of rg at a time.  Built whole, the array took fresh
-# pages from the system on every call at m = 10,000, and the run time grew
-# faster than m.
-_BLOCK_CELLS = 1 << 17
 # Most steps one window decides.  Windows of 64 or 256 steps placed the
 # guided-wide benchmark's profiles more slowly: a window's arrays stay in
 # cache, and a longer one more often runs past a wrong guess.
@@ -216,9 +213,7 @@ def guided_recognize(profile, guiding, pinned=False):
     if pinned and (placed[0] != order[1] or placed[-1] != order[0]):
         raise InternalError("guided placement moved a pinned endpoint")
     verdict = axis_check.verified(profile, placed, "guided")
-    # the guiding vote is a vote of the profile if a (total) row holds it
-    totals = profile.rank_matrix()[profile._vote_classes() == OrderClass.TOTAL]
-    if not (totals == guide).all(1).any() and axis_check.has_v_valley(guiding, verdict.axis):
+    if axis_check.v_valley_rows(guide[None, placed])[0]:
         raise InternalError("guided engine's axis gives the guiding vote a valley")
     return verdict
 
@@ -236,27 +231,22 @@ def find_implicit_guiding_vote(profile):
     the guiding vote.  The choice made at each step does not affect whether
     the profile is possibly single-peaked.
 
-    Every bucket of a vote keeps the number of live candidates in it and the
-    sum of their ids, packed into one integer: the count above ``shift`` bits
-    and the id sum below, so a bucket holding one candidate names it.  The
-    buckets are packed when the scan first reaches the vote, with one
-    vectorised pass over a block of votes that doubles in size each time.
-    A removal is only appended to the removal list; a vote read again first
-    applies the removals it has not seen, one bucket decrement each, then
-    moves its bottom pointer up past empty buckets.  The cost is O(m) per
-    vote the scan reaches, and O(n*m) when it reaches every vote.
+    Every bucket of a vote keeps two plain counts: the number of live
+    candidates in it and the sum of their ids, so a bucket holding one
+    candidate names it.  A vote's counts are built when the scan first
+    reaches it, with one vectorised pass over a block of votes that doubles
+    in size each time.  A removal is only appended to the removal list; a
+    vote read again first applies the removals it has not seen, one
+    decrement of each count, then moves its bottom pointer up past empty
+    buckets.  The cost is O(m) per vote the scan reaches, and O(n*m) when it
+    reaches every vote.
     """
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("implicit guiding votes are defined for weak orders")
     m = profile.m
     ranks = profile.rank_matrix()
-    # an id sum is at most m(m-1)/2 and a count at most m; int64 holds both
-    # up to about two million candidates, Python ints beyond
-    shift = (m * (m - 1) // 2).bit_length()
-    one, two = 1 << shift, 2 << shift  # a bucket holding only c reads one + c
-    dtype = np.int64 if m.bit_length() + shift < 63 else object
     ids = np.arange(m, dtype=np.float64)
-    votes = []  # per vote read: [packed buckets, its rank row, bottom bucket, removals seen]
+    votes = []  # per vote read: [counts, id sums, its rank row, bottom bucket, removals seen]
     removed = []
     for step in range(m):
         for k in range(len(ranks)):
@@ -266,25 +256,27 @@ def find_implicit_guiding_vote(profile):
                 size = block.max(axis=1) + 1  # buckets per vote
                 first = np.cumsum(size) - size  # flat index of each vote's top bucket
                 cell = (block + first[:, None]).ravel()
+                count = np.bincount(cell).tolist()
                 # float weights are exact here: an id sum stays far below 2**53
-                id_sum = np.bincount(cell, weights=np.tile(ids, len(block))).astype(np.int64)
-                packed = (np.bincount(cell).astype(dtype) * one + id_sum).tolist()
+                id_sum = np.bincount(cell, weights=np.tile(ids, len(block))).astype(np.int64).tolist()
                 votes += [
-                    [packed[f : f + s], row, s - 1, 0]
+                    [count[f : f + s], id_sum[f : f + s], row, s - 1, 0]
                     for f, s, row in zip(first.tolist(), size.tolist(), map(memoryview, block))
                 ]
             vote = votes[k]
-            buckets, rank, b, seen = vote
+            count, id_sum, rank, b, seen = vote
             if seen < step:  # catch up with the removals made since the last read
                 for c in removed[seen:]:
-                    buckets[rank[c]] -= one + c
-                vote[3] = step
+                    r = rank[c]
+                    count[r] -= 1
+                    id_sum[r] -= c
+                vote[4] = step
             # a live candidate remains, so the vote has a non-empty bucket
-            while not buckets[b]:
+            while not count[b]:
                 b -= 1
-            vote[2] = b
-            if buckets[b] < two:
-                removed.append(buckets[b] - one)
+            vote[3] = b
+            if count[b] == 1:
+                removed.append(id_sum[b])
                 break
         else:
             return None

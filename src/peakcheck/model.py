@@ -438,19 +438,21 @@ class Profile:
     multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self):
-        self._check(len(self.votes or ()))
+        object.__setattr__(self, "votes", tuple(self.votes or ()))
+        self._check(len(self.votes))
         for v in self.votes:
             if v.m != self.m:
                 raise ValueError("all votes must range over the same candidate set")
 
     def _check(self, n):
-        """The constructor's refusals for ``n`` votes."""
+        """The constructor's refusals for ``n`` votes; the multiplicities
+        become a tuple, all 1 when none are given."""
         if self.m < 1:
             raise ValueError("a profile needs at least one candidate")
         if not n:
             raise ValueError("a profile needs at least one vote")
-        if not self.multiplicities:
-            object.__setattr__(self, "multiplicities", (1,) * n)
+        weights = () if self.multiplicities is None else tuple(self.multiplicities)
+        object.__setattr__(self, "multiplicities", weights or (1,) * n)
         if len(self.multiplicities) != n:
             raise ValueError("one multiplicity per vote required")
         if any(w <= 0 for w in self.multiplicities):
@@ -460,9 +462,11 @@ class Profile:
     def from_rank_matrix(cls, ranks, multiplicities=()):
         """Profile with one vote per row of an n×m matrix of bucket indices.
 
-        Each row is renumbered to dense ranks, as by ``PreferenceOrder.from_ranks``,
-        in O(n · largest index).  The result becomes the profile's rank
-        matrix, and the votes are built from it only when read.
+        Each row is renumbered to dense ranks, as by ``PreferenceOrder.from_ranks``:
+        through a table of the indices present in O(n · largest index) while
+        that index is below 4·m, by sorting each row in O(n · m log m) past
+        it.  The result becomes the profile's rank matrix, and the votes are
+        built from it only when read.
         """
         ranks = np.asarray(ranks)
         if ranks.ndim != 2 or not np.issubdtype(ranks.dtype, np.integer):
@@ -472,10 +476,21 @@ class Profile:
             )
         if ranks.min(initial=0) < 0:
             raise ValueError("bucket indices must be non-negative")
-        rows = np.arange(len(ranks))[:, None]
-        present = np.zeros((len(ranks), int(ranks.max(initial=0)) + 1), bool)
-        present[rows, ranks] = True
-        dense = (np.cumsum(present, axis=1, dtype=np.int32) - 1)[rows, ranks]
+        top = int(ranks.max(initial=0))
+        if top < 4 * ranks.shape[1]:
+            rows = np.arange(len(ranks))[:, None]
+            present = np.zeros((len(ranks), top + 1), bool)
+            present[rows, ranks] = True
+            dense = (np.cumsum(present, axis=1, dtype=np.int32) - 1)[rows, ranks]
+        else:
+            # a table that large outgrows the matrix: number the distinct
+            # indices of each sorted row instead
+            order = np.argsort(ranks, axis=1)
+            level = np.take_along_axis(ranks, order, axis=1)
+            step = np.zeros(ranks.shape, np.int32)
+            step[:, 1:] = level[:, 1:] != level[:, :-1]
+            dense = np.empty_like(step)
+            np.put_along_axis(dense, order, np.cumsum(step, axis=1, dtype=np.int32), axis=1)
         return cls._from_dense_ranks(dense, multiplicities)
 
     @classmethod
@@ -484,7 +499,7 @@ class Profile:
         ranks already, which becomes the profile's rank matrix as it is."""
         profile = cls.__new__(cls)
         object.__setattr__(profile, "m", ranks.shape[1])
-        object.__setattr__(profile, "multiplicities", tuple(multiplicities))
+        object.__setattr__(profile, "multiplicities", multiplicities)
         profile._check(len(ranks))
         profile._cache("_rank_matrix", ranks)
         return profile

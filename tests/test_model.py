@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -200,6 +200,20 @@ def test_profile_basics():
         Profile(2, (v,), (0,))
     with pytest.raises(ValueError):
         Profile(3, (v,))
+
+
+def test_profile_holds_its_votes_and_multiplicities_as_tuples():
+    v, w = PreferenceOrder.from_total([0, 1, 2]), PreferenceOrder.from_total([2, 1, 0])
+    votes, weights = [v, w], [2, 1]
+    p = Profile(3, votes, weights)
+    expected = Profile(3, (v, w), (2, 1))
+    assert p == expected and hash(p) == hash(expected)
+    assert p.votes == (v, w) and p.multiplicities == (2, 1)
+    # the profile does not share the caller's lists
+    votes.append(v)
+    weights[0] = 5
+    assert p == expected and p.n == 2
+    assert Profile(3, (u for u in (v, w)), iter((2, 1))) == expected
 
 
 def test_empty_candidate_set_is_refused():
@@ -478,6 +492,11 @@ def _assert_from_rank_matrix_renumbers(rows):
 
 
 @given(_rank_matrices())
+# indices far above m, in int64 and in uint64, are renumbered without a
+# table as wide as the largest
+@example([[0, 2**40]])
+@example(np.array([[2**63, 0, 2**63], [5, 3, 9]], np.uint64))
+@example([[2**40, 7, 2**40, 7], [0, 1, 2, 16]])
 @settings(max_examples=300, deadline=None)
 def test_from_rank_matrix_renumbers_each_row_to_dense_ranks(rows):
     _assert_from_rank_matrix_renumbers(rows)

@@ -75,6 +75,9 @@ _LINE = st.one_of(
 @example(3, ["1: {1,{2}}"])
 @example(3, ["1: 1}"])
 @example(3, ["1: 1 2"])
+# digit runs of more than 16 digits in a chunk without whitespace
+@example(3, ["1: 1,99999999999999999999"])
+@example(3, ["1: 1,00000000000000000002,3"])  # candidates 1, 2 and 3
 @settings(max_examples=400, deadline=None)
 def test_scan_matches_reference_parser(declared, lines):
     if declared is not None:
@@ -105,6 +108,24 @@ def test_huge_candidate_id_is_a_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "m=1000000000000" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# NUMBER ALTERNATIVES: 3\n1: 1,99999999999999999999\n",
+         r"^candidate 99999999999999999999 outside 1\.\.3 \(line 2\)$"),
+        ("# NUMBER ALTERNATIVES: 3\n1: 1," + "7" * 5000 + "\n",
+         r"^invalid candidate: too many digits \(line 2, column 3\)$"),
+        ("1: 2,1\n1: 1," + "1" * 20 + "\n",
+         "^m=" + "1" * 20 + " candidates: .* does not fit in memory$"),
+    ],
+)
+def test_long_number_in_a_well_formed_chunk_is_read_exactly(text, message):
+    # no whitespace, so the scan itself reads the runs of more than 16 digits,
+    # not the error path that locates a number split by whitespace
+    with pytest.raises(ParseError, match=message):
+        parse_preflib_full(text)
 
 
 def test_huge_candidate_count_in_json_is_a_parse_error(tmp_path, capsys):
