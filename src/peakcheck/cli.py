@@ -14,12 +14,19 @@ NP-hard frontier as an error when none applies.  An explicit algorithm, and
 auto for a plateau notion (which means ``c1p``), runs that engine directly,
 so an engine refuses a profile outside its class with its own error.
 
+``peakcheck recognize`` takes its inputs in order, the ``--seed-corpus``
+profiles first and then each file, and reads, decides and prints each one
+before it reads the next.  An input that fails ends the call with exit 2,
+after the verdicts of the inputs before it; a parse error names its file.
+
 Exit codes: 0 consistent, 1 not consistent, 2 error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import sys
 import time
 
@@ -33,7 +40,7 @@ from .errors import (
     SizeError,
 )
 from .guided import find_implicit_guiding_vote, guided_recognize
-from .model import Axis, Notion, OrderClass, Verdict
+from .model import Axis, Notion, OrderClass
 
 ALGORITHMS = ("auto", "c1p", "guided", "unguided", "twosat", "oracle")
 AUTO_PRIORITY = ("guided", "unguided", "c1p", "twosat", "oracle")
@@ -168,8 +175,8 @@ def _require_sizes(m, n):
         raise PeakcheckError(f"m and n must be at least 1 (got m={m}, n={n})")
 
 
-def _seed_corpus_profiles(spec):
-    """Profiles from 'm,n,class,seed[,count]' (class: soc/toc/toi or order class)."""
+def _seed_corpus_inputs(spec):
+    """Inputs from 'm,n,class,seed[,count]' (class: soc/toc/toi or order class)."""
     parts = spec.split(",")
     if len(parts) not in (4, 5):
         raise PeakcheckError("--seed-corpus expects m,n,class,seed[,count]")
@@ -184,12 +191,20 @@ def _seed_corpus_profiles(spec):
     if count < 1:
         raise PeakcheckError(f"--seed-corpus count must be at least 1 (got {count})")
     cls = _order_class(parts[2])
+    names = [str(c + 1) for c in range(m)]
     for i in range(count):
-        yield (
-            f"seed-corpus[{i}]",
-            gadgets.random_profile(m, n, cls, seed + i),
-            [str(c + 1) for c in range(m)],
+        yield f"seed-corpus[{i}]", lambda seed=seed + i: (
+            gadgets.random_profile(m, n, cls, seed), names
         )
+
+
+def _parse_file(path):
+    text = _read_text(path)  # whose decode error already names the path
+    try:
+        return preflib.parse_any(text)
+    except ParseError as exc:
+        exc.args = (f"{exc} in {path}",)
+        raise
 
 
 def _run_one(profile, names, args):
@@ -208,11 +223,8 @@ def _run_one(profile, names, args):
         if len(bits) != 1:
             detail = ", ".join(f"{n}={v.consistent}" for n, v in results)
             raise PeakcheckError(f"engines disagree: {detail}")
-        verdict = results[0][1]
-        engines_used = "+".join(n for n, _ in results)
-        verdict = Verdict(
-            verdict.consistent, verdict.axis, verdict.certificate,
-            verdict.notion, engines_used,
+        verdict = dataclasses.replace(
+            results[0][1], algorithm="+".join(n for n, _ in results)
         )
     else:
         verdict = dispatch(
@@ -226,6 +238,15 @@ def _run_one(profile, names, args):
         "wall_time_ms": round(elapsed_ms, 3),
     }
     return verdict, stats
+
+
+def _recognize_one(source, load, args):
+    """Load, decide and print one input.  ``load()`` returns its profile and
+    candidate names, which die when this returns."""
+    profile, names = load()
+    verdict, stats = _run_one(profile, names, args)
+    _print_result(source, verdict, stats, names, args.json)
+    return 0 if verdict.consistent else 1
 
 
 def _print_result(source, verdict, stats, names, as_json):
@@ -343,21 +364,13 @@ def _cmd_recognize(args):
         )
     if args.oracle_bound < 0:  # 0 means that the oracle never applies
         raise SizeError(f"--oracle-bound must be at least 0 (got {args.oracle_bound})")
-    jobs = []
-    if args.seed_corpus:
-        jobs.extend(_seed_corpus_profiles(args.seed_corpus))
-    for path in args.files:
-        profile, names = preflib.parse_any(_read_text(path))
-        jobs.append((path, profile, names))
-    if not jobs:
+    if not (args.seed_corpus or args.files):
         raise PeakcheckError("no input files (or --seed-corpus) given")
-    # files run one after another: recognition holds the interpreter lock,
-    # so threads would only add waiting to each file's wall_time_ms
-    results = [_run_one(profile, names, args) for _, profile, names in jobs]
+    seeds = _seed_corpus_inputs(args.seed_corpus) if args.seed_corpus else ()
+    files = ((path, lambda path=path: _parse_file(path)) for path in args.files)
     worst = 0
-    for (source, _, names), (verdict, stats) in zip(jobs, results):
-        _print_result(source, verdict, stats, names, args.json)
-        worst = max(worst, 0 if verdict.consistent else 1)
+    for source, load in itertools.chain(seeds, files):
+        worst = max(worst, _recognize_one(source, load, args))
     return worst
 
 

@@ -581,3 +581,46 @@ def test_place_matches_reference_place_on_drawn_buckets(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(guided, "_BLOCK_CELLS", block_cells)
         assert guided._place(rg, pinned) == reference_place(rg, pinned)
+
+
+# ---------------------------------------------------------------------------
+# past 2**15 candidates, where the placement rows are int32
+# ---------------------------------------------------------------------------
+
+
+def _spy_place_dtypes(monkeypatch):
+    dtypes, place = [], guided._place
+    monkeypatch.setattr(
+        guided, "_place", lambda rg, *a, **k: dtypes.append(rg.dtype) or place(rg, *a, **k)
+    )
+    return dtypes
+
+
+def test_guided_above_2_15_candidates_finds_a_yes_axis(monkeypatch):
+    # a total vote falling along the identity axis, a vote of plateaus
+    # around its middle and one with ten candidates tied at the top
+    dtypes = _spy_place_dtypes(monkeypatch)
+    m = 2**15 + 1
+    c = np.arange(m)
+    prof = Profile.from_rank_matrix(np.stack([c, abs(c - m // 2) // 100, np.where(c < 10, 0, 1)]))
+    verdict = guided_recognize(prof, prof.first_total_order())
+    assert verdict.consistent
+    assert check_on_axis(prof, verdict.axis).consistent
+    assert dtypes == [np.int32]
+
+
+def test_guided_above_2_15_candidates_refuses_a_planted_triple(monkeypatch):
+    # a, b and x are each ranked below the other two in one vote, so every
+    # axis gives one of them a valley
+    dtypes = _spy_place_dtypes(monkeypatch)
+    m = 2**15 + 1
+    a, b, x = 100, 20_000, 32_000
+    ranks = np.full((3, m), 2)
+    ranks[0] = np.arange(m)  # the total vote ranks x below a and b
+    ranks[1, [b, x, a]] = 0, 0, 1
+    ranks[2, [a, x, b]] = 0, 0, 1
+    prof = Profile.from_rank_matrix(ranks)
+    verdict = guided_recognize(prof, prof.first_total_order())
+    assert not verdict.consistent
+    assert verdict.certificate.reason == "both axis sides blocked"
+    assert dtypes == [np.int32]

@@ -1,10 +1,12 @@
 import argparse
+import gc
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -807,3 +809,65 @@ def test_cli_generate_partial_writes_json_that_recognize_reads(tmp_path, capsys)
     rc = main(["recognize", str(out)])
     assert rc == (0 if dispatch(generated).consistent else 1)
     assert capsys.readouterr().out.startswith(f"{out}: ")
+
+
+def test_cli_failing_input_ends_the_call_after_the_verdicts_before_it(
+    tmp_path, capsys, monkeypatch
+):
+    # inputs are decided and printed in order: a file that does not parse
+    # ends the call after the verdict of the file before it, its error names
+    # it, and the file after it is never decided
+    good, bad, good2 = (tmp_path / name for name in ("good.soc", "bad.soc", "good2.soc"))
+    good.write_text("# NUMBER ALTERNATIVES: 3\n1: 1,2,3\n")
+    bad.write_text("# NUMBER ALTERNATIVES: 3\n1: 1,x\n")
+    good2.write_text("# NUMBER ALTERNATIVES: 3\n1: 2,1,3\n")
+    assert main(["recognize", str(good)]) == 0
+    alone = capsys.readouterr().out
+    decided = []
+    run_one = cli._run_one
+    monkeypatch.setattr(cli, "_run_one", lambda *a: decided.append(a[0].m) or run_one(*a))
+    rc = main(["recognize", str(good), str(bad), str(good2)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert decided == [3]
+    assert re.sub(r"\(\d+\.\d ms\)", "", out) == re.sub(r"\(\d+\.\d ms\)", "", alone)
+    assert out.count("\n") == 1
+    assert err == f"error: invalid character 'x' (line 2, column 3) in {bad}\n"
+
+
+def test_cli_decode_error_names_its_file_once(tmp_path, capsys):
+    path = tmp_path / "binary.soc"
+    path.write_bytes(b"1: 1,2\n\xff\xfe\n")
+    assert main(["recognize", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not text") and err.count(str(path)) == 1
+
+
+def test_cli_holds_one_input_profile_at_a_time(tmp_path, capsys, monkeypatch):
+    # the seed corpus first, then each file in order; every input's profile
+    # is dead by the time the next input is read
+    from peakcheck import gadgets
+
+    refs, alive = [], []
+
+    def spy(load):
+        def reading(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            result = load(*args)
+            refs.append(weakref.ref(result[0] if isinstance(result, tuple) else result))
+            return result
+        return reading
+
+    monkeypatch.setattr(preflib, "parse_any", spy(preflib.parse_any))
+    monkeypatch.setattr(gadgets, "random_profile", spy(gadgets.random_profile))
+    paths = []
+    for seed in range(3):
+        paths.append(tmp_path / f"sp{seed}.toc")
+        paths[-1].write_text(write_preflib(random_sp_profile(8, 5, "psp", 0.4, seed=seed)))
+    rc = main(["recognize", "--seed-corpus", "5,4,weak,7,2", *map(str, paths)])
+    out = capsys.readouterr().out
+    assert rc in (0, 1)
+    assert alive == [0] * 5
+    sources = [line.split(": ", 1)[0] for line in out.splitlines()]
+    assert sources == ["seed-corpus[0]", "seed-corpus[1]", *map(str, paths)]
