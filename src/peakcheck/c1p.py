@@ -22,9 +22,13 @@ Both read the profile's rank matrix, whose bucket sizes give the refusals
 and the indifferent pairs (``_levels``).  Every row is an upper set, or one
 plus a column, so ``_packed_rows`` gathers all rows from one table of upper
 sets as packed 32-bit words, which one ``np.bincount`` and a running sum give.
-``recognize`` drops duplicates on the words, cuts the distinct rows into a
-circular-ones instance around the column that sheds the most cells, and
-unpacks each only then, into the ``pqtree.Bitset`` the tree tests as a mask.
+``recognize`` drops duplicate and unconstraining rows on the words and
+unpacks each remaining row only then, into the ``pqtree.Bitset`` the tree
+tests as a mask; ``solve_c1p`` hands the tree a matrix's rows as they are.
+
+The contract is the verdict and its certificate.  A consistent verdict's
+axis is one ``axis_check`` accepts; which of the valid axes the tree
+returns may change between versions.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import axis_check
-from .errors import ClassError, InternalError
+from .errors import ClassError
 from .model import Notion, OrderClass, Refusal, Verdict
 from .pqtree import Bitset, solve_c1p_sets
 
@@ -134,8 +138,7 @@ def _packed_rows(bucket, upto, pairs, chain):
     """The reduction's rows as packed words, ``(words, source, extra)``: row
     ``j`` is the upper set of bucket ``source[j]`` plus column ``extra[j]``
     unless that is -1.  ``words[j]`` holds it in little-endian 32-bit words,
-    column ``c`` in bit ``c % 32`` of word ``c // 32``, with room for a
-    column ``m``.
+    column ``c`` in bit ``c % 32`` of word ``c // 32``.
 
     Per vote, its base rows come first: with ``chain`` one per upper set short
     of the full one, best first, else the paper's block, one row per candidate
@@ -144,7 +147,7 @@ def _packed_rows(bucket, upto, pairs, chain):
     ``i - 1`` plus ``a``.
     """
     n, m = bucket.shape
-    width, cols = m // 32 + 1, np.arange(m)
+    width, cols = (m + 31) // 32, np.arange(m)
     bit = np.exp2(cols % 32)
     # a bucket's candidates hold disjoint bits, so their sum is their OR, and
     # so is the running sum over a vote's buckets; each vote's first bucket
@@ -217,15 +220,7 @@ def solve_c1p(matrix):
     m = matrix.m
     if any(mask < 0 or mask >> m for mask in matrix.rows):
         raise ValueError(f"a row holds a column out of range for {m} columns")
-    if not m:
-        return []
-    # a row that constrains is the upper set of a two-bucket vote
-    width = (m + 7) // 8
-    rows = b"".join(mask.to_bytes(width, "little") for mask in matrix.rows
-                    if 1 < mask.bit_count() < m)
-    bits = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(-1, width), axis=1,
-                         count=m, bitorder="little")
-    return _solve(*_buckets(1 - bits.astype(np.int32)), pairs=())
+    return solve_c1p_sets([Bitset(mask) for mask in matrix.rows], m)
 
 
 def _solve(bucket, upto, pairs):
@@ -234,16 +229,8 @@ def _solve(bucket, upto, pairs):
 
     The rows stay packed words until they reach the tree.  Duplicates are
     dropped on the words, the distinct rows keeping the order of their first
-    occurrence, and so are the rows of fewer than two or of all ``m`` columns.
-    With an all-zero column ``z = m`` added, the matrix has consecutive ones
-    iff it has circular ones (Tucker 1971), where a row may be replaced by
-    its complement; complementing, by XOR, every row that holds a column
-    ``c`` and cutting the circle at ``c`` gives a consecutive-ones instance
-    on ``m + 1`` columns (Hsu and McConnell 2003, *TCS* 296).  Its frontier,
-    rotated so that ``z`` comes last and with ``z`` dropped, is the answer.
-    A row ``S`` has ``m + 1 - |S|`` cells once complemented, so the cut is at
-    the column that saves the most, the sum of ``2|S| - m - 1`` over the rows
-    that hold it (the smallest on a tie), if that is positive.
+    occurrence, and so are the rows of fewer than two or of all ``m``
+    columns, which constrain nothing.
     """
     m = bucket.shape[1]
     words, source, extra = _packed_rows(bucket, upto, pairs, chain=True)
@@ -252,31 +239,7 @@ def _solve(bucket, upto, pairs):
     keep.sort()
     # a row's size: its bucket's upper set (``_buckets``), and its extra column
     size = (upto[source[keep]] - 1) % m + 1 + (extra[keep] >= 0)
-    constrains = (size > 1) & (size < m)
-    keep, saved = keep[constrains], 2 * size[constrains] - (m + 1)
-    words, source, extra = words[keep], source[keep], extra[keep]
-    # after[i] sums the savings of bucket i and all later ones; summed over a
-    # column's bucket in each vote, it counts each row once per column it
-    # holds, and once per vote before the row's own, which is taken off
-    after = np.cumsum(np.bincount(source, saved, len(upto))[::-1])[::-1]
-    gain = after[bucket].sum(axis=0) - saved @ ((upto[source] - 1) // m)
-    gain += np.bincount(extra + 1, saved, m + 1)[1:]
-    c = int(np.argmax(gain))
-    cut = bool(gain[c] > 0)
-    if cut:
-        everything = np.frombuffer(((1 << (m + 1)) - 1).to_bytes(nbytes, "little"), words.dtype)
-        words[(words[:, c // 32] >> c % 32 & 1) == 1] ^= everything
-    perm = solve_c1p_sets(_bitsets(words), m + cut)
-    if perm is None or not cut:
-        return perm
-    # z must be a column of the frontier before it is rotated there
-    if sorted(perm) != list(range(m + 1)):
-        raise InternalError(
-            f"consecutive-ones solver returned a frontier that does not order"
-            f" the {m + 1} columns"
-        )
-    z = perm.index(m)
-    return perm[z + 1 :] + perm[:z]
+    return solve_c1p_sets(_bitsets(words[keep[(size > 1) & (size < m)]]), m)
 
 
 def recognize(profile, notion=Notion.PSP):

@@ -18,6 +18,8 @@ so an engine refuses a profile outside its class with its own error.
 profiles first and then each file, and reads, decides and prints each one
 before it reads the next.  An input that fails ends the call with exit 2,
 after the verdicts of the inputs before it; a parse error names its file.
+Each ``--json`` record names its input in ``source``: the file's path as
+given, or ``seed-corpus[i]``.
 
 Exit codes: 0 consistent, 1 not consistent, 2 error.
 """
@@ -252,7 +254,7 @@ def _recognize_one(source, load, args):
 def _print_result(source, verdict, stats, names, as_json):
     out = sys.stdout
     if as_json:
-        out.write(preflib.write_verdict_json(verdict, stats, names))
+        out.write(preflib.write_verdict_json(verdict, {"source": source, **stats}, names))
         return
     status = "consistent" if verdict.consistent else "not consistent"
     out.write(f"{source}: {status} [{verdict.notion.value}/{verdict.algorithm}]")

@@ -49,10 +49,11 @@ was; they cover what it covered, so only their own reaches are new.
 The witness depends on two orders: a P-node template orders the full
 children it regroups by their lowest column, and at a P-node root with two
 partial children the one whose lowest column in the row is larger takes in
-the other.  ``solve_c1p_sets`` reduces the rows in ascending size order,
-which on tie-dense weak profiles is 15-25 % faster than reducing them in
-vote order; in that order about 80 % of the distinct rows ``c1p.recognize``
-passes leave the tree unchanged, most of them at a Q-node root.
+the other.  ``solve_c1p_sets`` reduces the rows in ascending size order.
+Of the distinct rows ``c1p.recognize`` passes for the benchmark's tie-dense
+weak profiles (m 250-500, 100 votes), about 80 % leave the tree unchanged
+in that order, nearly all at a Q-node root; the order is no faster there
+than the rows' own, but the witnesses depend on it.
 
 A row is a ``Bitset``: an ``int`` whose bit ``c`` is column ``c``, whose
 ``len`` is its number of columns and which iterates over its columns in
@@ -521,9 +522,9 @@ def solve_c1p_sets(rows, m):
     are one mask, and a walk over the children outside the row's run if it
     is a Q-node below the pertinent root; the full leaves of a P-node are
     visited once, to move them into their new group.  ``c1p`` passes each
-    distinct row of its reduction once, as a ``Bitset``, cut into a
-    circular-ones instance on ``m + 1`` columns (``c1p._solve``).  A row
-    with a negative column or one not below ``m`` raises ValueError.
+    distinct row of its reduction once, as a ``Bitset`` on its ``m``
+    columns (``c1p._solve``).  A row with a negative column or one not
+    below ``m`` raises ValueError.
     """
     tree = PQTree(m)
     for row in sorted(rows, key=len):

@@ -458,28 +458,13 @@ def _reference_columns(mask):
     return cols
 
 
-def reference_cut_rows(masks, m):
-    """The rows and width c1p hands ``solve_c1p_sets`` for the matrix rows
-    ``masks``, as ascending column lists, computed on Python ints.
-
-    The distinct rows with two to m - 1 columns, in order of first
-    occurrence.  If some column c has a positive gain, the sum of
-    ``2|S| - m - 1`` over the rows S holding it, the first column of largest
-    gain is cut: a column m is added, and every row holding c is replaced by
-    its complement in m + 1 columns.
-    """
+def reference_tree_rows(masks, m):
+    """The rows c1p hands ``solve_c1p_sets`` for the matrix rows ``masks``,
+    as ascending column lists, computed on Python ints: the distinct rows
+    with two to m - 1 columns, in order of first occurrence."""
     full = (1 << m) - 1
-    rows = [mask for mask in dict.fromkeys(masks) if mask & (mask - 1) and mask != full]
-    gain = [0] * m
-    for mask in rows:
-        saved = 2 * mask.bit_count() - m - 1
-        for c in _reference_columns(mask):
-            gain[c] += saved
-    if not rows or max(gain) <= 0:
-        return [_reference_columns(mask) for mask in rows], m
-    c = gain.index(max(gain))
-    cut = [(mask ^ full) | (1 << m) if mask >> c & 1 else mask for mask in rows]
-    return [_reference_columns(mask) for mask in cut], m + 1
+    return [_reference_columns(mask) for mask in dict.fromkeys(masks)
+            if mask & (mask - 1) and mask != full]
 
 
 def backtracking_c1p(rows, m):

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from conftest import (
     random_weak,
     random_weak_profile,
     reference_c1p_matrix,
-    reference_cut_rows,
+    reference_tree_rows,
     rows_consecutive_under,
 )
 from peakcheck import axis_check, c1p, oracle
@@ -289,32 +291,6 @@ def test_invalid_solver_axis_raises_internal_error(monkeypatch, tmp_path, capsys
     assert err.startswith("error:")
 
 
-def test_cut_frontier_without_z_raises_internal_error(monkeypatch, tmp_path, capsys):
-    from peakcheck import c1p, cli
-    from peakcheck.errors import InternalError
-    from peakcheck.preflib import write_preflib
-
-    # rows {0,1} and {0,1,2} over four columns: cutting at column 2 saves a cell
-    profile = Profile(4, (PreferenceOrder.from_ranks([0, 1, 2, 3]),))
-    widths = []
-
-    def solver(rows, m):
-        widths.append(m)
-        return list(range(profile.m))  # the added column z = 4 is missing
-
-    monkeypatch.setattr(c1p, "solve_c1p_sets", solver)
-    with pytest.raises(InternalError):
-        recognize_psp_c1p(profile)
-    assert widths == [profile.m + 1]
-
-    path = tmp_path / "one.soc"
-    path.write_text(write_preflib(profile))
-    rc = cli.main(["recognize", str(path), "--algorithm", "c1p"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error:")
-
-
 def test_uncut_frontier_that_is_no_permutation_is_an_internal_error(
     monkeypatch, tmp_path, capsys
 ):
@@ -322,8 +298,8 @@ def test_uncut_frontier_that_is_no_permutation_is_an_internal_error(
     from peakcheck.errors import InternalError
     from peakcheck.preflib import write_preflib
 
-    # the one row {0, 1} over three columns: no cut saves a cell, so the
-    # solver's frontier goes to the exit as it is, for every notion
+    # the one row {0, 1} over three columns: the solver's frontier goes to
+    # the exit as it is, for every notion
     profile = Profile(3, (PreferenceOrder.from_ranks([0, 1, 2]),))
     widths = []
 
@@ -345,9 +321,9 @@ def test_uncut_frontier_that_is_no_permutation_is_an_internal_error(
     assert err.startswith("error: c1p engine returned an order")
 
 
-def test_cut_agrees_with_backtracking(monkeypatch):
-    # the circular-ones cut against the uncut backtracking oracle, on the
-    # paper's matrices of all three constructions
+def test_solve_c1p_agrees_with_backtracking(monkeypatch):
+    # the PQ-tree against the backtracking oracle, on the paper's matrices
+    # of all three constructions
     from peakcheck import c1p
 
     widths = []
@@ -359,7 +335,6 @@ def test_cut_agrees_with_backtracking(monkeypatch):
 
     monkeypatch.setattr(c1p, "solve_c1p_sets", recording)
     rng = random.Random(6)
-    branches = set()
     for _ in range(1500):
         m = rng.randint(1, 7)
         prof = random_weak_profile(m, rng.randint(1, 4), rng)
@@ -369,21 +344,18 @@ def test_cut_agrees_with_backtracking(monkeypatch):
             got = solve_c1p(mat)
             ref = None if mat.short_circuit else backtracking_c1p(map(Bitset, mat.rows), m)
             assert (got is None) == (ref is None)
-            if not mat.short_circuit:
-                branches.add((widths == [m + 1], got is not None))
-                assert widths in ([m], [m + 1])
+            assert widths == ([] if mat.short_circuit else [m])
             rows = [{c for c in range(m) if (mask >> c) & 1} for mask in mat.rows]
             for order in (got, ref):
                 if order is not None:
                     assert sorted(order) == list(range(m))
                     assert rows_consecutive_under(rows, order)
-    # cut and uncut, each with a yes and a no
-    assert branches == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_recognize_passes_distinct_cut_rows(monkeypatch):
     # work count, no timing: a tie-dense profile with no guiding vote reaches
-    # the PQ-tree as distinct rows with at most 3/4 of the uncut cells
+    # the PQ-tree as distinct rows, with the cells of the distinct upper sets
+    # that constrain
     from peakcheck import c1p
     from peakcheck.gadgets import random_sp_profile
     from peakcheck.guided import find_implicit_guiding_vote
@@ -403,12 +375,12 @@ def test_recognize_passes_distinct_cut_rows(monkeypatch):
     keys = [tuple(sorted(row)) for row in rows]
     assert len(set(keys)) == len(keys)
     full = (1 << profile.m) - 1
-    uncut = {
+    constraining = {
         mask
         for mask in build_psp_matrix(profile).rows
         if mask & (mask - 1) and mask != full
     }
-    assert sum(map(len, rows)) <= 0.75 * sum(mask.bit_count() for mask in uncut)
+    assert sum(map(len, rows)) == sum(mask.bit_count() for mask in constraining)
 
 
 NOTIONS = (Notion.PSP, Notion.PLATEAUED, Notion.BLACK, Notion.NECESSARY)
@@ -457,8 +429,8 @@ def _assert_matches_reference_builder(profile, calls):
             assert verdict.certificate.reason == why
             continue
         ((got, width),) = calls
-        want, want_width = reference_cut_rows(chain.rows, profile.m)
-        assert width == want_width
+        want = reference_tree_rows(chain.rows, profile.m)
+        assert width == profile.m
         assert [list(row) for row in got] == want
 
 
@@ -526,14 +498,11 @@ def _pair_tied_ranks(m, rng, last_pair):
 
 @pytest.mark.parametrize("m", [31, 32, 33, 63, 64, 65])
 def test_rank_matrix_builder_across_word_boundaries(monkeypatch, m):
-    # rows are packed 32 columns to a word, and the cut adds column z = m,
-    # which opens a new word at m = 32 and m = 64
+    # rows are packed 32 columns to a word, which m = 32 and m = 64 fill
     rng = random.Random(m)
     votes = [_pair_tied_ranks(m, rng, last_pair=k == 0) for k in range(6)]
     assert sorted(votes[0]).count(max(votes[0])) == 2
     pair_tied = Profile(m, tuple(map(PreferenceOrder.from_ranks, votes)))
-    chain = reference_c1p_matrix(pair_tied, Notion.PSP, chain=True)
-    assert reference_cut_rows(chain.rows, m)[1] == m + 1
     calls = _seam_calls(monkeypatch)
     for profile in (
         pair_tied,
@@ -581,8 +550,47 @@ def test_recognize_hands_the_tree_the_reference_rows(monkeypatch):
         assert recognize_psp_c1p(profile).consistent
         ((rows, width),) = calls
         chain = reference_c1p_matrix(profile, Notion.PSP, chain=True)
-        want, want_width = reference_cut_rows(chain.rows, profile.m)
-        assert width == want_width
+        want = reference_tree_rows(chain.rows, profile.m)
+        assert width == profile.m
         assert all(isinstance(row, Bitset) for row in rows)
         assert [list(row) for row in rows] == want
         assert list(map(len, rows)) == list(map(len, want))
+
+
+def _verdict_sweep():
+    """Seeded weak profiles, m <= 40: half random, half single-peaked for
+    one notion in turn with some of their information deleted."""
+    rng = random.Random(32)
+    for i in range(600):
+        m, n = rng.randint(1, 40), rng.randint(1, 8)
+        if i % 2:
+            yield random_weak_profile(m, n, rng)
+        else:
+            yield random_sp_profile(m, n, NOTIONS[i // 2 % 4], rng.random(), seed=i)
+
+
+def test_c1p_verdicts_are_pinned():
+    # the verdicts and certificates, not the axes: which valid axis c1p
+    # returns may change, and a yes axis is checked by axis_check anyway
+    records = [
+        (verdict.consistent, verdict.certificate)
+        for profile in _verdict_sweep()
+        for verdict in (c1p.recognize(profile, notion) for notion in NOTIONS)
+    ]
+    seen = {
+        (notion, consistent, cert and cert.reason)
+        for (consistent, cert), notion in zip(records, itertools.cycle(NOTIONS))
+    }
+    no_axis = "no column permutation yields consecutive ones"
+    three = "three-way non-top indifference"
+    refusals = {
+        Notion.PSP: [no_axis],
+        Notion.PLATEAUED: [no_axis, three],
+        Notion.BLACK: [no_axis, three, "more than one most-preferred candidate"],
+        Notion.NECESSARY: [no_axis, three, "top indifference class larger than two"],
+    }
+    for notion, reasons in refusals.items():
+        assert (notion, True, None) in seen
+        assert all((notion, False, why) in seen for why in reasons)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "060a9bab32b4fbfd4d46fb9f1d73425612704d13bcbb14951e9db1aff709b3a7"

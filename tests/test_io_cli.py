@@ -382,6 +382,22 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert rc in (0, 1)
 
 
+def test_cli_json_records_name_their_source(tmp_path, capsys):
+    # one pretty-printed record per input, in order, each naming its input
+    def sources():
+        records = json.loads("[" + capsys.readouterr().out.replace("}\n{", "},{") + "]")
+        assert {record["schema_version"] for record in records} == {1}
+        return [record["source"] for record in records]
+
+    paths = [tmp_path / "b.toc", tmp_path / "a.toc"]
+    for seed, path in enumerate(paths):
+        path.write_text(write_preflib(random_sp_profile(6, 4, "psp", 0.5, seed=seed)))
+    assert main(["recognize", *map(str, paths), "--json"]) == 0
+    assert sources() == list(map(str, paths))
+    main(["recognize", "--seed-corpus", "5,3,weak,1,2", "--json"])
+    assert sources() == ["seed-corpus[0]", "seed-corpus[1]"]
+
+
 def _weak_with_total(m, n, seed):
     weak = random_sp_profile(m, n, "psp", 0.6, seed=seed)
     total = random_sp_profile(m, 1, "psp", 0.0, seed=seed).votes[0]
