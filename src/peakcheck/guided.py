@@ -182,7 +182,6 @@ def guided_recognize(profile, guiding, pinned=False):
     # c_1, ..., c_m: the guiding vote's candidates, worst first
     guide = np.array(guiding.ranks, np.int32)
     seq = np.argsort(guide)[::-1]
-    order = seq.tolist()
     # row i: the buckets of candidate c_{i+1}, one per vote of the profile.
     # Buckets are below m, so up to 2**15 candidates the rows take 16 bits,
     # half the rank matrix; they are gathered a block at a time and dropped
@@ -198,21 +197,21 @@ def guided_recognize(profile, guiding, pinned=False):
         # the detail ends in a word: it names no placed candidate
         refusal = Refusal(
             "pinned-left candidate blocked at the left end",
-            detail=f"candidate {order[1]} pinned left",
+            detail=f"candidate {seq[1]} pinned left",
         )
         return Verdict.no(refusal, algorithm="guided")
     if blocked is not None:
         return Verdict.no(
             Refusal(
                 "both axis sides blocked",
-                detail=f"while placing candidate {order[blocked]}",
+                detail=f"while placing candidate {seq[blocked]}",
             ),
             algorithm="guided",
         )
-    placed = [order[i] for i in steps]
-    if pinned and (placed[0] != order[1] or placed[-1] != order[0]):
+    placed = seq[steps]
+    if pinned and (placed[0] != seq[1] or placed[-1] != seq[0]):
         raise InternalError("guided placement moved a pinned endpoint")
-    verdict = axis_check.verified(profile, placed, "guided")
+    verdict = axis_check.verified(profile, placed.tolist(), "guided")
     if axis_check.v_valley_rows(guide[None, placed])[0]:
         raise InternalError("guided engine's axis gives the guiding vote a valley")
     return verdict

@@ -37,23 +37,21 @@ add the new children at the two ends of the Q-node below, and P4 and P6 at
 the right end of the root's reduced partial child.  A P-node's full leaves
 are visited once, to move them into their new group.
 
-A P-node's listed children keep their place among its leaves as a sort key,
-and its leaves keep theirs as their columns, which stay ascending: a child
-regrouped as full is keyed by its lowest column, one hung at the right end by
-P2, P4 or P6 by a counter that starts at ``m``, and one put in another's place
-takes that one's key.  ``frontier`` merges the two sequences by key, and
-reads a Q-node's left side backwards and then its right side, so a turn is
+A P-node's children may be read in any order, so the tree keeps none:
+``frontier`` reads a P-node's leaves ascending and then its listed children,
+and a Q-node's left side backwards and then its right side, so a turn is
 honoured.  Q2 and Q3 splice the reduced children in where a partial child
 was; they cover what it covered, so only their own reaches are new.
 
-The witness depends on two orders: a P-node template orders the full
-children it regroups by their lowest column, and at a P-node root with two
-partial children the one whose lowest column in the row is larger takes in
-the other.  ``solve_c1p_sets`` reduces the rows in ascending size order.
-Of the distinct rows ``c1p.recognize`` passes for the benchmark's tie-dense
-weak profiles (m 250-500, 100 votes), about 80 % leave the tree unchanged
-in that order, nearly all at a Q-node root; the order is no faster there
-than the rows' own, but the witnesses depend on it.
+``solve_c1p_sets`` reduces the rows in ascending size order, which refuses
+a row set with no witness early.  Of the distinct rows ``c1p.recognize``
+passes for the benchmark's tie-dense weak profiles (m 250-500, 100 votes),
+about 80 % leave the tree unchanged in that order, nearly all at a Q-node
+root, and on those that have a witness the rows' own order is 6-9 % faster.
+But a no-triple planted in such a profile is three votes whose top buckets
+hold two columns each.  Smallest first reduces their rows among the first,
+and the tree says no 7-8 times sooner than in the rows' own order (0.3-0.5
+against 2.4-3.4 ms at m 250 and 350).
 
 A row is a ``Bitset``: an ``int`` whose bit ``c`` is column ``c``, whose
 ``len`` is its number of columns and which iterates over its columns in
@@ -66,7 +64,6 @@ as a mask.  Rows given as other collections of columns are converted to a
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from itertools import chain
 
@@ -99,20 +96,19 @@ class Bitset(int):
 
 
 class _Node:
-    __slots__ = ("kind", "children", "leaves", "parent", "col", "key", "mask",
-                 "sides", "reach")
+    __slots__ = ("kind", "children", "leaves", "parent", "col", "mask", "sides",
+                 "reach")
 
     def __init__(self, kind, children=None, leaves=0, col=None):
         self.kind = kind  # 'P', 'Q' or 'L'
         # a P-node holds its leaf children as the bitmask ``leaves`` of their
-        # columns and lists only its other children, ascending by ``key``
-        # (see ``PQTree._ordered``); a Q-node holds its children in ``sides``
-        # (see ``_q_node``), and each of them keeps its ``reach`` there
+        # columns and lists only its other children, in no order that
+        # matters; a Q-node holds its children in ``sides`` (see ``_q_node``),
+        # and each of them keeps its ``reach`` there
         self.children = children or []
         self.leaves = leaves
         self.parent = None
         self.col = col
-        self.key = col
         # bitmask of the node's leaf columns
         self.mask = 1 << col if kind == "L" else leaves
         self.sides = None
@@ -203,31 +199,24 @@ class PQTree:
     def __init__(self, m):
         self.m = m
         self.leaves = [_Node("L", col=c) for c in range(m)]
-        # the next key of a child hung at the right end of a P-node, above
-        # every column and every key given before
-        self.next_key = m
         self.root = self._group((1 << m) - 1, [], None) if m else _Node("P")
 
     def _ordered(self, node):
-        """The children of ``node`` left to right.  A P-node's leaf children
-        take their columns as keys, so its two sequences merge by key."""
+        """The children of ``node`` left to right.  A P-node's may be read in
+        any order: its leaves ascending, then its listed children."""
         if node.kind == "Q":
             return _reading(node)
-        leaves = [self.leaves[c] for c in Bitset(node.leaves)]
-        return sorted(leaves + node.children, key=operator.attrgetter("key"))
+        return [self.leaves[c] for c in Bitset(node.leaves)] + node.children
 
     def _group(self, leaves, nodes, parent):
         """One child of ``parent`` standing for the leaves of the columns in
         the bitmask ``leaves`` and the other children ``nodes``: the only one
-        of them, or a P-node of them all, each keyed by its lowest column."""
+        of them, or a P-node of them all."""
         if not nodes and leaves & (leaves - 1) == 0:
             node = self.leaves[leaves.bit_length() - 1]
         elif not leaves and len(nodes) == 1:
             node = nodes[0]
         else:
-            for ch in nodes:
-                ch.key = (ch.mask & -ch.mask).bit_length() - 1
-            nodes.sort(key=operator.attrgetter("key"))
             node = _Node("P", nodes, leaves)
             while leaves:  # a few leaves: cheaper than unpacking the mask
                 low = leaves & -leaves
@@ -237,17 +226,14 @@ class PQTree:
         return node
 
     def _hang(self, node, child):
-        """Put ``child`` at the right end of the P-node ``node``."""
+        """Add ``child`` to the listed children of the P-node ``node``."""
         child.parent = node
-        child.key = self.next_key
-        self.next_key += 1
         node.children.append(child)
 
     def _replace(self, old, new):
         """Put ``new`` where the inner node ``old`` hangs in the tree."""
         parent = old.parent
         new.parent = parent
-        new.key = old.key
         if parent is None:
             self.root = new
             return
@@ -458,12 +444,7 @@ class PQTree:
         if None in parts:
             return False
         # P4/P6: one Q-node holds the partial children and the full ones; of
-        # two partial children, the one with the larger lowest row column
-        # takes in the other
-        if len(parts) == 2:
-            a, b = (p.mask & row for p in parts)
-            if a & -a < b & -b:
-                parts.reverse()
+        # two partial children, either may take in the other
         q = parts[0]
         if cut or fulls:
             _push(q, 1, [self._group(cut, fulls, None)])
@@ -511,8 +492,10 @@ def solve_c1p_sets(rows, m):
     ``rows`` is an iterable of sized collections of distinct column indices,
     such as ``Bitset`` rows.  Rows of size <= 1 or covering all columns are
     unconstraining and skipped.  The rows are reduced smallest first; rows of
-    equal size keep their input order.  A repeated row, in any column order,
-    leaves the tree unchanged.
+    equal size keep their input order.  Small rows are the likeliest to
+    contradict one another, so a row set with no witness is refused after
+    few reductions (see the module docstring).  A repeated row, in any
+    column order, leaves the tree unchanged.
 
     A ``Bitset`` row is tested as it is, with no pass over its cells; a row
     of another type is first converted to one.  A row the tree already keeps

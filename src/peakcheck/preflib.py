@@ -512,8 +512,10 @@ def parse_profile_json(text):
         except MemoryError:
             raise ParseError(f"m={m} candidates: vote {k} does not fit in memory") from None
         mults.append(mult)
-    names = payload.get("names") or [str(i) for i in range(1, m + 1)]
-    if not isinstance(names, list) or len(names) != m or not all(
+    names = payload.get("names")
+    if names is None:  # absent or null: no names
+        names = [str(i) for i in range(1, m + 1)]
+    elif not isinstance(names, list) or len(names) != m or not all(
         isinstance(name, str) for name in names
     ):
         raise ParseError(f'"names" must list {m} strings')

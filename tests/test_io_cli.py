@@ -529,6 +529,11 @@ def test_cli_text_certificate_names_its_candidates(tmp_path, capsys, ballot, not
         {"m": 3, "votes": [{"pairs": [[0, 1]], "multiplicity": 0}]},
         {"m": 2, "names": ["a"], "votes": [{"pairs": [[0, 1]]}]},
         {"m": "3", "votes": [{"pairs": []}]},
+        # only an absent or null "names" means no names
+        *(
+            {"m": 2, "names": names, "votes": [{"pairs": [[0, 1]]}]}
+            for names in ([], 0, False, "", {})
+        ),
     ],
 )
 def test_cli_malformed_json_profile_is_an_error(tmp_path, capsys, payload):

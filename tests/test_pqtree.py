@@ -11,6 +11,7 @@ import pytest
 from conftest import backtracking_c1p, rows_consecutive_under
 from peakcheck import c1p, pqtree
 from peakcheck.gadgets import random_sp_profile
+from peakcheck.model import PreferenceOrder, Profile
 from peakcheck.pqtree import Bitset, PQTree, solve_c1p_sets
 
 
@@ -322,7 +323,7 @@ def test_hypothesis_keeps_is_exact():
 
 
 def _assert_tree_invariants(tree):
-    """Masks, parent links, P-node leaf masks and keys, and each Q-node's
+    """Masks, parent links, P-node leaf masks, and each Q-node's
     cached reaches and cuts agree with the children.  Returns the number of
     Q-node caches checked."""
     assert tree.root.parent is None
@@ -333,7 +334,6 @@ def _assert_tree_invariants(tree):
         node = stack.pop()
         if node.kind == "L":
             assert node.mask == 1 << node.col and not node.children
-            assert node.key == node.col
             continue
         children = node.children if node.kind == "P" else tree._ordered(node)
         masks = [ch.mask for ch in children]
@@ -342,13 +342,10 @@ def _assert_tree_invariants(tree):
         if node.kind == "P":
             # the leaves are held in the mask alone, every one of them with
             # this node as its parent, and the other children are listed
-            # ascending by key, apart from every leaf column
             cols = [c for c in range(tree.m) if node.leaves >> c & 1]
             assert all(tree.leaves[c].parent is node for c in cols)
             assert all(ch.kind != "L" for ch in node.children)
-            keys = [ch.key for ch in node.children]
-            assert keys == sorted(set(keys)) and not set(keys) & set(cols)
-            assert len(cols) + len(keys) >= 2
+            assert len(cols) + len(node.children) >= 2
             assert node.sides is None
         else:
             assert node.leaves == 0 and not node.children
@@ -446,16 +443,21 @@ def test_q_node_caches_survive_turns_and_appends(monkeypatch):
     monkeypatch.setattr(pqtree, "_push", push)
     monkeypatch.setattr(pqtree, "_splice", splice)
     monkeypatch.setattr(PQTree, "reduce", reduce)
+    sequences = list(_row_sequences(random.Random(24), 20000, top=12))
     frontiers = [
         (_frontier_checking_invariants(rows, m),
          _frontier_checking_invariants(sorted(rows, key=len), m))
-        for m, rows in _row_sequences(random.Random(24), 20000, top=12)
+        for m, rows in sequences
     ]
     assert all(seen[p] for p in ("Q2 turn then P4", "Q2 then P4", "Q2 then P6", "Q3 splice")), seen
+    assert all(
+        f is None or rows_consecutive_under(rows, f)
+        for (_, rows), pair in zip(sequences, frontiers) for f in pair
+    )
     # the frontiers of the tree that rebuilt its Q-node caches after each
     # turn or append: caches that survive them must not change one
     digest = hashlib.sha256(repr(frontiers).encode()).hexdigest()
-    assert digest == "51b269531e0dd949f42b35e5d66c4386bc6193f1ae1811e947c3ea1e5fbf0169"
+    assert digest == "a7e455798d87d18f780f56d719345bd336ec280984b698a1cbf11f4a1f6fe822"
 
 
 def _pinned_row_sequences():
@@ -481,18 +483,25 @@ def _pinned_row_sequences():
 def test_frontiers_are_pinned():
     # the witnesses themselves, not only their validity: any change to the
     # order in which the reduction templates arrange children shows here
-    frontiers = [solve_c1p_sets(rows, m) for rows, m in _pinned_row_sequences()]
+    sequences = list(_pinned_row_sequences())
+    frontiers = [solve_c1p_sets(rows, m) for rows, m in sequences]
     assert sum(f is None for f in frontiers) > 10
     digest = hashlib.sha256(repr(frontiers).encode()).hexdigest()
-    assert digest == "bb7b4502b37a6d0090f175db7fdcb6d4f71b9ef1772dd3e015e4e17f6e427cc2"
+    assert digest == "545b7651a1a743cb7188f40696a16309dbd0e730fb787ae28859de47514f5080"
     # the same rows reduced in the order given, not smallest first: only then
     # can a P-node root whose children all meet the row hang in a P-node
     in_order = []
-    for rows, m in _pinned_row_sequences():
+    for rows, m in sequences:
         tree = PQTree(m)
         in_order.append(tree.frontier() if all(map(tree.reduce, rows)) else None)
+    # a pinned frontier is a witness, whichever one the tree returns
+    for found in (frontiers, in_order):
+        assert all(
+            f is None or sorted(f) == list(range(m)) and rows_consecutive_under(rows, f)
+            for (rows, m), f in zip(sequences, found)
+        )
     digest = hashlib.sha256(repr(in_order).encode()).hexdigest()
-    assert digest == "5a8110194b6743fdbc24625562e9927ce74eab0d1794386405a32cc2ba9bc326"
+    assert digest == "320a2309649f2032f0eb87c15e3223df3103f78c6a1038350a0392ebecaf96fc"
 
 
 def test_c1p_axes_are_pinned():
@@ -504,11 +513,44 @@ def test_c1p_axes_are_pinned():
             verdict = c1p.recognize(random_sp_profile(m, 30, "psp", 0.9, s))
             axes.append(verdict.axis.order)
     digest = hashlib.sha256(repr(axes).encode()).hexdigest()
-    assert digest == "a7bc406ac06ce30c0b889ebae00de6647b5f799203c96647a7b84bada5a2112a"
+    assert digest == "0d2e255d10fbd89d682f29e6bc9bf483d684712dd24203b4c49d5d9328efe433"
     # wide P-node pertinent roots: hundreds of leaf children, few in the row
     wide = [
         c1p.recognize(random_sp_profile(500, 100, "psp", 0.9, s)).axis.order
         for s in range(3)
     ]
     digest = hashlib.sha256(repr(wide).encode()).hexdigest()
-    assert digest == "2b9704d4e754aa13df4a06c0b02a7d6df6d30284b784ba4723b4c465ee64f81e"
+    assert digest == "7b3b577ee699ca4c03d4f124d97a7f006721f45903902026a1187cc5de1c1177"
+
+
+def test_smallest_first_meets_a_planted_no_early(monkeypatch):
+    # a no-triple planted in a tie-dense weak profile is three votes whose
+    # top buckets are two columns each; smallest first reduces those rows
+    # early, so the tree says no long before the rows' own order would
+    calls = []
+    monkeypatch.setattr(
+        c1p, "solve_c1p_sets", lambda rows, m: calls.append((list(rows), m))
+    )
+    triple = [
+        PreferenceOrder.from_ranks([0 if c in top else 1 for c in range(60)])
+        for top in ({0, 1}, {1, 2}, {0, 2})
+    ]
+    for s in range(3):
+        profile = random_sp_profile(60, 30, "psp", 0.9, s)
+        c1p.recognize(Profile(profile.m, (*profile.votes, *triple)))
+    assert len(calls) == 3
+    reductions = [0]
+
+    def reduce(self, row, reduce=PQTree.reduce):
+        reductions[0] += 1
+        return reduce(self, row)
+
+    monkeypatch.setattr(PQTree, "reduce", reduce)
+    for rows, m in calls:
+        reductions[0] = 0
+        assert solve_c1p_sets(rows, m) is None
+        smallest_first = reductions[0]
+        reductions[0] = 0
+        tree = PQTree(m)
+        assert not all(map(tree.reduce, rows))
+        assert smallest_first * 10 <= reductions[0], (smallest_first, reductions[0])
