@@ -13,20 +13,21 @@ nonpeak plateau; Black = no v-valley and no plateau; necessarily single-peaked
 = single-plateaued with every top indifference class of size at most two.
 
 Every axis is verified here, in two steps.  First one row rule per notion
-flags the rows of a rank matrix whose columns are in axis order, reading the
-steps between axis neighbours (a fall is a step to a better bucket):
+flags the rows of a rank matrix whose columns are in axis order: those whose
+first step of one kind, at its mask's ``argmax``, is not after their last
+step of another (a fall is a step to a better bucket):
 
-* psp (:func:`v_valley_rows`): a rise followed by a fall;
-* plateaued (:func:`plateaued_rows`): steps that do not read
-  (falling)* (flat)* (rising)*;
+* psp (:func:`v_valley_rows`): a rise before a fall;
+* plateaued (:func:`plateaued_rows`): a flat or rising step before a fall,
+  or a rise before a flat step;
 * Black (:func:`black_rows`): a v-valley, or any flat step.
 
-A weak-or-tighter profile is read from its rank matrix, a block of cells at
-a time; any other profile vote by vote, where a pair-based vote gets one
-u/v-valley test.  Then the first flagged vote alone is scanned for its
-witness over candidate pairs, triples or quadruples in lexicographic axis
-position, so certificates are deterministic.  A ranked vote is scanned for a
-v-valley only when :func:`v_valley_rows` flags one.
+A weak-or-tighter profile is read from its rank matrix, a block of votes at a
+time gathered into one buffer; any other profile vote by vote, where a
+pair-based vote gets one u/v-valley test.  Then the first flagged vote alone
+is scanned for its witness over candidate pairs, triples or quadruples in
+lexicographic axis position, so certificates are deterministic.  A ranked
+vote is scanned for a v-valley only when :func:`v_valley_rows` flags one.
 
 Every engine answers "yes" through :func:`verified`, which re-checks the
 engine's axis here and turns a bad one into an :class:`InternalError`.
@@ -61,27 +62,35 @@ _BLOCK_CELLS = 1 << 17
 # ---------------------------------------------------------------------------
 
 
+def _not_after(early, late):
+    """Per row of two step masks: whether a True of ``early`` is at or before
+    one of ``late``; a row holds a True iff it holds one at its argmax."""
+    (n, k), rows = early.shape, np.arange(len(early))
+    if not k:
+        return np.zeros(n, bool)
+    i, j = early.argmax(axis=1), k - 1 - late[:, ::-1].argmax(axis=1)
+    return (i <= j) & early[rows, i] & late[rows, j]
+
+
 def v_valley_rows(ranks):
     """Per row of a rank matrix: whether it holds a v-valley, a strict rise
     followed by a strict fall."""
-    step = np.diff(ranks, axis=1)
-    rose = np.logical_or.accumulate(step > 0, axis=1)
-    return np.any(rose[:, :-1] & (step[:, 1:] < 0), axis=1)
+    a, b = ranks[:, :-1], ranks[:, 1:]
+    return _not_after(b > a, b < a)
 
 
 def plateaued_rows(ranks):
     """Per row: whether it is not single-plateaued, i.e. a fall follows a
     flat or rising step, or a flat step follows a rising one."""
-    step = np.diff(ranks, axis=1)
-    rose = np.logical_or.accumulate(step > 0, axis=1)
-    level = np.logical_or.accumulate(step >= 0, axis=1)
-    after = step[:, 1:]
-    return np.any((level[:, :-1] & (after < 0)) | (rose[:, :-1] & (after == 0)), axis=1)
+    a, b = ranks[:, :-1], ranks[:, 1:]
+    return _not_after(b >= a, b < a) | _not_after(b > a, b == a)
 
 
 def black_rows(ranks):
-    """Per row: whether it holds a v-valley or an axis-adjacent tie."""
-    return v_valley_rows(ranks) | np.any(np.diff(ranks, axis=1) == 0, axis=1)
+    """Per row: whether it holds a v-valley or an axis-adjacent tie, a flat
+    step at or before a flat step."""
+    flat = ranks[:, 1:] == ranks[:, :-1]
+    return v_valley_rows(ranks) | _not_after(flat, flat)
 
 
 def _rule(notion):
@@ -131,8 +140,12 @@ def _first_flagged(profile, axis, rule):
     if profile.order_class() <= OrderClass.WEAK:
         ranks = profile.rank_matrix()
         rows = max(1, _BLOCK_CELLS // max(1, profile.m))
+        buf = np.empty((min(rows, len(ranks)), profile.m), ranks.dtype)
         for start in range(0, len(ranks), rows):
-            hit = np.flatnonzero(rule(ranks[start : start + rows][:, order]))
+            block = ranks[start : start + rows]
+            # a permutation never wraps; "raise" would copy through a buffer
+            np.take(block, order, axis=1, out=buf[: len(block)], mode="wrap")
+            hit = np.flatnonzero(rule(buf[: len(block)]))
             if len(hit):
                 return start + int(hit[0])
         return None

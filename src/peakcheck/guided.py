@@ -16,19 +16,20 @@ the candidate is placed right.  All extrema reduce to comparisons of bucket
 indices, so one placement step is O(n) and the whole run O(m*n).
 
 The placement and the implicit search both read the profile's cached rank
-matrix (``Profile.rank_matrix``), built once per profile.  The placement
-copies it into an m x n array with one row per candidate in guiding order, in
-16-bit entries up to 2**15 candidates.  For a block of steps at a time, one
-pass over the block's rows turns the per-vote conditions into one threshold
-row per candidate: the "c_i above the remaining minimum" and "remaining
-maximum above c_i" masks select the buckets that can block.  Blocks grow from
-a few steps, so a run that stops early builds few rows.  One pass of numpy
-calls then decides a window of steps: each step's side is guessed from the
-tops of both axis halves at the window's start (a side blocked then stays
-blocked, since the tops only rise), one running minimum per side gives the
-tops the guesses imply, and every step is tested again on those.  The window
-keeps the steps up to the first one whose test disagrees with its guess; that
-step starts the next window, whose guess for it is exact.  A pinned run tests
+matrix (``Profile.rank_matrix``).  The placement copies it into an m x n array
+with one row per candidate in guiding order, in 16-bit entries up to 2**15
+candidates; its threshold rows, states and tails take the same type, whose
+largest value hides any bucket.  For a block of steps at a time, one pass
+over the block's rows turns the per-vote conditions into one threshold row
+per candidate: the "c_i above the remaining minimum" and "remaining maximum
+above c_i" masks select the buckets that can block.  Blocks grow from a few
+steps, so a run that stops early builds few rows.  One pass of numpy calls
+then decides a window of steps: each step's side is guessed from the tops of
+both axis halves at the window's start (a side blocked then stays blocked,
+since the tops only rise), one running minimum per side gives the tops the
+guesses imply, and every step is tested again on those.  The window keeps
+the steps up to the first one whose test disagrees with its guess; that step
+starts the next window, whose guess for it is exact.  A pinned run tests
 ``c_2`` at the left end on its own row before any window.
 
 The final axis leaves through the engines' one exit,
@@ -59,8 +60,6 @@ from .axis_check import _BLOCK_CELLS
 from .errors import ClassError, InternalError, PeakcheckError, PinError
 from .model import OrderClass, PreferenceOrder, Refusal, Verdict
 
-# an int32, so that the placement's arithmetic with it stays in int32
-_BIG = np.int32(np.iinfo(np.int32).max // 2)
 # Most steps one window decides.  Windows of 64 or 256 steps placed the
 # guided-wide benchmark's profiles more slowly: a window's arrays stay in
 # cache, and a longer one more often runs past a wrong guess.
@@ -97,10 +96,11 @@ def _place(rg, pinned_left):
     None, or None and the first step whose candidate fits on neither side.
     With ``pinned_left`` step 1 may only go left.
     """
-    m, n = rg.shape
+    (m, n), dt = rg.shape, rg.dtype
+    big = np.iinfo(dt).max  # all ones below the sign bit: a bucket | big is big
     side = np.zeros(m, np.int8)  # 1 where a step went left
-    state = np.empty((2, 1, n), np.int32)  # max(A_L), max(A_R)
-    state[0], state[1] = _BIG, rg[0]
+    state = np.empty((2, 1, n), dt)  # max(A_L), max(A_R)
+    state[0], state[1] = big, rg[0]
     start = 1
     if pinned_left and m > 1:
         # at the left end only L1 can block c_2: some vote ranks c_1 and
@@ -118,16 +118,16 @@ def _place(rg, pinned_left):
         starts.append(min(m, starts[-1] + min(size, 8 + starts[-1])))
     # worst and best bucket of the candidates from each block on; the last
     # row, for none, blocks nothing
-    tail_max = np.full((len(starts), n), -1, np.int32)
-    tail_min = np.full((len(starts), n), _BIG, np.int32)
+    tail_max = np.full((len(starts), n), -1, dt)
+    tail_min = np.full((len(starts), n), big, dt)
     if start < m:
         cuts = starts[:-1]
         np.maximum.accumulate(np.maximum.reduceat(rg, cuts)[::-1], axis=0, out=tail_max[-2::-1])
         np.minimum.accumulate(np.minimum.reduceat(rg, cuts)[::-1], axis=0, out=tail_min[-2::-1])
     # one array for every block's threshold rows: a fresh one per block
     # took fresh pages each time
-    gates = np.empty((2, min(size, m), n), np.int32)
-    states = np.empty((2, min(size, _WINDOW) + 1, n), np.int32)
+    gates = np.empty((2, min(size, m), n), dt)
+    states = np.empty((2, min(size, _WINDOW) + 1, n), dt)
     i, width = start, 8
     for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
         gate = gates[:, : hi - lo]
@@ -138,12 +138,12 @@ def _place(rg, pinned_left):
             rows = gate[:, i - lo : i - lo + width]
             k = rows.shape[1]
             guess = (state < rows).any(axis=(0, 2))  # right blocked: go left
-            # the states before each step if the guess holds (a bucket |
-            # _BIG is _BIG), and each step tested on them
-            hide = (_BIG * ~guess)[:, None]
+            # the states before each step if the guess holds, and each step
+            # tested on them
+            hide = np.multiply(~guess, big, dtype=dt)[:, None]
             states[:, 0] = state[:, 0]
             np.bitwise_or(rg[i : i + k], hide, out=states[0, 1 : k + 1])
-            np.bitwise_or(rg[i : i + k], _BIG - hide, out=states[1, 1 : k + 1])
+            np.bitwise_or(rg[i : i + k], big - hide, out=states[1, 1 : k + 1])
             np.minimum.accumulate(states[:, : k + 1], axis=1, out=states[:, : k + 1])
             right = (states[:, :k] < rows).any(axis=(0, 2))
             left = (states[::-1, :k] < rows).any(axis=(0, 2))
@@ -182,10 +182,8 @@ def guided_recognize(profile, guiding, pinned=False):
     # c_1, ..., c_m: the guiding vote's candidates, worst first
     guide = np.array(guiding.ranks, np.int32)
     seq = np.argsort(guide)[::-1]
-    # row i: the buckets of candidate c_{i+1}, one per vote of the profile.
-    # Buckets are below m, so up to 2**15 candidates the rows take 16 bits,
-    # half the rank matrix; they are gathered a block at a time and dropped
-    # before the final check.
+    # row i: the buckets of candidate c_{i+1}, one per vote, below m; gathered
+    # a block at a time and dropped before the final check
     ranks = profile.rank_matrix().T
     rg = np.empty(ranks.shape, np.int16 if profile.m <= 1 << 15 else np.int32)
     size = max(1, _BLOCK_CELLS // rg.shape[1])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -591,8 +592,11 @@ class Axis:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        if sorted(self.order) != list(range(len(self.order))):
+        try:
+            object.__setattr__(self, "order", order := tuple(map(operator.index, self.order)))
+        except TypeError:
+            raise ValueError("axis candidates must be integers") from None
+        if order and (len(set(order)) < len(order) or min(order) < 0 or max(order) >= len(order)):
             raise ValueError("axis must be a permutation of 0..m-1")
 
     @property

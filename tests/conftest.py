@@ -973,6 +973,29 @@ def tarjan_2sat(instance):
 # ---------------------------------------------------------------------------
 
 
+def reference_v_valley_rows(ranks):
+    """``axis_check.v_valley_rows`` by running ors over the steps: a fall
+    after any rise."""
+    step = np.diff(ranks, axis=1)
+    rose = np.logical_or.accumulate(step > 0, axis=1)
+    return np.any(rose[:, :-1] & (step[:, 1:] < 0), axis=1)
+
+
+def reference_plateaued_rows(ranks):
+    """``axis_check.plateaued_rows`` by running ors over the steps: a fall
+    after any flat or rising step, or a flat step after any rise."""
+    step = np.diff(ranks, axis=1)
+    rose = np.logical_or.accumulate(step > 0, axis=1)
+    level = np.logical_or.accumulate(step >= 0, axis=1)
+    after = step[:, 1:]
+    return np.any((level[:, :-1] & (after < 0)) | (rose[:, :-1] & (after == 0)), axis=1)
+
+
+def reference_black_rows(ranks):
+    """``axis_check.black_rows`` by running ors over the steps."""
+    return reference_v_valley_rows(ranks) | np.any(np.diff(ranks, axis=1) == 0, axis=1)
+
+
 def reference_v_valley_exists_ranked(seq):
     """Strict rise followed by a strict fall in the rank sequence."""
     rose = False

@@ -15,9 +15,12 @@ from conftest import (
     random_total,
     random_weak,
     random_weak_profile,
+    reference_black_rows,
     reference_check_on_axis,
     reference_nonpeak_plateau_exists,
+    reference_plateaued_rows,
     reference_v_valley_exists_ranked,
+    reference_v_valley_rows,
 )
 from peakcheck import axis_check, c1p, oracle
 from peakcheck.axis_check import (
@@ -308,6 +311,46 @@ def test_v_valley_rows_matches_scalar_rule(rows):
     ]
 
 
+_ROW_RULES = (
+    (v_valley_rows, reference_v_valley_rows),
+    (plateaued_rows, reference_plateaued_rows),
+    (black_rows, reference_black_rows),
+)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_row_rules_on_edge_shapes(dtype):
+    # no rows, or too few columns for a rise and a fall: an all-False vector
+    # of the right length, except that Black flags a tie of two columns
+    for rule, _ in _ROW_RULES:
+        for shape in ((0, 0), (0, 1), (0, 2), (0, 5), (4, 0), (4, 1)):
+            out = rule(np.zeros(shape, dtype))
+            assert out.dtype == bool and out.tolist() == [False] * shape[0]
+    untied = np.array([[0, 1], [1, 0], [32767, 0]], dtype)
+    tied = np.array([[0, 0], [1, 0], [32767, 32767]], dtype)
+    for rule, _ in _ROW_RULES:
+        assert rule(untied).tolist() == [False] * 3
+    assert v_valley_rows(tied).tolist() == plateaued_rows(tied).tolist() == [False] * 3
+    assert black_rows(tied).tolist() == [True, False, True]
+
+
+@given(
+    st.sampled_from([np.int16, np.int32]),
+    st.integers(0, 6),
+    st.integers(0, 7),
+    st.sampled_from([3, 32767]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_rules_match_accumulate_form(dtype, n, m, top, data):
+    # each rule against its running-or form, on 16- and 32-bit rank
+    # matrices of any shape, with buckets up to the largest 16-bit one
+    cells = data.draw(st.lists(st.integers(0, top), min_size=n * m, max_size=n * m))
+    ranks = np.array(cells, dtype).reshape(n, m)
+    for rule, reference in _ROW_RULES:
+        assert rule(ranks).tolist() == reference(ranks).tolist()
+
+
 def test_check_on_axis_rejects_axis_of_other_size():
     prof = Profile(3, (PreferenceOrder.from_total([0, 1, 2]),))
     verifiers = (
@@ -331,7 +374,8 @@ def test_verified_is_the_yes_of_an_engine():
     assert verdict.consistent and verdict.axis == axis(0, 1, 2)
     assert (verdict.notion, verdict.algorithm) == (Notion.PLATEAUED, "c1p")
     assert verified(prof, (2, 1, 0), "twosat").notion == Notion.PSP
-    for order in ([0, 1], [0, 1, 1], [0, 1, 3], [0, 1, 2, 3], []):
+    bad = ([0, 1], [0, 1, 1], [0, 1, 3], [0, 1, 2, 3], [], [None, 0, 1], [2.0, 1.0, 0.0])
+    for order in bad:
         with pytest.raises(InternalError, match="^guided engine .* not a permutation"):
             verified(prof, order, "guided")
     # the top plateau 1 ~ 2 is single-plateaued, never Black
@@ -452,6 +496,28 @@ def test_matches_reference_on_wide_profiles_across_blocks(monkeypatch):
             if rows == 7 and expected[Notion.PSP][0] is False:
                 offsets.add(expected[Notion.PSP][2].vote_index % rows)
     assert len(offsets) >= 3
+
+
+@pytest.mark.parametrize("n, rows, bad", [(10, 4, 9), (10, 4, 7), (11, 3, 10), (11, 3, 5)])
+def test_gather_buffer_names_the_flagged_vote(monkeypatch, n, rows, bad):
+    # three or more blocks of ``rows`` votes, the last one shorter, gathered
+    # into one buffer: the only flagged vote is the last vote, or one in an
+    # earlier block at a row past the last block's length
+    assert n % rows and n // rows >= 2
+    assert bad == n - 1 or bad % rows >= n % rows
+    m = 30
+    prof = random_sp_profile(m, n, "black", 0.0, seed=n)
+    ax = c1p.recognize(prof, "black").axis
+    ranks = [0] * m
+    ranks[ax[m // 2]] = 1  # a v-valley at the middle of the axis
+    votes = list(prof.votes)
+    votes[bad] = PreferenceOrder.from_ranks(ranks)
+    prof = Profile(m, tuple(votes))
+    monkeypatch.setattr(axis_check, "_BLOCK_CELLS", rows * m)
+    for nt in Notion:
+        expected = _outcome(reference_check_on_axis, prof, ax, nt)
+        assert expected[0] is False and expected[2].vote_index == bad
+        assert _outcome(check_on_axis, prof, ax, nt) == expected
 
 
 def test_verifier_reads_rows_in_blocks_like_one_pass(monkeypatch):

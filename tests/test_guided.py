@@ -584,7 +584,7 @@ def test_place_matches_reference_place_on_drawn_buckets(data):
 
 
 # ---------------------------------------------------------------------------
-# past 2**15 candidates, where the placement rows are int32
+# up to 2**15 candidates the placement rows are int16, past it int32
 # ---------------------------------------------------------------------------
 
 
@@ -596,13 +596,27 @@ def _spy_place_dtypes(monkeypatch):
     return dtypes
 
 
-def test_guided_above_2_15_candidates_finds_a_yes_axis(monkeypatch):
+def _wide_yes(m):
     # a total vote falling along the identity axis, a vote of plateaus
     # around its middle and one with ten candidates tied at the top
-    dtypes = _spy_place_dtypes(monkeypatch)
-    m = 2**15 + 1
     c = np.arange(m)
-    prof = Profile.from_rank_matrix(np.stack([c, abs(c - m // 2) // 100, np.where(c < 10, 0, 1)]))
+    return Profile.from_rank_matrix(np.stack([c, abs(c - m // 2) // 100, np.where(c < 10, 0, 1)]))
+
+
+def _wide_planted_no(m):
+    # a, b and x are each ranked below the other two in one vote, so every
+    # axis gives one of them a valley
+    a, b, x = 100, 20_000, 32_000
+    ranks = np.full((3, m), 2)
+    ranks[0] = np.arange(m)  # the total vote ranks x below a and b
+    ranks[1, [b, x, a]] = 0, 0, 1
+    ranks[2, [a, x, b]] = 0, 0, 1
+    return Profile.from_rank_matrix(ranks)
+
+
+def test_guided_above_2_15_candidates_finds_a_yes_axis(monkeypatch):
+    dtypes = _spy_place_dtypes(monkeypatch)
+    prof = _wide_yes(2**15 + 1)
     verdict = guided_recognize(prof, prof.first_total_order())
     assert verdict.consistent
     assert check_on_axis(prof, verdict.axis).consistent
@@ -610,17 +624,30 @@ def test_guided_above_2_15_candidates_finds_a_yes_axis(monkeypatch):
 
 
 def test_guided_above_2_15_candidates_refuses_a_planted_triple(monkeypatch):
-    # a, b and x are each ranked below the other two in one vote, so every
-    # axis gives one of them a valley
     dtypes = _spy_place_dtypes(monkeypatch)
-    m = 2**15 + 1
-    a, b, x = 100, 20_000, 32_000
-    ranks = np.full((3, m), 2)
-    ranks[0] = np.arange(m)  # the total vote ranks x below a and b
-    ranks[1, [b, x, a]] = 0, 0, 1
-    ranks[2, [a, x, b]] = 0, 0, 1
-    prof = Profile.from_rank_matrix(ranks)
+    prof = _wide_planted_no(2**15 + 1)
     verdict = guided_recognize(prof, prof.first_total_order())
     assert not verdict.consistent
     assert verdict.certificate.reason == "both axis sides blocked"
     assert dtypes == [np.int32]
+
+
+def test_guided_at_2_15_candidates_places_in_16_bits(monkeypatch):
+    # the most candidates whose buckets fit 16 bits: the identity vote holds
+    # bucket 32,767, the largest int16, which a bucket | max leaves at max
+    place = guided._place
+    dtypes = _spy_place_dtypes(monkeypatch)
+    m = 2**15
+    for prof, consistent in ((_wide_yes(m), True), (_wide_planted_no(m), False)):
+        guiding = prof.first_total_order()
+        assert prof.rank_matrix().max() == 32767
+        verdict = guided_recognize(prof, guiding)
+        assert verdict.consistent is consistent
+        if consistent:
+            assert check_on_axis(prof, verdict.axis).consistent
+        else:
+            assert verdict.certificate.reason == "both axis sides blocked"
+        rg = placement_rows(prof, guiding).astype(np.int16)
+        for pinned in (False, True):
+            assert place(rg, pinned) == place(rg.astype(np.int32), pinned)
+    assert dtypes == [np.int16, np.int16]

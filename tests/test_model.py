@@ -229,6 +229,11 @@ def test_axis_basics():
     assert list(axis.restrict([0, 2])) == [1, 0]
     with pytest.raises(ValueError):
         Axis((0, 0, 1))
+    # candidates are integers; numpy integers are taken as Python ints
+    for order in ((1.0, 0.0), (None, 0)):
+        with pytest.raises(ValueError):
+            Axis(order)
+    assert [type(c) for c in Axis(np.array([1, 0])).order] == [int, int]
 
 
 def test_pairs_rank_consistency():
