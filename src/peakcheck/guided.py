@@ -32,6 +32,11 @@ the steps up to the first one whose test disagrees with its guess; that step
 starts the next window, whose guess for it is exact.  A pinned run tests
 ``c_2`` at the left end on its own row before any window.
 
+Every running extremum (suffix extrema, tails, a window's minima) takes
+ceil(log2 k) elementwise passes over its k rows, each combining a row with the
+one s rows before it, in buffers allocated once per placement: numpy's
+``ufunc.accumulate`` loops per cell, and is cheaper only below 4,096 cells.
+
 The final axis leaves through the engines' one exit,
 ``axis_check.verified``, and the guiding vote's own row is then checked on
 it with ``axis_check.v_valley_rows``; a valley there is an ``InternalError``.
@@ -60,13 +65,35 @@ from .axis_check import _BLOCK_CELLS
 from .errors import ClassError, InternalError, PeakcheckError, PinError
 from .model import OrderClass, PreferenceOrder, Refusal, Verdict
 
-# Most steps one window decides.  Windows of 64 or 256 steps placed the
-# guided-wide benchmark's profiles more slowly: a window's arrays stay in
-# cache, and a longer one more often runs past a wrong guess.
-_WINDOW = 128
+# Most steps one window decides.  _place over guided-wide's seven slots (run
+# seeds 20-22, 2 vCPUs, numpy 2.4.6, min of 20 interleaved runs) took 27.1,
+# 26.2, 26.7 ms with windows of 128 steps, 26.1, 25.3, 25.8 with 256 and 32.7,
+# 28.9, 28.7 with 512: a longer window more often runs past a wrong guess.
+_WINDOW = 256
+
+# Fewest cells for which log-step passes beat ufunc.accumulate: on int16 rows
+# of 100 columns, 40 rows take 12 us either way, 1,310 rows 107 against 321 us.
+_SCAN_CELLS = 4096
 
 
-def _thresholds(block, after_max, after_min, gate):
+def _running(op, a, out, tmp):
+    """Write the inclusive running ``op`` of ``a`` along its second-to-last
+    axis into ``out``, leaving ``a`` as it is.  The log-step passes (Hillis and
+    Steele) alternate between ``out`` and ``tmp``, of one shape, so that the
+    last one writes ``out``."""
+    passes = max(a.shape[-2] - 1, 0).bit_length()  # ceil(log2 k)
+    if a.size < _SCAN_CELLS or not passes:
+        op.accumulate(a, axis=-2, out=out)
+        return
+    src, bufs = a, (out, tmp) if passes % 2 else (tmp, out)
+    for j in range(passes):
+        s, dst = 1 << j, bufs[j % 2]
+        dst[..., :s, :] = src[..., :s, :]
+        op(src[..., s:, :], src[..., :-s, :], out=dst[..., s:, :])
+        src = dst
+
+
+def _thresholds(block, after_max, after_min, gate, tmp):
     """Write the threshold rows worst', best' of consecutive steps into
     ``gate``, for the rules R1 and R2, given the worst and best buckets of
     the candidates after them.
@@ -77,12 +104,13 @@ def _thresholds(block, after_max, after_min, gate):
       best'  = c_i's bucket where max_k(C_>i) >_k c_i, else 0
     With A_L and A_R swapped the same rows give L1 and L2.  An entry that
     can block is above 0, and as buckets are >= 0 a 0 never blocks.
+    ``tmp``, one row shorter than the block, is the scans' other buffer.
     """
     worst, best = gate
     # exclusive suffix extrema of C_>i
     worst[-1], best[-1] = after_max, after_min
-    np.maximum.accumulate(block[:0:-1], axis=0, out=worst[-2::-1])
-    np.minimum.accumulate(block[:0:-1], axis=0, out=best[-2::-1])
+    _running(np.maximum, block[:0:-1], worst[-2::-1], tmp[::-1])
+    _running(np.minimum, block[:0:-1], best[-2::-1], tmp[::-1])
     np.maximum(worst[:-1], after_max, out=worst[:-1])
     np.minimum(best[:-1], after_min, out=best[:-1])
     worst *= block < worst
@@ -122,16 +150,18 @@ def _place(rg, pinned_left):
     tail_min = np.full((len(starts), n), big, dt)
     if start < m:
         cuts = starts[:-1]
-        np.maximum.accumulate(np.maximum.reduceat(rg, cuts)[::-1], axis=0, out=tail_max[-2::-1])
-        np.minimum.accumulate(np.minimum.reduceat(rg, cuts)[::-1], axis=0, out=tail_min[-2::-1])
-    # one array for every block's threshold rows: a fresh one per block
-    # took fresh pages each time
-    gates = np.empty((2, min(size, m), n), dt)
-    states = np.empty((2, min(size, _WINDOW) + 1, n), dt)
+        tmp = np.empty((len(cuts), n), dt)[::-1]
+        _running(np.maximum, np.maximum.reduceat(rg, cuts)[::-1], tail_max[-2::-1], tmp)
+        _running(np.minimum, np.minimum.reduceat(rg, cuts)[::-1], tail_min[-2::-1], tmp)
+    # one array for every block's threshold rows and their scans' spare
+    # rows: a fresh one per block took fresh pages each time
+    gates = np.empty((3, min(size, m), n), dt)
+    # a window's states, the values they are the running minima of, a spare
+    states, raw, spare = np.empty((3, 2, min(size, _WINDOW) + 1, n), dt)
     i, width = start, 8
     for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        gate = gates[:, : hi - lo]
-        _thresholds(rg[lo:hi], tail_max[b + 1], tail_min[b + 1], gate)
+        gate = gates[:2, : hi - lo]
+        _thresholds(rg[lo:hi], tail_max[b + 1], tail_min[b + 1], gate, gates[2, : hi - lo - 1])
         while i < hi:
             # guess each step of a window from the state at its start: a side
             # blocked then stays blocked, as both maxima only rise
@@ -141,10 +171,10 @@ def _place(rg, pinned_left):
             # the states before each step if the guess holds, and each step
             # tested on them
             hide = np.multiply(~guess, big, dtype=dt)[:, None]
-            states[:, 0] = state[:, 0]
-            np.bitwise_or(rg[i : i + k], hide, out=states[0, 1 : k + 1])
-            np.bitwise_or(rg[i : i + k], big - hide, out=states[1, 1 : k + 1])
-            np.minimum.accumulate(states[:, : k + 1], axis=1, out=states[:, : k + 1])
+            raw[:, 0] = state[:, 0]
+            np.bitwise_or(rg[i : i + k], hide, out=raw[0, 1 : k + 1])
+            np.bitwise_or(rg[i : i + k], big - hide, out=raw[1, 1 : k + 1])
+            _running(np.minimum, raw[:, : k + 1], states[:, : k + 1], spare[:, : k + 1])
             right = (states[:, :k] < rows).any(axis=(0, 2))
             left = (states[::-1, :k] < rows).any(axis=(0, 2))
             # the guess holds up to the first step that must go left or fits

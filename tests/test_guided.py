@@ -525,14 +525,53 @@ def _blocked_at(rg, s, pinned):
     return np.column_stack((rg, votes))
 
 
-@pytest.mark.parametrize("block_cells", [None, 24])
-def test_place_matches_reference_place(monkeypatch, block_cells):
+@pytest.mark.parametrize("scan_cells", [None, 0])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+@pytest.mark.parametrize("op", [np.maximum, np.minimum])
+def test_running_matches_accumulate(monkeypatch, op, dtype, scan_cells):
+    # lengths on both sides of the cutoff at 100 columns, and all of them
+    # again through the log-step passes with the cutoff at 0; in C order,
+    # reversed as _thresholds passes them and in a window's (2, k, n) shape,
+    # with out and tmp views of larger buffers whose other cells stay as
+    # they are, and the input left as it is
+    if scan_cells is not None:
+        monkeypatch.setattr(guided, "_SCAN_CELLS", scan_cells)
+    rng = np.random.default_rng(35)
+    info = np.iinfo(dtype)
+    n = 100
+    for k in (0, 1, 2, 3, 4, 5, 7, 8, 9, 129, 1310):
+        for layout in ("c", "reversed", "window"):
+            shape = (2, k + 3, n) if layout == "window" else (k + 3, n)
+            src, out_buf, tmp_buf = rng.integers(-1, info.max, (3,) + shape, dtype, endpoint=True)
+            if layout == "reversed":
+                a, out, tmp = src[k:0:-1], out_buf[:k][::-1], tmp_buf[:k][::-1]
+            else:
+                a, out, tmp = src[..., 1 : k + 1, :], out_buf[..., :k, :], tmp_buf[..., :k, :]
+            given_src, given_out, given_tmp = src.copy(), out_buf.copy(), tmp_buf.copy()
+            expected = op.accumulate(a, axis=-2)
+            guided._running(op, a, out, tmp)
+            assert np.array_equal(out, expected), (k, layout)
+            assert np.array_equal(src, given_src)
+            assert np.array_equal(out_buf[..., k:, :], given_out[..., k:, :])
+            assert np.array_equal(tmp_buf[..., k:, :], given_tmp[..., k:, :])
+
+
+@pytest.mark.parametrize(
+    "block_cells, scan_cells",
+    [(None, None), (24, None), (None, 0)],
+    ids=["None", "24", "None-scan0"],
+)
+def test_place_matches_reference_place(monkeypatch, block_cells, scan_cells):
     # runs blocked at every step up to 45 and in the bands 60-75, 125-159
     # and 270-285: these hold the first and last steps of the early windows
     # and the early block boundaries, at the default block size and at
-    # blocks of 3 or 4 steps
+    # blocks of 3 or 4 steps; with the scan cutoff at 0 every running
+    # extremum takes the log-step passes, whose tiny cases
+    # test_running_matches_accumulate covers
     if block_cells is not None:
         monkeypatch.setattr(guided, "_BLOCK_CELLS", block_cells)
+    if scan_cells is not None:
+        monkeypatch.setattr(guided, "_SCAN_CELLS", scan_cells)
     rng = np.random.default_rng(26)
     cases = [(rng.integers(0, 3, (m, 6)).astype(np.int32), pinned)
              for m in (1, 1, 2, 2, 2, 3) for pinned in (False, True)]
@@ -558,12 +597,33 @@ def test_place_matches_reference_place(monkeypatch, block_cells):
         assert targets | {287, 288, 297, 298, 307, 308} <= blocked_at[pinned]
 
 
+@pytest.mark.parametrize("scan_cells", [None, 0])
+def test_place_matches_reference_place_in_full_windows(monkeypatch, scan_cells):
+    # a run whose windows grow to _WINDOW steps, and runs blocked inside or
+    # just after such a window; the cases above stop or reach a block's end
+    # before a window is that wide
+    if scan_cells is not None:
+        monkeypatch.setattr(guided, "_SCAN_CELLS", scan_cells)
+    widths, running = [], guided._running
+    monkeypatch.setattr(
+        guided, "_running", lambda op, a, *bufs: widths.append(a.shape[-2]) or running(op, a, *bufs)
+    )
+    rg = _yes_rows(600, 2, 2)
+    for pinned in (False, True):
+        grown = (_blocked_at(rg, s, pinned) for s in (400, 505, 535, 540))
+        for case in [rg, *(g for g in grown if g is not None)]:
+            assert guided._place(case, pinned) == reference_place(case, pinned)
+    assert guided._WINDOW + 1 in widths
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_place_matches_reference_place_on_drawn_buckets(data):
     # any bucket matrix, or a yes-instance with a few cells redrawn, in 16
     # or 32 bits as guided_recognize gathers them, at the default block size
-    # or at blocks of a step or a few
+    # or at blocks of a step or a few; its buckets may be lifted towards the
+    # top of the type, and the scan cutoff may send every running extremum
+    # through the log-step passes
     m = data.draw(st.integers(1, 60), label="m")
     n = data.draw(st.integers(1, 6), label="n")
     if data.draw(st.booleans(), label="from a yes-instance"):
@@ -575,11 +635,18 @@ def test_place_matches_reference_place_on_drawn_buckets(data):
         levels = data.draw(st.integers(1, m), label="levels")
         cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=m * n, max_size=m * n))
         rg = np.array(cells, np.int32).reshape(m, n)
-    rg = rg.astype(data.draw(st.sampled_from([np.int16, np.int32]), label="dtype"))
+    dtype = data.draw(st.sampled_from([np.int16, np.int32]), label="dtype")
+    # int16 buckets up to 32,767, the value that hides a bucket; int32 ones
+    # up to the reference's own hiding value, int32 max // 2
+    top = np.iinfo(np.int16).max if dtype == np.int16 else np.iinfo(np.int32).max // 2
+    lift = data.draw(st.sampled_from([0, top - int(rg.max())]), label="lift")
+    rg = (rg.astype(np.int64) + lift).astype(dtype)
     pinned = data.draw(st.booleans(), label="pinned")
     block_cells = data.draw(st.sampled_from([guided._BLOCK_CELLS, 1, 5, 24]), label="block cells")
+    scan_cells = data.draw(st.sampled_from([guided._SCAN_CELLS, 0]), label="scan cells")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(guided, "_BLOCK_CELLS", block_cells)
+        patch.setattr(guided, "_SCAN_CELLS", scan_cells)
         assert guided._place(rg, pinned) == reference_place(rg, pinned)
 
 
