@@ -4,16 +4,19 @@ Works per connected component of the co-rankedness graph (candidates joined
 when some vote ranks both).  Each component is solved on its gather of the
 profile's rank matrix alone; each vote's chain, its ranked candidates best
 first, is read from that matrix once.  Within a component, each candidate is
-tried as the leftmost axis candidate; the axis grows rightwards by absorbing
-votes whose peak is already placed (``oplus`` appends the vote's chain and
-checks its row).  When no vote peaks at the current right end, an
-intersecting vote is fetched and the stretch of candidates it ranks above
-the right end is ordered by a pinned run of the guided algorithm.  That
-subproblem is one gather of the matrix's columns plus a fresh boundary
-candidate ``x``: in every vote, ``x`` takes the place of the best-ranked
-candidate that is neither placed nor in the stretch.  The fetched vote ranks
-``x`` last and the axis's right end second-to-last, so the pinned run's
-axis starts at that right end and ends at ``x``.
+tried as the leftmost axis candidate, fewest-ranked first (ties by id): a
+vote's ranked candidates form an axis interval around its peak, so an axis
+end lies in few of them.  The order is free, because every "yes" axis leaves
+through ``axis_check.verified`` and a "no" still tries every start.  The
+axis grows rightwards by absorbing votes whose peak is already placed
+(``oplus`` appends the vote's chain and checks its row).  When no vote peaks
+at the current right end, an intersecting vote is fetched and the stretch of
+candidates it ranks above the right end is ordered by a pinned run of the
+guided algorithm.  That subproblem is one gather of the matrix's columns
+plus a fresh boundary candidate ``x``: in every vote, ``x`` takes the place
+of the best-ranked candidate that is neither placed nor in the stretch.  The
+fetched vote ranks ``x`` last and the axis's right end second-to-last, so
+the pinned run's axis starts at that right end and ends at ``x``.
 """
 
 from __future__ import annotations
@@ -31,14 +34,20 @@ def _require_top(profile):
         raise ClassError("the unguided algorithm requires top orders")
 
 
+def _bottoms(ranks):
+    """Each row's bottom level in a matrix of dense top orders: its top rank,
+    or m (a new level) for a total vote.  A row ranks exactly the candidates
+    whose rank is less than that level, so it is also the row's chain length."""
+    top = ranks.max(axis=1)
+    return np.where(top == ranks.shape[1] - 1, ranks.shape[1], top)
+
+
 def _chains(ranks):
     """Each row's ranked candidates, best first, from a matrix of dense top
     orders: ranks 0, 1, … in order, plus the bottom level only for a total
     vote."""
-    top = ranks.max(axis=1)
-    lengths = top + (top == ranks.shape[1] - 1)
     order = np.argsort(ranks, axis=1, kind="stable")
-    return [row[:k] for row, k in zip(order.tolist(), lengths.tolist())]
+    return [row[:k] for row, k in zip(order.tolist(), _bottoms(ranks).tolist())]
 
 
 def connected_components(profile):
@@ -91,9 +100,7 @@ def _subproblem(ranks, keep, outside):
     otherwise.
     """
     m = ranks.shape[1]
-    top = ranks.max(axis=1)
-    bottom = np.where(top == m - 1, m, top)
-    x = np.minimum(bottom, ranks[:, outside].min(axis=1, initial=m))
+    x = np.minimum(_bottoms(ranks), ranks[:, outside].min(axis=1, initial=m))
     return Profile.from_rank_matrix(np.column_stack((ranks[:, keep], x)))
 
 
@@ -187,11 +194,19 @@ def intersecting_vote(index, axis_candidates):
 
 def _solve_component(ranks):
     """Axis for one component's gathered rank matrix, or None: the first one
-    grown from a leftmost candidate, tried in ascending order."""
+    grown from a leftmost candidate, tried fewest-ranked first, ties by id.
+
+    A candidate's count is the number of votes ranking it (a total vote
+    ranks every candidate).  A vote's ranked candidates form an axis
+    interval around its peak, so an axis end lies in few of them, and a
+    "yes" component stops after a start or two.  The order is free: a "yes"
+    axis is verified by ``axis_check.verified`` whichever start found it,
+    and a "no" tries every start."""
     index = IntersectionIndex(ranks)
     if index.refusal is not None:
         return None
-    for c_start in range(ranks.shape[1]):
+    counts = (ranks < _bottoms(ranks)[:, None]).sum(axis=0)
+    for c_start in np.argsort(counts, kind="stable").tolist():
         axis = _grow_axis(index, c_start)
         if axis is not None:
             return axis

@@ -262,7 +262,7 @@ def _reference_thresholds(block, after_max, after_min):
     >= 0, so a -1 never blocks.
     """
     k, n = block.shape
-    gate = np.empty((k, 2 * n), np.int32)
+    gate = np.empty((k, 2 * n), np.int64)
     worst, best = gate[:, :n], gate[:, n:]
     # exclusive suffix extrema of C_>i
     worst[-1], best[-1] = after_max, after_min
@@ -285,16 +285,17 @@ def reference_place(rg, pinned_left):
     Returns the steps (indices into the guiding sequence) in axis order and
     None, or None and the first step whose candidate fits on neither side.
     With ``pinned_left`` step 1 may only go left.  Blocks of rows are sized
-    by ``guided._BLOCK_CELLS`` as in the engine.
+    by ``guided._BLOCK_CELLS`` as in the engine.  The state is int64, so
+    its hiding value lies above every int16 and int32 bucket.
     """
-    big = np.iinfo(np.int32).max // 2
+    big = np.iinfo(np.int32).max + 1
     m, n = rg.shape
     size = max(1, guided._BLOCK_CELLS // n)  # steps per block
     starts = range(0, m, size)
     # worst and best bucket of the candidates from each block on; the last
     # row, for none, blocks nothing
-    tail_max = np.full((len(starts) + 1, n), -1, np.int32)
-    tail_min = np.full((len(starts) + 1, n), big, np.int32)
+    tail_max = np.full((len(starts) + 1, n), -1, np.int64)
+    tail_min = np.full((len(starts) + 1, n), big, np.int64)
     block_max = np.maximum.reduceat(rg, starts, axis=0)
     block_min = np.minimum.reduceat(rg, starts, axis=0)
     np.maximum.accumulate(block_max[::-1], axis=0, out=tail_max[-2::-1])
@@ -302,7 +303,7 @@ def reference_place(rg, pinned_left):
 
     # rows max(A_L), max(A_R), max(A_R), max(A_L): the first two face the
     # threshold row for the right side, the last two the row for the left
-    state = np.empty((4, n), np.int32)
+    state = np.empty((4, n), np.int64)
     max_left, max_right = state[::3], state[1:3]
     max_left.fill(big)
     max_right[:] = rg[0]

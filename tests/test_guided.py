@@ -637,9 +637,11 @@ def test_place_matches_reference_place_on_drawn_buckets(data):
         rg = np.array(cells, np.int32).reshape(m, n)
     dtype = data.draw(st.sampled_from([np.int16, np.int32]), label="dtype")
     # int16 buckets up to 32,767, the value that hides a bucket; int32 ones
-    # up to the reference's own hiding value, int32 max // 2
-    top = np.iinfo(np.int16).max if dtype == np.int16 else np.iinfo(np.int32).max // 2
-    lift = data.draw(st.sampled_from([0, top - int(rg.max())]), label="lift")
+    # up to int32 max // 2 or up to 2**31 - 2, one below the engine's int32
+    # hiding value (the reference's int64 one lies above both)
+    info = np.iinfo(dtype)
+    tops = [info.max] if dtype == np.int16 else [info.max // 2, info.max - 1]
+    lift = data.draw(st.sampled_from([0] + [top - int(rg.max()) for top in tops]), label="lift")
     rg = (rg.astype(np.int64) + lift).astype(dtype)
     pinned = data.draw(st.booleans(), label="pinned")
     block_cells = data.draw(st.sampled_from([guided._BLOCK_CELLS, 1, 5, 24]), label="block cells")

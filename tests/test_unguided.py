@@ -298,8 +298,18 @@ def test_misplaced_pinned_endpoint_is_an_internal_error(monkeypatch):
 
 
 # sha256 of the records below: a rewrite of the engine or of its guided
-# subproblems must find the same axes and refusals
-_UNGUIDED_DIGEST = "4911c342ed5e81c76dcfa19ddc33c16b0ba1c5cde801ed5c5a19490c87fc5fbd"
+# subproblems must find the same verdicts and refusals
+_UNGUIDED_DIGEST = "6c1000692efce7d881caf018f337c6ec19112170da52d1f51ff746909ab56018"
+# sha256 of the axes alone: which valid axis the engine returns may change,
+# and then this is re-pinned with the reason
+_UNGUIDED_AXES_DIGEST = "58f6f67975d2491c4764cc1ece82f7445d3b1f8767de8e2c6d226677a552bb45"
+
+
+def _cut_sp_profile(m, n, seed, rng):
+    """Single-peaked total orders cut to top orders: a yes-instance."""
+    totals = random_sp_profile(m, n, "psp", 0.0, seed=seed).votes
+    cut = [sorted(range(m), key=v.ranks.__getitem__)[: rng.randint(1, m)] for v in totals]
+    return Profile(m, tuple(PreferenceOrder.top_order(c, m) for c in cut))
 
 
 def _digest_profiles():
@@ -308,22 +318,89 @@ def _digest_profiles():
         m = rng.randint(1, 9)
         yield random_top_profile(m, rng.randint(1, 8), rng)
         if i % 50 == 0:
-            # single-peaked total orders cut to top orders: yes-instances
-            # over more candidates
+            # yes-instances over more candidates
             m = rng.randint(20, 100)
-            totals = random_sp_profile(m, rng.randint(1, 8), "psp", 0.0, seed=i).votes
-            cut = [sorted(range(m), key=v.ranks.__getitem__)[: rng.randint(1, m)] for v in totals]
-            yield Profile(m, tuple(PreferenceOrder.top_order(c, m) for c in cut))
+            yield _cut_sp_profile(m, rng.randint(1, 8), i, rng)
 
 
 def test_unguided_digest_is_pinned():
-    # verdict bit, axis and certificate of every profile, one line each
+    # verdict bit and certificate of every profile, one line each
     digest = hashlib.sha256()
     kinds = Counter()
     for prof in _digest_profiles():
         res = unguided_recognize(prof)
-        axis = res.axis.order if res.axis else None
         kinds[res.consistent] += 1
-        digest.update(f"{res.consistent} {axis} {res.certificate!r}\n".encode())
+        digest.update(f"{res.consistent} {res.certificate!r}\n".encode())
     assert kinds == {True: 1194, False: 846}
     assert digest.hexdigest() == _UNGUIDED_DIGEST
+
+
+def test_unguided_axes_are_pinned():
+    digest = hashlib.sha256()
+    for prof in _digest_profiles():
+        res = unguided_recognize(prof)
+        digest.update(f"{res.axis.order if res.axis else None}\n".encode())
+    assert digest.hexdigest() == _UNGUIDED_AXES_DIGEST
+
+
+def _count_starts(monkeypatch):
+    starts, grow = [], unguided._grow_axis
+    monkeypatch.setattr(
+        unguided, "_grow_axis", lambda index, c: starts.append(c) or grow(index, c)
+    )
+    return starts
+
+
+def test_a_yes_component_stops_after_few_starts(monkeypatch):
+    # an axis end lies in few of the votes' ranked intervals, so the
+    # fewest-ranked start is nearly always one; trying ids in ascending order
+    # takes 411 starts on these profiles
+    rng = random.Random(36)
+    profiles = [_cut_sp_profile(100, 50, seed, rng) for seed in range(10)]
+    starts = _count_starts(monkeypatch)
+    for p in profiles:
+        assert unguided_recognize(p).consistent
+    assert len(starts) <= 2 * len(profiles)
+
+
+def test_a_no_component_tries_every_start(monkeypatch):
+    # yes-instances with a planted triple: the vote planted for each member
+    # ranks the other two first, so the member between them on any axis
+    # forms a v-valley; where the index passes, every start must fail
+    rng = random.Random(36)
+    starts, tried = _count_starts(monkeypatch), 0
+    for seed in range(10):
+        votes = list(_cut_sp_profile(30, 20, seed, rng).votes)
+        triple = rng.sample(range(30), 3)
+        for k, t in zip(rng.sample(range(20), 3), triple):
+            votes[k] = PreferenceOrder.top_order([c for c in triple if c != t], 30)
+        p = Profile(30, tuple(votes))
+        assert not unguided_recognize(p).consistent
+        [(candidates, vote_idx)] = [
+            part for part in connected_components(p) if triple[0] in part[0]
+        ]
+        ranks = p.rank_matrix()[np.ix_(vote_idx, candidates)]
+        if IntersectionIndex(ranks).refusal is not None:
+            continue
+        starts.clear()
+        assert unguided._solve_component(ranks) is None
+        assert sorted(starts) == list(range(len(candidates)))
+        tried += 1
+    assert tried >= 5
+
+
+def test_starts_run_fewest_ranked_first_with_ties_by_id(monkeypatch):
+    # ranked by: candidate 0 the total vote only, 1 two votes, 2 all three,
+    # 3 two votes, 4 the total vote only (its last candidate counts)
+    profile = Profile(
+        5,
+        (
+            PreferenceOrder.top_order([2, 1], 5),
+            PreferenceOrder.top_order([2, 3], 5),
+            PreferenceOrder.top_order([2, 1, 0, 3, 4], 5),
+        ),
+    )
+    starts = []
+    monkeypatch.setattr(unguided, "_grow_axis", lambda index, c: starts.append(c))
+    assert unguided._solve_component(profile.rank_matrix()) is None
+    assert starts == [0, 4, 1, 3, 2]
