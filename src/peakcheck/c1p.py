@@ -16,7 +16,8 @@ additionally when a vote has more than one most-preferred candidate.
 solves an equivalent, smaller one: candidates tied in a vote get identical
 rows, so a vote's block has one distinct row per upper set (the candidates
 of its first ``r`` buckets), and the full set never constrains.  It builds
-one row per vote per upper set short of the full one, plus the gadget rows.
+one row per vote per upper set short of the full one, plus two gadget rows
+per pair (the paper's middle one is already a row of the vote, or all).
 
 Both read the profile's rank matrix, whose bucket sizes give the refusals
 and the indifferent pairs (``_levels``).  Every row is an upper set, or one
@@ -142,9 +143,10 @@ def _packed_rows(bucket, upto, pairs, chain):
 
     Per vote, its base rows come first: with ``chain`` one per upper set short
     of the full one, best first, else the paper's block, one row per candidate
-    in candidate order.  Then the three gadget rows of each of its pairs
+    in candidate order.  Then the gadget rows of each of its pairs
     ``(i, a, b)``: the upper sets of buckets ``i - 1`` plus ``b``, ``i``, and
-    ``i - 1`` plus ``a``.
+    ``i - 1`` plus ``a``; with ``chain`` not the middle one, which is a base
+    row of the vote or, for its last bucket, all ``m`` columns.
     """
     n, m = bucket.shape
     width, cols = (m + 31) // 32, np.arange(m)
@@ -163,8 +165,9 @@ def _packed_rows(bucket, upto, pairs, chain):
     extra = np.full(len(source), -1)
     if len(pairs):
         _, i, a, b = pairs.T
-        source = np.concatenate((source, np.column_stack((i - 1, i, i - 1)).ravel()))
-        extra = np.concatenate((extra, np.column_stack((b, np.full_like(b, -1), a)).ravel()))
+        step = 2 if chain else 1  # with chain, the first and last of three
+        source = np.concatenate((source, np.column_stack((i - 1, i, i - 1)[::step]).ravel()))
+        extra = np.concatenate((extra, np.column_stack((b, -np.ones_like(b), a)[::step]).ravel()))
         # each vote's gadget rows right after its base rows
         order = np.argsort((upto[source] - 1) // m, kind="stable")
         source, extra = source[order], extra[order]

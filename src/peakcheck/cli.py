@@ -19,7 +19,7 @@ profiles first and then each file, and reads, decides and prints each one
 before it reads the next.  An input that fails ends the call with exit 2,
 after the verdicts of the inputs before it; a parse error names its file.
 Each ``--json`` record names its input in ``source``: the file's path as
-given, or ``seed-corpus[i]``.
+given, or ``seed-corpus[i]``, and times its reading in ``parse_ms``.
 
 Exit codes: 0 consistent, 1 not consistent, 2 error.
 """
@@ -245,9 +245,11 @@ def _run_one(profile, names, args):
 def _recognize_one(source, load, args):
     """Load, decide and print one input.  ``load()`` returns its profile and
     candidate names, which die when this returns."""
+    t0 = time.perf_counter()
     profile, names = load()
+    parse_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     verdict, stats = _run_one(profile, names, args)
-    _print_result(source, verdict, stats, names, args.json)
+    _print_result(source, verdict, {**stats, "parse_ms": parse_ms}, names, args.json)
     return 0 if verdict.consistent else 1
 
 

@@ -51,9 +51,10 @@ When no vote is total, an implicit guiding vote is searched for by removing
 uniquely-last candidates one at a time, scanning the votes in profile order.
 A vote's bucket counts and id sums, plain lists, are built when the scan first
 reaches it, and a removal is only recorded: a vote catches up with the
-removals it has not seen when the scan next reads it.  The search costs O(m)
-per vote it reaches, usually a handful of votes, and O(n*m) when it reaches
-every vote.
+removals it has not seen when the scan next reads it.  A vote whose bottom
+holds L >= 2 candidates is passed over for L - 1 removals, and none is read
+when no vote has a uniquely last candidate.  The search costs O(m) per vote
+it reaches, usually a handful, and O(n*m) when it reaches every vote.
 """
 
 from __future__ import annotations
@@ -265,15 +266,20 @@ def find_implicit_guiding_vote(profile):
     in size each time.  A removal is only appended to the removal list; a
     vote read again first applies the removals it has not seen, one
     decrement of each count, then moves its bottom pointer up past empty
-    buckets.  The cost is O(m) per vote the scan reaches, and O(n*m) when it
-    reaches every vote.
+    buckets.  A bottom of L >= 2 is not read again for L - 1 removals, each
+    lowering its count by at most one, and no vote is read with no bottom of
+    one (``Profile.bottom_sizes``).  The cost is O(m) per vote the scan
+    reaches, and O(n*m) when it reaches every vote.
     """
     if profile.order_class() > OrderClass.WEAK:
         raise ClassError("implicit guiding votes are defined for weak orders")
+    if not np.any(profile.bottom_sizes() == 1):
+        return None  # no vote has a uniquely last candidate to remove first
     m = profile.m
     ranks = profile.rank_matrix()
     ids = np.arange(m, dtype=np.float64)
     votes = []  # per vote read: [counts, id sums, its rank row, bottom bucket, removals seen]
+    wake = [0] * len(ranks)  # per vote: removals before which its bottom holds two or more
     removed = []
     for step in range(m):
         for k in range(len(ranks)):
@@ -290,6 +296,8 @@ def find_implicit_guiding_vote(profile):
                     [count[f : f + s], id_sum[f : f + s], row, s - 1, 0]
                     for f, s, row in zip(first.tolist(), size.tolist(), map(memoryview, block))
                 ]
+            elif wake[k] > step:
+                continue
             vote = votes[k]
             count, id_sum, rank, b, seen = vote
             if seen < step:  # catch up with the removals made since the last read
@@ -305,6 +313,7 @@ def find_implicit_guiding_vote(profile):
             if count[b] == 1:
                 removed.append(id_sum[b])
                 break
+            wake[k] = step + count[b] - 1
         else:
             return None
     return PreferenceOrder.from_total(removed[::-1])

@@ -545,7 +545,7 @@ class Profile:
         """Each vote's class tag as an array.  With a rank matrix this is one
         vectorised pass of ``PreferenceOrder._classify``'s dense-rank rule:
         total when the top level is m - 1, top when the top level holds
-        m - top candidates, weak otherwise."""
+        m - top candidates, weak otherwise, keeping ``bottom_sizes``."""
         classes = self.__dict__.get("_classes")
         if classes is None:
             try:
@@ -554,7 +554,7 @@ class Profile:
                 classes = np.array([v.order_class() for v in self.votes])
             else:
                 top = ranks.max(axis=1)
-                at_top = np.count_nonzero(ranks == top[:, None], axis=1)
+                at_top = self._cache("_bottom_sizes", np.count_nonzero(ranks == top[:, None], 1))
                 classes = np.where(
                     top == self.m - 1,
                     OrderClass.TOTAL,
@@ -562,6 +562,12 @@ class Profile:
                 )
             classes = self._cache("_classes", classes)
         return classes
+
+    def bottom_sizes(self):
+        """Each vote's bottom bucket size, read-only; ClassError without ranks."""
+        self.rank_matrix()
+        self._vote_classes()
+        return self.__dict__["_bottom_sizes"]
 
     def order_class(self):
         """Loosest class among the votes (the class of the profile)."""

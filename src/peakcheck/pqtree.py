@@ -29,13 +29,13 @@ mask against the row.  At a Q-node root the run of children the row meets
 comes from keyed binary searches over the reaches of each side it meets,
 and one more mask test tells whether the children inside the run are full.
 Below the pertinent root a partial Q-node must meet the row in a run at one
-of its ends, found by walking in from the other end.  So only partial
-children are descended into, and below the pertinent root each partial node
-may have one partial child.  That chain is reduced bottom-up by the P3, P5
-and Q2 templates, then the pertinent root by P2, P4, P6 or Q3.  P3 and P5
-add the new children at the two ends of the Q-node below, and P4 and P6 at
-the right end of the root's reduced partial child.  A P-node's full leaves
-are visited once, to move them into their new group.
+of its ends, whose start one keyed binary search over a side's reaches finds.
+So only partial children are descended into, and below the pertinent root
+each partial node may have one partial child, a chain reduced bottom-up by
+the P3, P5 and Q2 templates, then the pertinent root by P2, P4, P6 or Q3.
+P3 and P5 add the new children at the two ends of the Q-node below, and P4
+and P6 at the right end of the root's reduced partial child.  A P-node's
+full leaves are visited once, to move them into their new group.
 
 A P-node's children may be read in any order, so the tree keeps none:
 ``frontier`` reads a P-node's leaves ascending and then its listed children,
@@ -65,7 +65,6 @@ as a mask.  Rows given as other collections of columns are converted to a
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 
 from .model import iter_bits
 
@@ -99,8 +98,8 @@ class _Node:
     __slots__ = ("kind", "children", "leaves", "parent", "col", "mask", "sides",
                  "reach")
 
-    def __init__(self, kind, children=None, leaves=0, col=None):
-        self.kind = kind  # 'P', 'Q' or 'L'
+    def __init__(self, kind, children=None, leaves=0):
+        self.kind = kind  # 'P' or 'Q'; a leaf ('L') is made by ``PQTree``
         # a P-node holds its leaf children as the bitmask ``leaves`` of their
         # columns and lists only its other children, in no order that
         # matters; a Q-node holds its children in ``sides`` (see ``_q_node``),
@@ -108,9 +107,8 @@ class _Node:
         self.children = children or []
         self.leaves = leaves
         self.parent = None
-        self.col = col
         # bitmask of the node's leaf columns
-        self.mask = 1 << col if kind == "L" else leaves
+        self.mask = leaves
         self.sides = None
         for ch in self.children:
             ch.parent = self
@@ -197,9 +195,13 @@ class PQTree:
     """PQ-tree over ``m`` columns, reducible row by row."""
 
     def __init__(self, m):
+        """A root P-node over all ``m`` leaves, made first: each leaf is then
+        made with its parent, setting only the slots a leaf is read for."""
         self.m = m
-        self.leaves = [_Node("L", col=c) for c in range(m)]
-        self.root = self._group((1 << m) - 1, [], None) if m else _Node("P")
+        self.root = root = _Node("P", leaves=(1 << m) - 1)
+        self.leaves = [_Node.__new__(_Node) for _ in range(m)]
+        for c, leaf in enumerate(self.leaves):
+            leaf.kind, leaf.children, leaf.parent, leaf.col, leaf.mask = "L", (), root, c, 1 << c
 
     def _ordered(self, node):
         """The children of ``node`` left to right.  A P-node's may be read in
@@ -343,24 +345,26 @@ class PQTree:
         ``part`` at the run's inner end; the node is to be turned if the run
         is at its left end, and ``start`` is the index of ``part`` once it is.
 
-        The children outside the run are walked in from the other end, and
-        one mask test tells whether all beyond the first child meeting the
-        row are inside it.  No cached reach is read."""
+        With the side at the run's end near and the other far, the run starts
+        at the far side's first child whose reach covers the row's part
+        there, or, if the row misses that side, at the near side's first
+        whose reach meets the row: one keyed bisection, as in ``_run``."""
         (left, _), (right, _) = node.sides
         first = left[-1].mask
         # with both ends in the row, the partial one is the run's inner end
         turn = not right[-1].mask & row or first & row == first
-        rest = node.mask
-        walk = chain(reversed(right), left) if turn else chain(reversed(left), right)
-        for start, ch in enumerate(walk):
-            cut = ch.mask & row
-            if cut:
-                part = ch if cut != ch.mask else None
-                if part is not None:
-                    rest ^= ch.mask
-                return None if rest & ~row else (part, start, turn)
-            rest ^= ch.mask
-        return None
+        far, near = (right, left) if turn else (left, right)
+        cut = row & far[-1].reach
+        if cut:
+            j = bisect_left(far, cut, key=lambda ch: ch.reach & cut)
+            ch, start = far[j], len(far) - 1 - j
+            rest = (far[j - 1].reach if j else 0) | near[-1].reach
+        else:
+            j = bisect_left(near, 1, key=lambda ch: ch.reach & row)
+            ch, start = near[j], len(far) + j
+            rest = near[-1].reach ^ ch.reach
+        part = ch if ch.mask & ~row else None
+        return None if rest & ~row else (part, start, turn)
 
     @staticmethod
     def _split(node, row):
@@ -500,11 +504,10 @@ def solve_c1p_sets(rows, m):
     A ``Bitset`` row is tested as it is, with no pass over its cells; a row
     of another type is first converted to one.  A row the tree already keeps
     consecutive costs the climb from its lowest leaf and O(1) more.  One it
-    does not costs, in each node it partly covers, a pass
-    over the node's listed children if it is a P-node, whose leaf children
-    are one mask, and a walk over the children outside the row's run if it
-    is a Q-node below the pertinent root; the full leaves of a P-node are
-    visited once, to move them into their new group.  ``c1p`` passes each
+    does not costs, in each node it partly covers, a pass over the node's
+    listed children if it is a P-node, whose leaf children are one mask, and
+    binary searches over its cached reaches if it is a Q-node; the full
+    leaves of a P-node are visited once, to move them into their new group.  ``c1p`` passes each
     distinct row of its reduction once, as a ``Bitset`` on its ``m``
     columns (``c1p._solve``).  A row with a negative column or one not
     below ``m`` raises ValueError.

@@ -1,8 +1,8 @@
 """Shared test helpers: small generators and slow references for guided,
 the PrefLib parser, weak-order detection, pair-set closure, restriction and
 classification, the oracle's per-axis tests, the 2-SAT engine, the axis
-verifiers, unguided's subproblems, the c1p reduction's rows and the
-consecutive-ones solver."""
+verifiers, unguided's subproblems, the c1p reduction's rows, the
+consecutive-ones solver and the PQ-tree's end runs."""
 
 from __future__ import annotations
 
@@ -466,6 +466,29 @@ def reference_tree_rows(masks, m):
     full = (1 << m) - 1
     return [_reference_columns(mask) for mask in dict.fromkeys(masks)
             if mask & (mask - 1) and mask != full]
+
+
+def reference_end_run(node, row):
+    """``PQTree._end_run`` by a walk over the children: ``(part, start,
+    turn)`` for the partial Q-node ``node`` below the pertinent root, or
+    None.  The node is turned if its rightmost child misses ``row`` or its
+    leftmost one is inside it; the children are then walked in from the end
+    the run is not at, and all from the first child meeting the row on,
+    but for that child if it is partial, must be inside the row."""
+    (left, _), (right, _) = node.sides
+    first = left[-1].mask
+    turn = not right[-1].mask & row or first & row == first
+    walk = itertools.chain(reversed(right), left) if turn else itertools.chain(reversed(left), right)
+    rest = node.mask
+    for start, ch in enumerate(walk):
+        cut = ch.mask & row
+        if cut:
+            part = ch if cut != ch.mask else None
+            if part is not None:
+                rest ^= ch.mask
+            return None if rest & ~row else (part, start, turn)
+        rest ^= ch.mask
+    return None
 
 
 def backtracking_c1p(rows, m):

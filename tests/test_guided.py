@@ -177,6 +177,85 @@ def test_implicit_guiding_vote_digest_is_pinned():
     assert digest.hexdigest() == _IMPLICIT_DIGEST
 
 
+@st.composite
+def _wide_bottom_ranks(draw):
+    """Rank rows of weak orders at m <= 10 whose bottom buckets are often
+    wide: each vote ties a drawn number of candidates last and splits the
+    others into drawn buckets above them."""
+    m = draw(st.integers(1, 10))
+    votes = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(m)))
+        above = m - draw(st.integers(1, m))  # candidates above the bottom bucket
+        splits = draw(st.lists(st.booleans(), min_size=above, max_size=above))
+        ranks, r = [0] * m, 0
+        for i, c in enumerate(order[:above]):
+            r += i > 0 and splits[i]
+            ranks[c] = r
+        for c in order[above:]:
+            ranks[c] = r + (above > 0)
+        votes.append(ranks)
+    return m, votes
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wide_bottom_ranks())
+def test_implicit_search_matches_reference_on_wide_bottoms(case):
+    # the search passes over a vote whose bottom holds L >= 2 candidates
+    # until L - 1 more removals, and stops at once when no vote has a
+    # uniquely last candidate
+    m, votes = case
+    expected = reference_implicit_guiding_vote(
+        Profile(m, tuple(map(PreferenceOrder.from_ranks, votes)))
+    )
+    for prof in (
+        Profile(m, tuple(map(PreferenceOrder.from_ranks, votes))),
+        Profile.from_rank_matrix(np.array(votes)),
+    ):
+        assert find_implicit_guiding_vote(prof) == expected
+
+
+def test_implicit_search_without_a_uniquely_last_candidate_reads_no_vote(monkeypatch):
+    # every vote ties two or more candidates last: None, from the bottom
+    # sizes of the classification pass, before any vote's counts are built
+    prof = Profile.from_rank_matrix([[0, 1, 2, 2, 3, 3], [2, 2, 2, 1, 0, 1], [0, 0, 0, 0, 0, 0]])
+    assert prof.bottom_sizes().tolist() == [2, 3, 6]
+    assert reference_implicit_guiding_vote(prof) is None
+
+    def bincount(*args, **kwargs):
+        raise AssertionError("a vote was read")
+
+    monkeypatch.setattr(guided.np, "bincount", bincount)
+    assert find_implicit_guiding_vote(prof) is None
+
+
+def test_implicit_search_finds_the_only_uniquely_last_candidate_in_the_last_vote():
+    # the votes before the last tie every candidate, so until one candidate
+    # is left only the last vote, a total one, offers a removal
+    m, last = 7, [4, 0, 6, 2, 5, 1, 3]
+    prof = Profile(m, (PreferenceOrder.empty(m),) * 4 + (PreferenceOrder.from_total(last),))
+    assert prof.bottom_sizes().tolist() == [m] * 4 + [1]
+    assert find_implicit_guiding_vote(prof) == PreferenceOrder.from_total(last)
+    assert reference_implicit_guiding_vote(prof) == PreferenceOrder.from_total(last)
+
+
+@pytest.mark.parametrize("width", [2, 3, 5])
+def test_a_tied_bottom_is_read_again_after_exactly_width_minus_one_removals(width):
+    # vote 0 ties candidates 0..width - 1 last; vote 1, a total order, ranks
+    # 1..width - 1 last and then z = width.  After its width - 1 removals
+    # vote 0's bottom holds candidate 0 alone, and vote 0, read first, takes
+    # it before vote 1 can take z
+    m, z = width + 3, width
+    first = [3] * width + [2, 0, 1]  # width + 1, width + 2, z, then the tie
+    second = [0, z + 1, z + 2, z, *range(1, width)]  # best first
+    prof = Profile(m, (PreferenceOrder.from_ranks(first), PreferenceOrder.from_total(second)))
+    guiding = find_implicit_guiding_vote(prof)
+    assert guiding == reference_implicit_guiding_vote(prof)
+    removed = guiding.ranked_candidates()[::-1]
+    assert removed[: width - 1] == list(range(width - 1, 0, -1))
+    assert removed[width - 1] == 0
+
+
 def test_guided_placement_that_is_no_permutation_is_an_internal_error(monkeypatch):
     # a placement that puts one step twice reaches the exit, which names guided
     guiding = PreferenceOrder.from_total([0, 1, 2])

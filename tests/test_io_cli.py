@@ -293,7 +293,7 @@ def test_python_m_peakcheck_matches_main(tmp_path, capsys, text):
     assert run.returncode == rc == (0 if text is None else 1)
     got = json.loads(run.stdout)
     for payload in (got, expected):
-        del payload["wall_time_ms"]
+        del payload["wall_time_ms"], payload["parse_ms"]
     assert got == expected
 
 
@@ -396,6 +396,21 @@ def test_cli_json_records_name_their_source(tmp_path, capsys):
     assert sources() == list(map(str, paths))
     main(["recognize", "--seed-corpus", "5,3,weak,1,2", "--json"])
     assert sources() == ["seed-corpus[0]", "seed-corpus[1]"]
+
+
+def test_cli_json_records_time_their_parse(tmp_path, capsys):
+    # each record of a two-file call times its own read and parse apart from
+    # its decision; the fields are additive, so the schema stays version 1
+    paths = [tmp_path / "one.toc", tmp_path / "two.toc"]
+    for seed, path in enumerate(paths):
+        path.write_text(write_preflib(random_sp_profile(6, 4, "psp", 0.5, seed=seed)))
+    assert main(["recognize", *map(str, paths), "--json"]) == 0
+    records = json.loads("[" + capsys.readouterr().out.replace("}\n{", "},{") + "]")
+    assert [record["source"] for record in records] == list(map(str, paths))
+    for record in records:
+        assert record["schema_version"] == 1
+        assert record["parse_ms"] >= 0
+        assert record["wall_time_ms"] >= 0
 
 
 def _weak_with_total(m, n, seed):
@@ -810,7 +825,7 @@ def test_cli_axis_file_names_candidates_by_number(tmp_path, capsys):
         rc = main(["recognize", str(election), "--axis", str(axis_file), "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        del payload["wall_time_ms"]
+        del payload["wall_time_ms"], payload["parse_ms"]
         outputs.append(payload)
     assert outputs[0]["axis"] == ["Alpha", "Beta", "Gamma", "Delta"]
     assert outputs[0] == outputs[1] == outputs[2]

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import backtracking_c1p, rows_consecutive_under
+from conftest import backtracking_c1p, reference_end_run, rows_consecutive_under
 from peakcheck import c1p, pqtree
 from peakcheck.gadgets import random_sp_profile
 from peakcheck.model import PreferenceOrder, Profile
@@ -502,6 +502,69 @@ def test_frontiers_are_pinned():
         )
     digest = hashlib.sha256(repr(in_order).encode()).hexdigest()
     assert digest == "320a2309649f2032f0eb87c15e3223df3103f78c6a1038350a0392ebecaf96fc"
+
+
+def _checking_end_runs(monkeypatch):
+    """Make every ``_end_run`` call check its result against the walk of
+    ``reference_end_run``; returns a counter of the kinds of result."""
+    seen = collections.Counter()
+
+    def end_run(node, row, end_run=PQTree._end_run):
+        got = end_run(node, row)
+        assert got == reference_end_run(node, row)
+        if got is None:
+            seen["refused"] += 1
+        else:
+            part, _, turn = got
+            seen["turned" if turn else "as is"] += 1
+            seen["partial" if part is not None else "full"] += 1
+        return got
+
+    monkeypatch.setattr(PQTree, "_end_run", staticmethod(end_run))
+    return seen
+
+
+def test_end_run_bisection_matches_the_walk(monkeypatch):
+    seen = _checking_end_runs(monkeypatch)
+    for rows, m in _pinned_row_sequences():
+        solve_c1p_sets(rows, m)
+    for m, rows in _row_sequences(random.Random(37), 3000, top=12):
+        tree = PQTree(m)
+        all(map(tree.reduce, rows))  # in the order given, up to a refusal
+        solve_c1p_sets(rows, m)
+    # long Q-nodes: the rows c1p hands the tree on tie-dense weak profiles
+    for s in range(3):
+        c1p.recognize(random_sp_profile(120, 40, "psp", 0.9, s))
+    assert all(seen[k] for k in ("refused", "turned", "as is", "partial", "full")), seen
+
+
+def test_hypothesis_end_run_bisection_matches_the_walk(monkeypatch):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    seen = _checking_end_runs(monkeypatch)
+
+    @st.composite
+    def instances(draw):
+        m = draw(st.integers(3, 12))
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(0, m - 1), unique=True, min_size=2, max_size=m - 1),
+                max_size=12,
+            )
+        )
+        return m, rows
+
+    @given(instances())
+    @settings(max_examples=400, deadline=None)
+    def run(case):
+        m, rows = case
+        tree = PQTree(m)
+        all(map(tree.reduce, rows))
+        solve_c1p_sets(rows, m)
+
+    run()
+    assert seen["refused"] and seen["turned"] and seen["as is"], seen
 
 
 def test_c1p_axes_are_pinned():
