@@ -23,9 +23,10 @@ Both read the profile's rank matrix, whose bucket sizes give the refusals
 and the indifferent pairs (``_levels``).  Every row is an upper set, or one
 plus a column, so ``_packed_rows`` gathers all rows from one table of upper
 sets as packed 32-bit words, which one ``np.bincount`` and a running sum give.
-``recognize`` drops duplicate and unconstraining rows on the words and
-unpacks each remaining row only then, into the ``pqtree.Bitset`` the tree
-tests as a mask; ``solve_c1p`` hands the tree a matrix's rows as they are.
+``recognize`` drops the unconstraining rows on the words, then duplicate
+rows on their bytes (a dict keeps the first of each, in order), and unpacks
+each remaining row only then, into the ``pqtree.Bitset`` the tree tests as
+a mask; ``solve_c1p`` hands the tree a matrix's rows as they are.
 
 The contract is the verdict and its certificate.  A consistent verdict's
 axis is one ``axis_check`` accepts; which of the valid axes the tree
@@ -177,10 +178,15 @@ def _packed_rows(bucket, upto, pairs, chain):
     return words, source, extra
 
 
-def _bitsets(words):
-    """Each row of packed words (``_packed_rows``) as a ``Bitset``."""
-    # a bytes item drops its trailing zero bytes, the high ones here
-    items = words.view(f"S{words.itemsize * words.shape[1]}").ravel().tolist()
+def _row_bytes(words):
+    """Each row of packed words (``_packed_rows``) as a bytes item, which
+    drops its trailing zero bytes, the high ones here; as every row has the
+    same width, distinct rows give distinct items."""
+    return words.view(f"S{words.itemsize * words.shape[1]}").ravel().tolist()
+
+
+def _bitsets(items):
+    """Each ``_row_bytes`` item as a ``Bitset``."""
     return list(map(Bitset.from_bytes, items, itertools.repeat("little")))
 
 
@@ -189,7 +195,7 @@ def _paper_matrix(profile, notion):
     rejection (see ``_levels``), without that vote's rows."""
     bucket, upto, pairs, stop = _levels(profile, notion)
     mat = C1Matrix(profile.m, short_circuit=stop is not None, short_circuit_reason=stop)
-    mat.rows = _bitsets(_packed_rows(bucket, upto, pairs, chain=False)[0])
+    mat.rows = _bitsets(_row_bytes(_packed_rows(bucket, upto, pairs, chain=False)[0]))
     by_vote = {}
     for k, _, a, b in pairs.tolist():
         by_vote.setdefault(k, []).append((a, b))
@@ -230,19 +236,18 @@ def _solve(bucket, upto, pairs):
     """Witnessing column permutation of the chain rows of the buckets
     (``_packed_rows``), or None.
 
-    The rows stay packed words until they reach the tree.  Duplicates are
-    dropped on the words, the distinct rows keeping the order of their first
-    occurrence, and so are the rows of fewer than two or of all ``m``
-    columns, which constrain nothing.
+    The rows stay packed words until they reach the tree.  The rows of
+    fewer than two or of all ``m`` columns, which constrain nothing, are
+    dropped first; the rest are deduplicated on their bytes, the distinct
+    rows keeping the order of their first occurrence, and only those become
+    ``Bitset``s.
     """
     m = bucket.shape[1]
     words, source, extra = _packed_rows(bucket, upto, pairs, chain=True)
-    nbytes = words.itemsize * words.shape[1]
-    _, keep = np.unique(words.view(f"V{nbytes}").ravel(), return_index=True)
-    keep.sort()
     # a row's size: its bucket's upper set (``_buckets``), and its extra column
-    size = (upto[source[keep]] - 1) % m + 1 + (extra[keep] >= 0)
-    return solve_c1p_sets(_bitsets(words[keep[(size > 1) & (size < m)]]), m)
+    size = (upto[source] - 1) % m + 1 + (extra >= 0)
+    distinct = dict.fromkeys(_row_bytes(words[(size > 1) & (size < m)]))
+    return solve_c1p_sets(_bitsets(distinct), m)
 
 
 def recognize(profile, notion=Notion.PSP):

@@ -21,6 +21,9 @@ after the verdicts of the inputs before it; a parse error names its file.
 Each ``--json`` record names its input in ``source``: the file's path as
 given, or ``seed-corpus[i]``, and times its reading in ``parse_ms``.
 
+The parser is built once per process, on the first call of ``main``, and
+every later call parses its arguments with the same one.
+
 Exit codes: 0 consistent, 1 not consistent, 2 error.
 """
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import sys
 import time
@@ -274,7 +278,9 @@ def _print_result(source, verdict, stats, names, as_json):
     out.write(f"  ({stats['wall_time_ms']:.1f} ms)\n")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="peakcheck",
         description="Decide whether incomplete preference profiles are "
@@ -318,8 +324,11 @@ def main(argv=None):
     gen.add_argument("--class", dest="order_class", default="weak")
     gen.add_argument("--incompleteness", type=float, default=0.3)
     gen.add_argument("--seed", type=int, default=0)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "generate":
             return _cmd_generate(args)

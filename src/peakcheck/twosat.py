@@ -5,13 +5,21 @@ One Boolean variable per candidate pair ``a < b``, indexed
 "``a`` left of ``b``" is its negation.  The valley clauses ``(ba or cb)``
 and ``(ab or bc)`` of a vote preferring ``a`` and ``c`` to ``b`` say
 ``ab == cb``, so a chain over the sorted dominators of ``b`` states them
-all.  A union-find with a parity bit decides such a system.  With a total
-order in the profile, any solution is transitive and therefore an axis.
+all.  ``encode`` finds every chain in one numpy pass: it stacks each vote's
+dominance bits (a ranked vote compares its ranks, a pair-based vote unpacks
+its rows) and one ``np.nonzero`` lists the dominators of each vote and
+candidate in order.  A union-find with a parity bit decides such a system;
+it applies each distinct equivalence once, as a repeat finds both ends in
+one class with the parity it already states, so it changes nothing and
+closes no odd cycle.  With a total order in the profile, any solution is
+transitive and therefore an axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import axis_check
 from .errors import ClassError, NoTotalOrderError
@@ -46,13 +54,28 @@ def encode(profile):
             "the 2-SAT recognizer requires a profile containing a total order"
         )
     m = profile.m
-    clauses = []
-    for rows in (vote.rows() for vote in profile.votes):
-        for b in range(m):
-            dominators = [pair_var(a, b) for a, row in enumerate(rows) if row >> b & 1]
-            clauses.extend(
-                (u, v, nu ^ nv) for (u, nu), (v, nv) in zip(dominators, dominators[1:])
-            )
+    # dominated[k, b, a]: vote k prefers a to b
+    dominated = np.empty((len(profile.votes), m, m), bool)
+    for vote, block in zip(profile.votes, dominated):
+        if vote.has_ranks():
+            ranks = np.array(vote.ranks)
+            np.less(ranks, ranks[:, None], out=block)
+        else:
+            row = b"".join(r.to_bytes((m + 7) // 8, "little") for r in vote.rows())
+            bits = np.frombuffer(row, np.uint8).reshape(m, -1)
+            block[...] = np.unpackbits(bits, axis=1, count=m, bitorder="little").T
+    # the dominators of each (vote, b) in ascending order; a clause joins
+    # each one to the next of the same (vote, b)
+    k, b, a = np.nonzero(dominated)
+    same = (k[1:] == k[:-1]) & (b[1:] == b[:-1])
+    b, first, second = b[1:][same], a[:-1][same], a[1:][same]
+
+    def var(c):
+        hi, lo = np.maximum(c, b), np.minimum(c, b)
+        return hi * (hi - 1) // 2 + lo
+
+    flip = (first < b) ^ (second < b)
+    clauses = list(zip(var(first).tolist(), var(second).tolist(), flip.tolist()))
     return TwoSatInstance(m * (m - 1) // 2, clauses)
 
 
@@ -61,8 +84,9 @@ def solve_2sat(instance):
 
     Union-find by size with a parity bit: ``parity[v]`` is v's value xor its
     parent's.  An equivalence inside one class that disagrees with the
-    parities closes an odd cycle, so the system has no solution.  Every root
-    is false, so a variable's value is its parity to its root.
+    parities closes an odd cycle, so the system has no solution.  Each
+    distinct equivalence is applied once, in order of first occurrence.
+    Every root is false, so a variable's value is its parity to its root.
     """
     n = instance.num_vars
     parent = list(range(n))
@@ -81,7 +105,7 @@ def solve_2sat(instance):
             parent[u], parity[u] = v, flip
         return v, flip
 
-    for u, v, flip in instance.clauses:
+    for u, v, flip in dict.fromkeys(instance.clauses):
         ru, pu = find(u)
         rv, pv = find(v)
         if ru == rv:
@@ -107,9 +131,7 @@ def recognize_lwo_with_total(profile):
     # candidates sorted by how many others they are left of; the verified
     # exit, not a transitivity scan, catches an assignment that is no order
     m = profile.m
-    left_counts = [0] * m
-    pairs = ((a, b) for b in range(m) for a in range(b))
-    for (a, b), b_left in zip(pairs, assignment):
-        left_counts[b if b_left else a] += 1
-    order = sorted(range(m), key=lambda c: -left_counts[c])
+    b, a = np.tril_indices(m, -1)
+    left_counts = np.bincount(np.where(assignment, b, a), minlength=m)
+    order = np.argsort(-left_counts, kind="stable").tolist()
     return axis_check.verified(profile, order, "twosat")

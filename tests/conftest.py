@@ -1,18 +1,21 @@
 """Shared test helpers: small generators and slow references for guided,
 the PrefLib parser, weak-order detection, pair-set closure, restriction and
-classification, the oracle's per-axis tests, the 2-SAT engine, the axis
-verifiers, unguided's subproblems, the c1p reduction's rows, the
-consecutive-ones solver and the PQ-tree's end runs."""
+classification, the oracle's per-axis tests, the 2-SAT encoding and engine,
+the axis verifiers, unguided's subproblems, the c1p reduction's rows and
+the rows it hands the tree, the consecutive-ones solver and the PQ-tree's
+end runs."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import operator
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from peakcheck import axis_check, guided
+from peakcheck import axis_check, c1p, guided
 from peakcheck.c1p import C1Matrix
 from peakcheck.errors import (
     AxisError,
@@ -33,7 +36,18 @@ from peakcheck.model import (
     Refusal,
     Verdict,
 )
+from peakcheck.pqtree import Bitset
 from peakcheck.preflib import _COUNT_LINE, _META_LINE, _NAME_LINE
+from peakcheck.twosat import TwoSatInstance, pair_var
+
+
+def bench_gen():
+    """The benchmark's known-answer generators, ``bench/gen.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def random_weak(m, rng):
@@ -466,6 +480,23 @@ def reference_tree_rows(masks, m):
     full = (1 << m) - 1
     return [_reference_columns(mask) for mask in dict.fromkeys(masks)
             if mask & (mask - 1) and mask != full]
+
+
+def reference_c1p_rows(profile, notion):
+    """The ``Bitset`` rows c1p hands ``solve_c1p_sets`` for ``notion``, by
+    deduplicating the packed chain rows with ``np.unique`` over void rows,
+    restoring first-occurrence order with a sort of the first indices, and
+    dropping the rows of fewer than two or of all m columns after that.
+    Assumes the notion forces no rejection (``c1p._levels``)."""
+    m = profile.m
+    bucket, upto, pairs, _ = c1p._levels(profile, notion)
+    words, source, extra = c1p._packed_rows(bucket, upto, pairs, chain=True)
+    nbytes = words.itemsize * words.shape[1]
+    _, keep = np.unique(words.view(f"V{nbytes}").ravel(), return_index=True)
+    keep.sort()
+    size = (upto[source[keep]] - 1) % m + 1 + (extra[keep] >= 0)
+    return [Bitset(int.from_bytes(row.tobytes(), "little"))
+            for row in words[keep[(size > 1) & (size < m)]]]
 
 
 def reference_end_run(node, row):
@@ -921,6 +952,21 @@ def reference_encode_clauses(profile):
             inst.add((a * m + b, False), (b * m + a, False))
             inst.add((a * m + b, True), (b * m + a, True))
     return inst
+
+
+def reference_encode(profile):
+    """``twosat.encode`` read bit by bit: per vote and candidate ``b``, the
+    equivalences between consecutive dominators of ``b`` in ascending order.
+    Skips encode's class and total-vote refusals."""
+    m = profile.m
+    clauses = []
+    for rows in (vote.rows() for vote in profile.votes):
+        for b in range(m):
+            dominators = [pair_var(a, b) for a, row in enumerate(rows) if row >> b & 1]
+            clauses.extend(
+                (u, v, nu ^ nv) for (u, nu), (v, nv) in zip(dominators, dominators[1:])
+            )
+    return TwoSatInstance(m * (m - 1) // 2, clauses)
 
 
 def tarjan_2sat(instance):

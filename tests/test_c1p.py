@@ -1,16 +1,16 @@
 import hashlib
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
 from conftest import (
     backtracking_c1p,
+    bench_gen,
     random_weak,
     random_weak_profile,
     reference_c1p_matrix,
+    reference_c1p_rows,
     reference_tree_rows,
     rows_consecutive_under,
 )
@@ -535,19 +535,11 @@ def test_solve_c1p_of_no_columns_is_the_empty_order():
         solve_c1p(C1Matrix(0, rows=[1]))
 
 
-def _bench_gen():
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def test_recognize_hands_the_tree_the_reference_rows(monkeypatch):
     # the benchmark's c1p profiles reach the PQ-tree as the reference path's
     # rows, in its order, as bitsets, so the tree reduces the same rows in
     # the same order and a row's len counts its cells
-    gen = _bench_gen()
+    gen = bench_gen()
     calls = _seam_calls(monkeypatch)
     for seed in range(3):
         profile = gen.weak_c1p_profile(350, 100, 0.9, seed)
@@ -560,6 +552,47 @@ def test_recognize_hands_the_tree_the_reference_rows(monkeypatch):
         assert all(isinstance(row, Bitset) for row in rows)
         assert [list(row) for row in rows] == want
         assert list(map(len, rows)) == list(map(len, want))
+
+
+def _plant_total_no(profile, rng):
+    """The profile with three votes replaced by total orders that plant a
+    no-triple ``{x, y, t}``: the vote for ``t`` ranks ``x`` and ``y`` first
+    and ``t`` third.  They tie nothing, so unlike ``plant_no``'s weak votes
+    they reach the tree under the plateau notions too."""
+    m, votes = profile.m, list(profile.votes)
+    triple = rng.sample(range(m), 3)
+    rest = [c for c in range(m) if c not in triple]
+    for k, t in zip(rng.sample(range(len(votes)), 3), triple):
+        x, y = (c for c in triple if c != t)
+        votes[k] = PreferenceOrder.from_total([x, y, t, *rng.sample(rest, len(rest))])
+    return Profile(m, tuple(votes))
+
+
+@pytest.mark.parametrize("m", [100, 350])
+def test_recognize_hands_the_tree_the_void_unique_rows(monkeypatch, m):
+    # the rows reach the tree as the void-row np.unique pipeline gave them:
+    # the same Bitsets in the same order, also for rows wider than 64 columns
+    gen = bench_gen()
+    calls = _seam_calls(monkeypatch)
+    answers = set()
+    for notion in NOTIONS:
+        yes = random_sp_profile(m, 30, notion, 0.5, seed=m)
+        rng = random.Random(m)
+        for profile in (yes, gen.plant_no(yes, rng, "weak"), _plant_total_no(yes, rng)):
+            calls.clear()
+            verdict = c1p.recognize(profile, notion)
+            if c1p._levels(profile, notion)[-1] is not None or (
+                notion == Notion.NECESSARY and axis_check.top_class_refusal(profile)
+            ):
+                assert not calls
+                continue
+            ((rows, width),) = calls
+            want = reference_c1p_rows(profile, notion)
+            assert width == m
+            assert all(type(row) is Bitset for row in rows)
+            assert rows == want
+            answers.add((notion, verdict.consistent))
+    assert answers == {(notion, ok) for notion in NOTIONS for ok in (False, True)}
 
 
 def _verdict_sweep():

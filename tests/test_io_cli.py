@@ -297,6 +297,72 @@ def test_python_m_peakcheck_matches_main(tmp_path, capsys, text):
     assert got == expected
 
 
+_CALLS_PROBE = """
+import contextlib, io, json, sys
+from peakcheck import cli
+parser, results = cli._parser(), []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = open(argv[1]).read() if argv[0] == "generate" else None
+    same = cli._parser() is parser
+    results.append([code, out.getvalue(), err.getvalue(), written, same])
+print(json.dumps(results))
+"""
+
+
+def _run_calls(calls, tmp_path):
+    """``[code, stdout, stderr, generated file, same parser]`` of each call,
+    all made in turn by one fresh interpreter; the timings in the output
+    are cut out."""
+    src = os.path.dirname(os.path.dirname(peakcheck.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _CALLS_PROBE, json.dumps(calls)],
+        capture_output=True, text=True, cwd=tmp_path, check=True,
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+    )
+    results = json.loads(run.stdout)
+    for result in results:
+        if result[1].startswith("{"):
+            records = json.loads("[" + result[1].replace("}\n{", "},{") + "]")
+            for record in records:
+                del record["wall_time_ms"], record["parse_ms"]
+            result[1] = records
+        else:
+            result[1] = re.sub(r"  \(\d+\.\d ms\)$", "", result[1], flags=re.M)
+    return results
+
+
+def test_cached_parser_answers_each_call_as_alone(tmp_path):
+    # main builds its parser once per process: a run of calls in one
+    # process, an argparse error and --help among them, answers each call
+    # as a process that makes only that call
+    weak, local = tmp_path / "weak.toc", tmp_path / "local.json"
+    weak.write_text(write_preflib(random_sp_profile(8, 6, "psp", 0.5, seed=3)))
+    rng = random.Random(38)
+    votes = [random_local_weak(6, rng) for _ in range(4)]
+    local.write_text(write_profile_json(Profile(6, (*votes, PreferenceOrder.from_total(range(6))))))
+    calls = [
+        ["recognize", "--json", str(weak), str(local)],
+        ["recognize", "--notion", "bogus", str(weak)],
+        ["generate", str(tmp_path / "gen.toc"), "--m", "5", "--n", "3", "--seed", "2"],
+        ["recognize", "--notion", "plateaued", str(weak)],
+        ["--help"],
+        ["recognize", "--json", str(weak), str(local)],
+    ]
+    together = _run_calls(calls, tmp_path)
+    alone = [_run_calls([call], tmp_path)[0] for call in calls]
+    assert together == alone
+    assert [code for code, *_ in together] == [0, 2, 0, 1, 0, 0]
+    assert [record["algorithm"] for record in together[0][1]] == ["guided", "twosat"]
+    assert all(same for *_, same in together)
+    assert cli._parser() is cli._parser()
+
+
 def test_cli_reads_utf8_whatever_the_locale(tmp_path):
     # under the C locale with UTF-8 mode off, open() would default to ASCII
     path = tmp_path / "names.toc"

@@ -1,13 +1,18 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ClauseInstance,
+    bench_gen,
     random_local_weak,
     random_total,
     random_weak,
+    reference_encode,
     reference_encode_clauses,
     tarjan_2sat,
 )
@@ -262,3 +267,109 @@ def test_assignment_with_a_valley_is_an_internal_error(monkeypatch, tmp_path, ca
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:")
+
+
+def _assert_encodes_as_reference(profile):
+    got, want = encode(profile), reference_encode(profile)
+    assert got.num_vars == want.num_vars
+    assert got.clauses == want.clauses
+    assert all(
+        type(u) is int and type(v) is int and type(flip) is bool
+        for u, v, flip in got.clauses
+    )
+
+
+@st.composite
+def _local_weak_total_profiles(draw):
+    """Profiles at m <= 12 of one total vote among ranked votes, pair-based
+    local weak votes and votes with no comparison at all."""
+    m = draw(st.integers(1, 12))
+    votes = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["ranked", "pairs", "empty"]))
+        if kind == "ranked":
+            ranks = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+            votes.append(PreferenceOrder.from_ranks(ranks))
+        elif kind == "pairs":
+            sub = draw(st.lists(st.integers(0, m - 1), unique=True))
+            level = {c: draw(st.integers(0, 3)) for c in sub}
+            pairs = [(a, b) for a in sub for b in sub if level[a] < level[b]]
+            votes.append(PreferenceOrder.from_pairs(pairs, m))
+        else:
+            votes.append(PreferenceOrder.from_pairs([], m))
+    total = PreferenceOrder.from_total(draw(st.permutations(range(m))))
+    votes.insert(draw(st.integers(0, len(votes))), total)
+    return Profile(m, tuple(votes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_local_weak_total_profiles())
+def test_encode_matches_reference_on_drawn_profiles(profile):
+    _assert_encodes_as_reference(profile)
+
+
+def test_encode_matches_reference_on_benchmark_profiles():
+    # the benchmark's twosat inputs, with a planted triple of pair-based
+    # votes that keeps the total vote first
+    gen = bench_gen()
+    for seed in range(4):
+        yes = gen.local_weak_total_profile(40, 10, seed)
+        no = gen.plant_no(yes, random.Random(seed), "pairs", keep=(0,))
+        assert any(not vote.has_ranks() for vote in yes.votes)
+        for profile in (yes, no):
+            _assert_encodes_as_reference(profile)
+
+
+def test_solve_2sat_ignores_repeated_equivalences():
+    # a repeat finds both ends in one class with the parity it states, so
+    # repeats change neither the answer nor the assignment
+    rng = random.Random(6)
+    outcomes = set()
+    for _ in range(1500):
+        nv = rng.randint(1, 10)
+        eqs = [
+            (rng.randrange(nv), rng.randrange(nv), rng.random() < 0.5)
+            for _ in range(rng.randint(1, 14))
+        ]
+        repeated = list(eqs)
+        for _ in range(rng.randint(1, 10)):
+            i = rng.randrange(len(repeated))
+            repeated.insert(rng.randint(i + 1, len(repeated)), repeated[i])
+        got = solve_2sat(TwoSatInstance(nv, repeated))
+        assert got == solve_2sat(TwoSatInstance(nv, list(dict.fromkeys(eqs))))
+        ref = any(
+            all(bits[u] == (bits[v] ^ flip) for u, v, flip in eqs)
+            for bits in itertools.product([False, True], repeat=nv)
+        )
+        assert (got is not None) == ref
+        outcomes.add(ref)
+    assert outcomes == {False, True}
+
+
+def _digest_profiles():
+    """Seeded local weak profiles with a total vote: m 1-12 from the
+    generators here, and the benchmark's m = 40 inputs with and without a
+    planted triple."""
+    rng = random.Random(38)
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        votes = [random_local_weak(m, rng) for _ in range(rng.randint(0, 6))]
+        votes.insert(rng.randint(0, len(votes)), random_total(m, rng))
+        yield Profile(m, tuple(votes))
+    gen = bench_gen()
+    for seed in range(6):
+        yes = gen.local_weak_total_profile(40, 10, seed)
+        yield yes
+        yield gen.plant_no(yes, random.Random(seed), "pairs", keep=(0,))
+
+
+def test_twosat_verdicts_are_pinned():
+    # verdicts, certificates and the axes themselves: the union-find and the
+    # ordering by left counts decide which valid axis twosat returns
+    records = [
+        (v.consistent, v.certificate, v.axis and tuple(v.axis))
+        for v in map(recognize_lwo_with_total, _digest_profiles())
+    ]
+    assert {consistent for consistent, _, _ in records} == {False, True}
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "f59e6e79b556ea5d004d0bafbc6667cc796ae1a1d9581175b382c3368174640e"
